@@ -36,7 +36,7 @@ for k in (5, 10, 20):
 
 # --- MSGD: the SME is an underdamped Langevin equation --------------------
 # Its E f decomposes into a decaying transient plus an accumulated-noise
-# term built from the R-function (a damped-oscillation integral); the same
+# term, the x-variance of each mode's Lyapunov covariance; the same
 # quantity is also available by adaptive quadrature over the modes.
 mu = 0.8
 lsys = langevin_system(model.spec, mu, eta)

@@ -134,7 +134,9 @@ def mat_exp_2x2(M, t=1.0):
 
     Writes M = (tr/2) I + K with K^2 = (Delta/4) I, Delta = tr^2 - 4 det, and
     dispatches on the sign of Delta (cosh/sinh, cos/sin, or the defective
-    I + tK branch when |Delta| <= 1e-12 * max(1, tr^2)).
+    I + tK branch when |Delta| <= 1e-12 * max(1, tr^2)).  In the cosh/sinh
+    branch e^{|om t|} is folded into the exponent, so the result stays finite
+    wherever exp(t M) is, even when cosh(om t) alone would overflow.
     """
     a = np.asarray(M, dtype=float)
     if a.shape != (2, 2) or not np.all(np.isfinite(a)):
@@ -145,14 +147,17 @@ def mat_exp_2x2(M, t=1.0):
     delta = tr * tr - 4.0 * det
     half = 0.5 * tr
     K = a - half * np.eye(2)
-    scale = math.exp(half * t)
     if abs(delta) <= 1e-12 * max(1.0, tr * tr):
-        return scale * (np.eye(2) + t * K)
+        return math.exp(half * t) * (np.eye(2) + t * K)
     if delta > 0.0:
         om = 0.5 * math.sqrt(delta)
-        return scale * (math.cosh(om * t) * np.eye(2) + (math.sinh(om * t) / om) * K)
+        s = abs(om * t)
+        # cosh(om t) = e^s (1 + e^{-2s}) / 2, sinh(om t) = sign(t) e^s (1 - e^{-2s}) / 2
+        return 0.5 * math.exp(half * t + s) * (
+            (1.0 + math.exp(-2.0 * s)) * np.eye(2)
+            + math.copysign(-math.expm1(-2.0 * s) / om, t) * K)
     om = 0.5 * math.sqrt(-delta)
-    return scale * (math.cos(om * t) * np.eye(2) + (math.sin(om * t) / om) * K)
+    return math.exp(half * t) * (math.cos(om * t) * np.eye(2) + (math.sin(om * t) / om) * K)
 
 
 def mat_exp_dense(M, t=1.0):

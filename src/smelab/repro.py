@@ -923,8 +923,7 @@ def exp_momentum_dynamics(config=None):
             exact = exact_moment_recursion(algo, model, x0)
             system = langevin_system(model.spec, mu, eta, cfg.noise_scale)
             t_grid = eta * np.arange(n + 1)
-            closed = np.array([langevin_expected_f_exact(system, x0, t)
-                               for t in t_grid])
+            closed = langevin_expected_f_exact(system, x0, t_grid)
             floor = discrete_floor(algo, model)
             fit = descent_rate(exact, eta, floor=floor)
             lo, hi = fit.window

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from . import models, rng, sga
+from .analysis import CRITICAL, OVERDAMPED, UNDERDAMPED, classify_damping
 from .matkit import Block2x2Family, SpectralDecomp, block_reduce, mat_exp_2x2, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
@@ -37,7 +39,6 @@ SNAG_VARYING = "snag_varying"
 _FAMILIES = (sga.SGD, sga.MSGD, sga.SNAG, SNAG_VARYING)
 
 _CHUNK = 4096
-_DEGENERATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -399,13 +400,6 @@ def bs_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
     return float(out) if out.ndim == 0 else out
 
 
-def _damping_regime(mu, lam, tol=_DEGENERATE_TOL):
-    disc = mu * mu - 4.0 * lam
-    if abs(disc) <= tol * max(1.0, 4.0 * lam):
-        return "critical", disc
-    return ("overdamped", disc) if disc > 0 else ("underdamped", disc)
-
-
 def R_function(t, mu, lam):
     """The damping-regime kernel appearing in the momentum noise integral.
 
@@ -418,17 +412,17 @@ def R_function(t, mu, lam):
     """
     if mu <= 0 or lam <= 0:
         raise ValueError("R_function needs mu > 0, lam > 0")
-    regime, disc = _damping_regime(mu, lam)
+    regime = classify_damping(mu, lam)
     if np.isinf(t):
         return min(mu / (4.0 * lam), 1.0 / mu)
     t = float(t)
     if t < 0:
         raise ValueError("t must be >= 0")
     if mu * t > 700.0:
-        return min(mu / (4.0 * lam), 1.0 / mu) if regime == "underdamped" \
+        return min(mu / (4.0 * lam), 1.0 / mu) if regime == UNDERDAMPED \
             else 1.0 / mu
-    if regime == "underdamped":
-        om = math.sqrt(-disc)
+    if regime == UNDERDAMPED:
+        om = math.sqrt(4.0 * lam - mu * mu)
         return (mu + om * math.exp(-mu * t) * math.sin(om * t)
                 - mu * math.exp(-mu * t) * math.cos(om * t)) / (4.0 * lam)
     return (1.0 - math.exp(-mu * t)) / mu
@@ -450,6 +444,10 @@ class LangevinBlockSystem:
     blocks: Block2x2Family
 
 
+# e_v e_v^T: the noise enters the v slot of the (v, x) state
+_EV_EV = np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
 def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
     if variant not in ("order1", "msgd2", "snag2"):
         raise ValueError("variant must be order1, msgd2 or snag2")
@@ -467,59 +465,54 @@ def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
                                variant, fam)
 
 
-def _noise_integral_closed(mu, lam, t):
-    """int_0^t ([e^{-u a}]_{x,v})^2 du for the order-1 block, in closed form."""
-    regime, disc = _damping_regime(mu, lam)
-    if regime == "critical":
-        raise ValueError("degenerate damping: |mu^2 - 4 lam| below tolerance")
-    if np.isinf(t):
-        return 1.0 / (2.0 * lam * mu)
-    if regime == "overdamped":
-        root = math.sqrt(disc)
-        lp = 0.5 * (mu + root)
-        lm = 0.5 * (mu - root)
-        bracket = ((1.0 - math.exp(-2.0 * t * lm)) / (2.0 * lm)
-                   + (1.0 - math.exp(-2.0 * t * lp)) / (2.0 * lp)
-                   - 2.0 * (1.0 - math.exp(-mu * t)) / mu)
-        return bracket / disc
-    om2 = -disc
-    return 2.0 * ((1.0 - math.exp(-mu * t)) / mu - R_function(t, mu, lam)) / om2
-
-
 def langevin_expected_f_exact(system, x0, t):
     """E f(X_t) for the block-reduced momentum SDE, start (v, x) = (0, x0).
 
-    The transient term uses the closed-form 2x2 exponentials.  The noise term
-    is closed form for the order-1 variant (regime-split integrals; a
-    degenerate mode falls back to quadrature) and is delegated to the
-    quadrature route for the order-2 variants, whose integrand has no
-    comparably clean antiderivative.
+    Every mode is the linear Langevin equation dz = -a_i z dt + sqrt(eta) ns
+    lam_i e_v dW, so with E = e^{-t a_i}
+      E f = sum_i (lam_i/2) [(E z0)_x^2 + eta ns^2 lam_i^2 C_i(t)_xx],
+      C_i(t) = int_0^t e^{-s a_i} e_v e_v^T e^{-s a_i^T} ds = C_inf - E C_inf E^T,
+    where C_inf solves a C + C a^T = e_v e_v^T.  One route serves every
+    variant and damping regime: E is the closed-form 2x2 exponential, and at
+    t = inf only C_inf is used (the system must be asymptotically stable).
+    Where t ||a_i||_1 < 0.5 the difference cancels (relative error ~ eps/t^3),
+    so C_i(t) = E G instead, G the upper-right block of Van Loan's
+    expm(t [[a, e_v e_v^T], [0, -a^T]]), which overflows at large t ||a||.
+    t may be a scalar, math.inf or an array; a scalar returns a float.
     """
+    t = np.asarray(t, dtype=float)
+    if np.any(np.isnan(t)) or np.any(t < 0):
+        raise ValueError("t must be >= 0 (math.inf for the stationary value)")
     spec = system.spec
     lam = spec.eigenvalues
+    a = system.blocks.blocks
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
-    ns2 = system.noise_scale ** 2
-    if np.isinf(t):
-        eigs = system.blocks.block_eigenvalues()
-        if float(np.min(eigs.real)) <= 0:
-            raise ValueError("system is not asymptotically stable; E f diverges")
-        transient = 0.0
-    else:
-        transient = 0.0
-        for i in range(spec.dim):
-            e = mat_exp_2x2(system.blocks.blocks[i], -float(t))
-            transient += 0.5 * lam[i] * (e[1, 1] * y0[i]) ** 2
-    noise = 0.0
-    for i in range(spec.dim):
-        if system.variant == "order1":
-            try:
-                integral = _noise_integral_closed(system.mu, lam[i], t)
-            except ValueError:
-                integral = _mode_quad_integral(system.blocks.blocks[i], t)
-        else:
-            integral = _mode_quad_integral(system.blocks.blocks[i], t)
-        noise += 0.5 * system.eta * ns2 * lam[i] ** 3 * integral
-    return transient + noise
+    ts = t.reshape(-1)
+    if np.isinf(ts).any() and float(np.min(system.blocks.block_eigenvalues().real)) <= 0:
+        raise ValueError("system is not asymptotically stable; E f diverges")
+    # Cramer's rule on the three unknowns of the symmetric Lyapunov equation
+    tr = a[:, 0, 0] + a[:, 1, 1]
+    c_inf = np.empty_like(a)
+    c_inf[:, 0, 0] = tr * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    c_inf[:, 0, 1] = c_inf[:, 1, 0] = -a[:, 1, 0] * a[:, 1, 1]
+    c_inf[:, 1, 1] = a[:, 1, 0] ** 2
+    c_inf /= (2.0 * tr * np.linalg.det(a))[:, None, None]
+    e = np.stack([system.blocks.block_exp(-s) if np.isfinite(s) else np.zeros_like(a)
+                  for s in ts])
+    cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
+    small = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1) < 0.5
+    if small.any():
+        k, i = np.nonzero(small)
+        tk = ts[k, None, None]
+        m = np.zeros((k.size, 4, 4))
+        m[:, :2, :2] = tk * a[i]
+        m[:, :2, 2:] = tk * _EV_EV
+        m[:, 2:, 2:] = -tk * np.swapaxes(a[i], -1, -2)
+        cov[k, i] = e[k, i] @ expm(m)[:, :2, 2:]
+    x = e[..., 1, 1] * y0
+    noise = system.eta * system.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
+    out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def _mode_quad_integral(block, t):
@@ -581,10 +574,11 @@ def asymptotic_noise_msgd(spec, mu, eta, noise_scale=1.0):
         raise ValueError("mu must be positive")
     total = 0.0
     for lam in spec.eigenvalues:
-        regime, disc = _damping_regime(mu, lam)
-        if regime == "critical":
+        regime = classify_damping(mu, lam)
+        if regime == CRITICAL:
             raise ValueError("degenerate damping at lam=%g: |mu^2-4lam| below tolerance" % lam)
-        if regime == "overdamped":
+        disc = mu * mu - 4.0 * lam
+        if regime == OVERDAMPED:
             root = math.sqrt(disc)
             re_p = 0.5 * (mu + root)
             re_m = 0.5 * (mu - root)

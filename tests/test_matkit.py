@@ -112,6 +112,14 @@ def test_mat_exp_2x2_near_defective_stability():
                         rtol=1e-9, atol=1e-9)
 
 
+def test_mat_exp_2x2_overdamped_large_t_stays_finite():
+    # the msgd2 block at mu = 3, eta = 0.1, lam = 0.25: cosh(om t) alone
+    # overflows at t = -600 although exp(t m) is about 6e-23
+    m = np.array([[3.4375, 0.2875], [-0.85, 0.0125]])
+    assert_allclose(mat_exp_2x2(m, -600.0), scipy.linalg.expm(-600.0 * m),
+                    rtol=1e-12, atol=0.0)
+
+
 def test_mat_exp_2x2_group_property():
     m = np.array([[0.4, -1.1], [0.8, -0.2]])
     e1 = mat_exp_2x2(m, 0.6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import solve_continuous_lyapunov
 
 from smelab.matkit import haar_orthogonal, mat_exp_dense
 from smelab.models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
@@ -251,8 +252,8 @@ def test_langevin_t_zero_and_critical_fallback():
     system = langevin_system(spec, 0.7, 0.1, noise_scale=0.9)
     assert_allclose(langevin_expected_f_exact(system, x0, 0.0),
                     0.5 * x0 @ spec.matrix() @ x0, rtol=1e-12)
-    # mu = 1 is critically damped for lam = 0.25: the closed-form noise
-    # integral refuses, and the exact route falls back to quadrature
+    # mu = 1 is critically damped for lam = 0.25: the exact route treats that
+    # mode like any other (no regime split), and quadrature is the oracle
     critical = langevin_system(spec, 1.0, 0.1, noise_scale=0.9)
     a = langevin_expected_f_exact(critical, x0, 2.0)
     b = langevin_expected_f_quadrature(critical, x0, 2.0)
@@ -281,6 +282,72 @@ def test_order2_variants_differ_and_agree_between_routes():
     assert abs(vals["msgd2"] - vals["snag2"]) > 1e-4
     with pytest.raises(ValueError):
         langevin_system(spec, 0.7, 0.25, variant="order3")
+
+
+def _stationary_f_order2(lams, mu, eta, ns, variant):
+    # per mode, state (v, x): dv = -[(mu + (eta/2)(mu^2 -+ lam)) v
+    # + (1 + eta mu/2) lam x] dt + sqrt(eta) ns lam dW,
+    # dx = [(1 - eta mu/2) v - (eta/2) lam x] dt (-lam for msgd2, +lam for
+    # snag2); the stationary covariance S solves A S + S A^T + b b^T = 0
+    sign = -1.0 if variant == "msgd2" else 1.0
+    total = 0.0
+    for lam in lams:
+        a = np.array([[-(mu + 0.5 * eta * (mu * mu + sign * lam)),
+                       -(1.0 + 0.5 * eta * mu) * lam],
+                      [1.0 - 0.5 * eta * mu, -0.5 * eta * lam]])
+        bbt = np.diag([eta * ns ** 2 * lam ** 2, 0.0])
+        total += 0.5 * lam * solve_continuous_lyapunov(a, -bbt)[1, 1]
+    return total
+
+
+@pytest.mark.parametrize("variant", ["msgd2", "snag2"])
+@pytest.mark.parametrize("mu", [1.85, 2.0, 2.5, 2.95, 3.0])
+def test_order2_stationary_value_is_finite_and_matches_lyapunov(variant, mu):
+    # overdamped order-2 modes, where cosh(om t) of a finite-time exponential
+    # overflows long before the stationary value is reached
+    spec = _iso([1.0, 0.25]).spec
+    system = langevin_system(spec, mu, 0.1, variant=variant)
+    got = langevin_expected_f_exact(system, np.zeros(2), math.inf)
+    assert math.isfinite(got)
+    assert_allclose(got, _stationary_f_order2([1.0, 0.25], mu, 0.1, 1.0, variant),
+                    rtol=1e-12)
+    assert_allclose(got, langevin_expected_f_quadrature(system, np.zeros(2), math.inf),
+                    rtol=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["order1", "msgd2", "snag2"])
+@pytest.mark.parametrize("mu", [0.7, 1.0])
+def test_langevin_small_t_noise_term_has_no_cancellation(variant, mu):
+    # x0 = 0 leaves only the noise term, whose difference form
+    # C_inf - E C_inf E^T loses ~eps/t^3 relative accuracy as t -> 0
+    spec = _iso([1.0, 0.25]).spec
+    system = langevin_system(spec, mu, 0.1, noise_scale=0.9, variant=variant)
+    for t in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
+        assert_allclose(langevin_expected_f_exact(system, np.zeros(2), t),
+                        langevin_expected_f_quadrature(system, np.zeros(2), t),
+                        rtol=1e-10)
+
+
+def test_langevin_array_t_equals_scalar_calls():
+    spec = _iso([1.0, 0.25]).spec
+    x0 = np.array([2.0, -1.0])
+    ts = np.array([0.0, 1e-6, 0.05, 0.3, 1.7, 40.0, math.inf])
+    for variant in ("order1", "msgd2", "snag2"):
+        system = langevin_system(spec, 1.0, 0.1, noise_scale=0.9, variant=variant)
+        got = langevin_expected_f_exact(system, x0, ts)
+        assert got.shape == ts.shape
+        one = [langevin_expected_f_exact(system, x0, t) for t in ts]
+        assert all(type(v) is float for v in one)
+        np.testing.assert_array_equal(got, one)
+        np.testing.assert_array_equal(
+            langevin_expected_f_exact(system, x0, ts.reshape(7, 1)), got.reshape(7, 1))
+
+
+def test_langevin_rejects_negative_and_nan_t():
+    system = langevin_system(_iso([1.0, 0.25]).spec, 0.7, 0.1)
+    for t in (-1.0, math.nan, np.array([0.5, -1.0])):
+        with pytest.raises(ValueError):
+            langevin_expected_f_exact(system, np.zeros(2), t)
 
 
 # ---------------------------------------------------------------------------
