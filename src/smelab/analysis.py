@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import Block2x2Family, SpectralDecomp, mat_exp_2x2
+from .matkit import Block2x2Family, SpectralDecomp
 
 _DEGENERATE_TOL = 1e-9
 
@@ -123,14 +123,7 @@ def varying_momentum_eigs(t, t0, spec_or_lambdas):
     (1/2) [drag +- sqrt(drag^2 - 4 lam)], drag = 3 log(t/t0)/(t - t0)."""
     if not (t > t0 > 0):
         raise ValueError("need t > t0 > 0")
-    lam = _eigenvalues_of(spec_or_lambdas)
-    drag = 3.0 * math.log(t / t0) / (t - t0)
-    disc = np.asarray(drag * drag - 4.0 * lam, dtype=complex)
-    root = np.sqrt(disc)
-    pairs = np.stack([(drag + root) / 2.0, (drag - root) / 2.0], axis=1)
-    cls = tuple(classify_damping(drag, l) for l in lam)
-    return EigenReport(pairs, float(np.min(pairs.real)), cls,
-                       CRITICAL not in cls)
+    return momentum_eigs(3.0 * math.log(t / t0) / (t - t0), spec_or_lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +171,13 @@ def decay_bound_check(family: Block2x2Family, t_grid):
     d = family.dim
     eigs = family.block_eigenvalues()
     rate = float(np.min(eigs.real))
-    defective = []
-    for i in range(d):
-        tr = blocks[i, 0, 0] + blocks[i, 1, 1]
-        det = blocks[i, 0, 0] * blocks[i, 1, 1] - blocks[i, 0, 1] * blocks[i, 1, 0]
-        disc = tr * tr - 4.0 * det
-        nil = blocks[i] - 0.5 * tr * np.eye(2)
-        degenerate = abs(disc) <= _DEGENERATE_TOL * max(1.0, tr * tr)
-        defective.append(degenerate and float(np.max(np.abs(nil))) > 1e-14)
-    any_def = any(defective)
+    tr = blocks[:, 0, 0] + blocks[:, 1, 1]
+    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    disc = tr * tr - 4.0 * det
+    nil = blocks - 0.5 * tr[:, None, None] * np.eye(2)
+    defective = ((np.abs(disc) <= _DEGENERATE_TOL * np.maximum(1.0, tr * tr))
+                 & (np.max(np.abs(nil), axis=(1, 2)) > 1e-14))
+    any_def = bool(np.any(defective))
     eps = 0.0
     if any_def:
         if rate <= 0.0:
@@ -199,14 +190,11 @@ def decay_bound_check(family: Block2x2Family, t_grid):
             # ||e^{-ta}||_2 <= (1 + t ||N||) e^{-(mean - s) t} with mean = tr/2
             # and s = sqrt(|disc|)/2, so the eps-branch needs eps > s and pays
             # sup_t (1 + t ||N||) e^{-(eps - s) t}.
-            tr = a[0, 0] + a[1, 1]
-            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            s = 0.5 * math.sqrt(abs(tr * tr - 4.0 * det))
+            s = 0.5 * math.sqrt(abs(disc[i]))
             if eps <= s:
                 raise ValueError("near-degenerate block too wide for the eps-branch")
             delta = eps - s
-            nil = a - 0.5 * tr * np.eye(2)
-            nnorm = math.sqrt(float(np.sum(nil * nil)))
+            nnorm = math.sqrt(float(np.sum(nil[i] * nil[i])))
             if nnorm <= delta:
                 factor = 1.0
             else:
@@ -223,12 +211,9 @@ def decay_bound_check(family: Block2x2Family, t_grid):
         constant *= max(1.0, _cond2_2x2(basis))
     holds = True
     for t in t_grid:
-        frob2 = 0.0
-        for i in range(d):
-            e = mat_exp_2x2(blocks[i], -float(t))
-            frob2 += float(np.sum(e * e))
+        e = family.block_exp(-float(t))
         bound = constant * math.exp(-(rate - eps) * float(t))
-        if math.sqrt(frob2) > bound * (1.0 + 1e-9) + 1e-300:
+        if math.sqrt(float(np.sum(e * e))) > bound * (1.0 + 1e-9) + 1e-300:
             holds = False
             break
     return DecayBound(rate, constant, eps, holds, any_def)

@@ -190,7 +190,7 @@ def _selftest_rng():
 
 
 def _selftest_matkit():
-    """Jacobi eigensolver and 2x2 exponential against dense references."""
+    """Eigendecomposition and 2x2 exponential against dense references."""
     from .matkit import mat_exp_2x2, mat_exp_dense, sym_eig
     gen = np.random.default_rng(2024)
     worst = 0.0

@@ -1,11 +1,12 @@
 """Small dense symmetric-matrix toolkit used by the rest of the package.
 
 Everything here is sized for the regimes this package works in (d <= 64):
-a cyclic Jacobi eigensolver for symmetric matrices, closed-form 2x2 matrix
-exponentials (the per-mode blocks of the momentum systems), a scaling-and-
-squaring exponential for small dense matrices, planted-spectrum SPD test
-matrices, and the reduction of block-structured 2d x 2d systems to per-mode
-2x2 blocks sharing one eigenbasis.
+the symmetric eigendecomposition (LAPACK eigh) and the dense matrix
+exponential (scipy expm) behind this package's validation and size cap,
+closed-form 2x2 matrix exponentials (the per-mode blocks of the momentum
+systems), planted-spectrum SPD test matrices, and the reduction of
+block-structured 2d x 2d systems to per-mode 2x2 blocks sharing one
+eigenbasis.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import rng
 
 MAX_DIM = 64
-_JACOBI_SWEEPS = 100
-_JACOBI_TOL = 1e-14
 
 
 class MatkitError(ValueError):
@@ -79,54 +79,14 @@ class SpectralDecomp:
 
 
 def sym_eig(H):
-    """Spectral decomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Plane rotations are applied in row-cyclic order until the off-diagonal
-    Frobenius norm falls below 1e-14 * ||H||_F; raises after 100 sweeps with
-    the residual in the message.  Eigenvalues are returned in descending
-    order.  Matrices up to 64 x 64.
-    """
+    """Spectral decomposition (LAPACK eigh) of a symmetric matrix up to 64 x 64,
+    eigenvalues in descending order."""
     a = check_symmetric(H)
     n = a.shape[0]
     if n > MAX_DIM:
         raise MatkitError("sym_eig supports matrices up to %d, got %d" % (MAX_DIM, n))
-    q = np.eye(n)
-    hnorm = float(np.linalg.norm(a))
-    if hnorm == 0.0 or n == 1:
-        return SpectralDecomp(np.diag(a).copy(), q)
-    thresh = _JACOBI_TOL * hnorm
-    off = math.inf
-    for _ in range(_JACOBI_SWEEPS):
-        # off-diagonal Frobenius norm, summed directly (the textbook
-        # ||A||^2 - ||diag||^2 form cancels and floors out near sqrt(eps))
-        strict = a - np.diag(np.diag(a))
-        off = float(np.linalg.norm(strict))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = a[p, r]
-                if apq == 0.0:
-                    continue
-                diff = a[r, r] - a[p, p]
-                if abs(apq) < 1e-150 * abs(diff):
-                    # rotation angle at the underflow edge: small-angle form
-                    t = apq / diff
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, r], :] = rot.T @ a[[p, r], :]
-                a[:, [p, r]] = a[:, [p, r]] @ rot
-                q[:, [p, r]] = q[:, [p, r]] @ rot
-    else:
-        raise MatkitError("Jacobi iteration did not converge in %d sweeps "
-                          "(off-diagonal residual %.3e)" % (_JACOBI_SWEEPS, off))
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam, kind="stable")
-    return SpectralDecomp(lam[order], q[:, order])
+    lam, q = np.linalg.eigh(a)
+    return SpectralDecomp(lam[::-1], q[:, ::-1])
 
 
 def mat_exp_2x2(M, t=1.0):
@@ -161,7 +121,7 @@ def mat_exp_2x2(M, t=1.0):
 
 
 def mat_exp_dense(M, t=1.0):
-    """exp(t M) for a small dense matrix by scaling-and-squaring of a Taylor sum."""
+    """exp(t M) for a small dense matrix (scipy expm)."""
     a = np.asarray(M, dtype=float) * float(t)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatkitError("mat_exp_dense needs a square matrix")
@@ -170,19 +130,7 @@ def mat_exp_dense(M, t=1.0):
         raise MatkitError("mat_exp_dense supports matrices up to %d, got %d" % (MAX_DIM, n))
     if not np.all(np.isfinite(a)):
         raise MatkitError("mat_exp_dense: non-finite input")
-    norm1 = float(np.max(np.abs(a).sum(axis=0))) if n else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0)
-    b = a / (2.0 ** squarings)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ b / k
-        out = out + term
-        if float(np.max(np.abs(term))) <= 1e-18 * max(1.0, float(np.max(np.abs(out)))):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    return expm(a)
 
 
 def condition_spectrum(d, kappa):
@@ -244,13 +192,7 @@ class Block2x2Family:
 
     def assemble(self):
         """Dense 2d x 2d matrix in the original coordinates, state order (v, x)."""
-        q = self.spec.basis
-        out = np.zeros((2 * self.dim, 2 * self.dim))
-        for i in range(2):
-            for j in range(2):
-                out[i * self.dim:(i + 1) * self.dim, j * self.dim:(j + 1) * self.dim] = \
-                    (q * self.blocks[:, i, j]) @ q.T
-        return out
+        return _assemble(self.spec, self.blocks)
 
     def block_exp(self, t):
         """exp(t A_i) for every block, shape (d, 2, 2)."""
@@ -264,6 +206,14 @@ class Block2x2Family:
         disc = np.asarray(tr * tr - 4.0 * det, dtype=complex)
         root = np.sqrt(disc)
         return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=1)
+
+
+def _assemble(spec, blocks):
+    """The (m d) x (m d) matrix, in original coordinates with the m state slots
+    of length d side by side, whose eigenbasis blocks are blocks (d, m, m)."""
+    q = spec.basis
+    m = blocks.shape[1]
+    return np.block([[(q * blocks[:, i, j]) @ q.T for j in range(m)] for i in range(m)])
 
 
 def block_reduce(p11, p12, p21, p22, spec):

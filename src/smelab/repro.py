@@ -29,16 +29,19 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _mode_matrices, exact_moment_recursion,
-                  iteration_count, nesterov_mu, run_ensemble)
+                  NesterovSchedule, _mode_matrices, _sgd_factors,
+                  exact_moment_recursion, iteration_count, nesterov_mu,
+                  run_ensemble, supports_exact_moments)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
-from .analysis import (RateFit, descent_rate, discrete_divergence_threshold,
+from .analysis import (CRITICAL, RateFit, _ols, classify_damping,
+                       descent_rate, discrete_divergence_threshold,
                        discrete_growth_factors, divergence_threshold,
                        fit_loglog_slope, optimal_mu, order2_eigs)
 
@@ -593,77 +596,74 @@ def windowed_rate(series, lo, hi):
     if np.any(segment <= 0):
         raise ValueError("series must be positive on the window")
     k = np.arange(lo, hi + 1, dtype=float)
-    y = -np.log(segment)
-    coeffs = np.polyfit(k, y, 1)
-    resid = y - np.polyval(coeffs, k)
-    return RateFit(float(coeffs[0]), float(coeffs[1]),
-                   float(np.sqrt(np.mean(resid * resid))), (lo, hi))
+    return RateFit(*_ols(k, -np.log(segment)), (lo, hi))
 
 
 def discrete_floor(algo, model):
     """Stationary E f of the exact second-moment recursion (constant mu).
 
-    isotropic_shift: per eigenmode, the fixed point of the linear moment
-    recursion (solved in the 3 unique entries of the symmetric 2x2 second
-    moment for momentum families).  eigenbasis_scaled with sgd: multiplicative
-    noise decays to zero when every growth factor is below one.
+    Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
+    eigenbasis_scaled), or the solution of the discrete Lyapunov equation
+    P = M P M^T + N of a momentum family.  Raises ValueError when a mode
+    diverges (a >= 1, or M has spectral radius >= 1).
     """
-    eta = algo.eta
+    if not supports_exact_moments(algo, model):
+        raise ValueError("no exact stationary value for %s on %s"
+                         % (algo.family, model.kind))
     lam = model.spec.eigenvalues
-    ns2 = model.noise_scale ** 2
-    if model.kind == EIGENBASIS_SCALED:
-        if algo.family != SGD:
-            raise ValueError("no exact stationary value for %s on %s"
-                             % (algo.family, model.kind))
-        if np.any(discrete_growth_factors(model, eta) >= 1.0):
-            raise ValueError("a mode diverges; no stationary value")
-        return 0.0
     if algo.family == SGD:
-        a = (1.0 - eta * lam) ** 2
+        _, a, b = _sgd_factors(model, algo.eta)
         if np.any(a >= 1.0):
             raise ValueError("a mode diverges; no stationary value")
-        p_inf = (eta * lam) ** 2 * ns2 / (1.0 - a)
-        return float(0.5 * np.sum(lam * p_inf))
+        return float(0.5 * np.sum(lam * (b / (1.0 - a))))
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
-    mats = _mode_matrices(algo, model, 0)
-    total = 0.0
-    for i, lam_i in enumerate(lam):
-        (m00, m01), (m10, m11) = mats[i]
-        propagate = np.array([
-            [m00 * m00, 2.0 * m00 * m01, m01 * m01],
-            [m00 * m10, m00 * m11 + m01 * m10, m01 * m11],
-            [m10 * m10, 2.0 * m10 * m11, m11 * m11]])
-        n_v, n_x = eta * lam_i, eta * eta * lam_i
-        source = ns2 * np.array([n_v * n_v, n_v * n_x, n_x * n_x])
-        stationary = np.linalg.solve(np.eye(3) - propagate, source)
-        if stationary[2] < 0:
-            raise ValueError("a mode diverges; no stationary value")
-        total += 0.5 * lam_i * stationary[2]
-    return float(total)
+    mats, noise = _mode_matrices(algo, model, 0)
+    if np.any(np.abs(np.linalg.eigvals(mats)) >= 1.0):
+        raise ValueError("a mode diverges; no stationary value")
+    return float(sum(0.5 * lam_i * solve_discrete_lyapunov(m, n)[1, 1]
+                     for lam_i, m, n in zip(lam, mats, noise)))
 
 
-def _sgd_isotropic_series(model, eta, x0, n_steps):
-    """Closed-form solution of the sgd second-moment recursion on model 1."""
+def _sgd_series(model, eta, x0, ks):
+    """Closed-form E f(x_k) of sgd at the indices ks: per mode p_k = a^k (p_0 -
+    p_inf) + p_inf, p_inf = b / (1 - a) (0 on eigenbasis_scaled, which may grow)."""
     lam = model.spec.eigenvalues
     y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
-    a = (1.0 - eta * lam) ** 2
-    if np.any(a >= 1.0):
-        raise ValueError("a mode diverges; use the step-by-step recursion")
-    p_inf = (eta * lam) ** 2 * model.noise_scale ** 2 / (1.0 - a)
-    k = np.arange(n_steps + 1, dtype=float)[:, None]
-    p_k = a[None, :] ** k * (y0 * y0 - p_inf) + p_inf
-    return 0.5 * np.sum(lam * p_k, axis=1)
-
-
-def _sgd_scaled_series(model, eta, x0, ks):
-    """Closed-form E f(x_k) of sgd on eigenbasis_scaled at the given indices."""
-    lam = model.spec.eigenvalues
-    y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
-    growth = discrete_growth_factors(model, eta)
+    _, a, b = _sgd_factors(model, eta)
+    p_inf = np.zeros_like(a)
+    if np.any(b):
+        if np.any(a >= 1.0):
+            raise ValueError("a mode diverges; use the step-by-step recursion")
+        p_inf = b / (1.0 - a)
     ks = np.asarray(ks, dtype=float)[:, None]
-    p_k = y0 * y0 * growth[None, :] ** ks
+    p_k = a[None, :] ** ks * (y0 * y0 - p_inf) + p_inf
     return 0.5 * np.sum(lam * p_k, axis=1)
+
+
+def _descent_series(algo, model, x0, floor, scale, pad):
+    """Exact E f series of a constant-momentum run, cut to scale times the steps
+    f(x0) needs to reach 10x the floor at the rate -log(1 - mu eta), plus pad."""
+    f0 = objective(model, x0)
+    if not f0 > 10.0 * floor:
+        raise ConfigError("x0: f(x0) = %g starts within 10x of the stationary "
+                          "floor %g; there is no descent to fit" % (f0, floor))
+    guess = -math.log1p(-algo.momentum.mu * algo.eta)
+    n_need = int(scale * math.log(f0 / (10.0 * floor)) / guess) + pad
+    n_run = min(algo.n_steps, n_need)
+    trimmed = AlgoSpec(algo.family, algo.eta, n_run * algo.eta + 1e-9,
+                       algo.momentum)
+    return exact_moment_recursion(trimmed, model, x0)
+
+
+def _fit_descent(series, eta, floor):
+    """descent_rate, with a series it cannot fit reported against the config
+    key at fault: horizon (too few steps) or x0 (no descent to fit)."""
+    try:
+        return descent_rate(series, eta, floor=floor)
+    except ValueError as exc:
+        key = "horizon" if len(series) < 8 else "x0"
+        raise ConfigError("%s: no descent rate to fit (%s)" % (key, exc)) from None
 
 
 def _max_relative_deviation(reference, other, lo, hi):
@@ -780,23 +780,17 @@ def exp_condition_sweep(config=None):
         model = _model_for(cfg, eigenvalues=lam)
         x0 = (np.asarray(cfg.x0, dtype=float) if cfg.x0
               else 1.0e7 * model.spec.basis[:, -1])
-        f0 = objective(model, x0)
         for family in cfg.families:
             if family == SGD:
                 algo = AlgoSpec(SGD, eta, cfg.horizon)
                 floor = discrete_floor(algo, model)
-                n_run = algo.n_steps
-                series = _sgd_isotropic_series(model, eta, x0, n_run)
+                series = _sgd_series(model, eta, x0, np.arange(algo.n_steps + 1))
             else:
                 momentum = ConstantMomentum(optimal_mu(model.spec))
                 algo = AlgoSpec(family, eta, cfg.horizon, momentum)
                 floor = discrete_floor(algo, model)
-                guess = -math.log1p(-momentum.mu * eta)
-                n_need = int(1.4 * math.log(f0 / (10.0 * floor)) / guess) + 50
-                n_run = min(algo.n_steps, n_need)
-                trimmed = AlgoSpec(family, eta, n_run * eta + 1e-9, momentum)
-                series = exact_moment_recursion(trimmed, model, x0)
-            rate = descent_rate(series, eta, floor=floor).slope
+                series = _descent_series(algo, model, x0, floor, 1.4, 50)
+            rate = _fit_descent(series, eta, floor).slope
             rows[family].append((cfg.experiment, float(kappa), rate, family))
 
     tables, fits, metrics, checks, curves = [], [], [], [], []
@@ -844,7 +838,7 @@ def exp_divergence(config=None):
     for eta in cfg.eta_grid:
         n = iteration_count(cfg.horizon, eta)
         ks = _subsample(n)
-        series = _sgd_scaled_series(model, eta, x0, ks)
+        series = _sgd_series(model, eta, x0, ks)
         discrete_divergent = bool(np.max(discrete_growth_factors(model, eta)) > 1.0)
         sme_divergent = bool(np.any(eta * ns2 > 2.0 * lam))
         verdicts[eta] = (discrete_divergent, sme_divergent)
@@ -910,12 +904,11 @@ def exp_momentum_dynamics(config=None):
         lsys = langevin_system(model.spec, mu, eta0, cfg.noise_scale)
         exact_floors[mu] = langevin_expected_f_exact(lsys, np.zeros_like(x0),
                                                      math.inf)
-        try:
+        if all(classify_damping(mu, lam) != CRITICAL
+               for lam in model.spec.eigenvalues):
             printed = asymptotic_noise_msgd(model.spec, mu, eta0,
                                             cfg.noise_scale)
             metrics.append(("printed_floor[mu=%g]" % mu, printed))
-        except ValueError:
-            pass
         metrics.append(("exact_floor[mu=%g]" % mu, exact_floors[mu]))
         for eta in cfg.eta_grid:
             algo = AlgoSpec(MSGD, eta, cfg.horizon, ConstantMomentum(mu))
@@ -925,7 +918,7 @@ def exp_momentum_dynamics(config=None):
             t_grid = eta * np.arange(n + 1)
             closed = langevin_expected_f_exact(system, x0, t_grid)
             floor = discrete_floor(algo, model)
-            fit = descent_rate(exact, eta, floor=floor)
+            fit = _fit_descent(exact, eta, floor)
             lo, hi = fit.window
             deviation = _max_relative_deviation(exact, closed, lo, hi)
             deviations[(mu, eta)] = (deviation, hi)
@@ -992,7 +985,7 @@ def exp_momentum_dynamics(config=None):
         algo = AlgoSpec(MSGD, eta0, _SCAN_HORIZON, ConstantMomentum(mu))
         series = exact_moment_recursion(algo, scan_model, scan_x0)
         floor = discrete_floor(algo, scan_model)
-        rate = descent_rate(series, eta0, floor=floor).slope
+        rate = _fit_descent(series, eta0, floor).slope
         scan_rates.append(rate)
         scan_rows.append((cfg.experiment, float(mu), rate, MSGD))
     best = int(np.argmax(scan_rates))
@@ -1068,15 +1061,9 @@ def exp_msgd_vs_snag(config=None):
         for family in (MSGD, SNAG):
             algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_const))
             floor = discrete_floor(algo, model)
-            f0 = objective(model, x0)
-            guess = -math.log1p(-mu_const * eta)
-            n_need = int(1.3 * math.log(f0 / (10.0 * floor)) / guess) + 100
-            n_run = min(algo.n_steps, n_need)
-            trimmed = AlgoSpec(family, eta, n_run * eta + 1e-9,
-                               ConstantMomentum(mu_const))
-            series = exact_moment_recursion(trimmed, model, x0)
-            rates[family] = descent_rate(series, eta, floor=floor).slope
-            ks = _subsample(n_run)
+            series = _descent_series(algo, model, x0, floor, 1.3, 100)
+            rates[family] = _fit_descent(series, eta, floor).slope
+            ks = _subsample(series.size - 1)
             for k in ks:
                 rows.append((cfg.experiment, family, float(mu_const),
                              float(eta), int(k), float(k * eta),
@@ -1113,19 +1100,13 @@ def exp_msgd_vs_snag(config=None):
         mu_opt = _argmax_order2_mu(family, eta, model_b.spec)
         algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_opt))
         floor = discrete_floor(algo, model_b)
-        f0 = objective(model_b, x0_b)
-        guess = -math.log1p(-mu_opt * eta)
-        n_run = min(algo.n_steps,
-                    int(1.3 * math.log(f0 / (10.0 * floor)) / guess) + 100)
-        trimmed = AlgoSpec(family, eta, n_run * eta + 1e-9,
-                           ConstantMomentum(mu_opt))
-        series = exact_moment_recursion(trimmed, model_b, x0_b)
-        tuned_rates[family] = descent_rate(series, eta, floor=floor).slope
+        series = _descent_series(algo, model_b, x0_b, floor, 1.3, 100)
+        tuned_rates[family] = _fit_descent(series, eta, floor).slope
         metrics.append(("tuned_mu[%s]" % family, mu_opt))
         metrics.append(("tuned_rate[%s]" % family, tuned_rates[family]))
         tuned_rows.append((cfg.experiment, mu_opt, tuned_rates[family], family))
         if family == MSGD:
-            msgd_tuned_floor = discrete_floor(algo, model_b)
+            msgd_tuned_floor = floor
     tuned_diff = abs(tuned_rates[SNAG] - tuned_rates[MSGD])
     checks.append(Check(
         "tuned-rates-similar",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, rng
+from .analysis import discrete_growth_factors
 
 SGD = "sgd"
 MSGD = "msgd"
@@ -246,20 +247,27 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 
 
 # ---------------------------------------------------------------------------
-# Exact second-moment recursions (no Monte Carlo error).
+# Exact moment recursions (no Monte Carlo error).
 #
-# In the eigenbasis of H the iterations decouple mode by mode.  For
-# isotropic_shift the per-mode state z = (v_i, y_i) obeys z' = M_k z + n
-# gamma_i with gamma_i ~ N(0, ns^2) and
-#   msgd: M = [[1 - mu eta,                -eta lam], [eta(1 - mu eta), 1 - eta^2 lam]]
-#   snag: M = [[(1-mu eta)(1-eta^2 lam),   -eta lam], [eta(1-mu eta)(1-eta^2 lam), 1 - eta^2 lam]]
-# both with n = (eta lam, eta^2 lam); sgd is the scalar contraction
-# y' = (1 - eta lam) y + eta lam gamma_i.  For eigenbasis_scaled only sgd
-# decouples: y' = (1 - eta(lam + gamma)) y.
+# Both models are diagonal in the eigenbasis of H, so each family is one
+# small linear map per mode.  The two functions below are the only place that
+# writes it; the recursion, the moment state, the stationary floor and the
+# closed-form sgd series all read them.
+#
+# _mode_matrices (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
+#   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
+#     msgd: M = [[1 - mu eta, -eta lam], [eta (1 - mu eta), 1 - eta^2 lam]]
+#     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
+#   so the second moment obeys P' = M P M^T + N, N = ns^2 n n^T.
+# _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
+#   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
+#   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
+# Momentum families on eigenbasis_scaled do not decouple.
 # ---------------------------------------------------------------------------
 
 
 def _mode_matrices(algo, model, k):
+    """Per-mode update M_k and noise covariance N of a momentum family, (d, 2, 2) each."""
     lam = model.spec.eigenvalues
     eta = algo.eta
     mu = mu_at(algo, k)
@@ -271,7 +279,18 @@ def _mode_matrices(algo, model, k):
     m[:, 0, 1] = -eta * lam
     m[:, 1, 0] = eta * damp
     m[:, 1, 1] = 1.0 - eta * eta * lam
-    return m
+    nv = np.stack([eta * lam, eta * eta * lam], axis=1)
+    return m, model.noise_scale ** 2 * nv[:, :, None] * nv[:, None, :]
+
+
+def _sgd_factors(model, eta):
+    """Per-mode sgd factors (c, a, b) of the mean, y' = c y, and of the second
+    moment, p' = a p + b."""
+    lam = model.spec.eigenvalues
+    mean = 1.0 - eta * lam
+    if model.kind == models.ISOTROPIC_SHIFT:
+        return mean, mean ** 2, model.noise_scale ** 2 * (eta * lam) ** 2
+    return mean, discrete_growth_factors(model, eta), np.zeros_like(lam)
 
 
 def supports_exact_moments(algo, model):
@@ -289,40 +308,26 @@ def exact_moment_recursion(algo, model, x0):
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
                          % (algo.family, model.kind))
-    x0 = np.asarray(x0, dtype=float)
     lam = model.spec.eigenvalues
-    y0 = model.spec.to_eigen(x0)
-    eta = algo.eta
-    ns2 = model.noise_scale ** 2
+    y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
     n = algo.n_steps
     out = np.empty(n + 1)
-
+    out[0] = 0.5 * float(np.sum(lam * (y0 * y0)))
     if algo.family == SGD:
+        _, a, b = _sgd_factors(model, algo.eta)
         p = y0 * y0
-        out[0] = 0.5 * float(np.sum(lam * p))
-        if model.kind == models.ISOTROPIC_SHIFT:
-            a = (1.0 - eta * lam) ** 2
-            b = ns2 * (eta * lam) ** 2
-        else:
-            a = (1.0 - eta * lam) ** 2 + eta * eta * ns2
-            b = 0.0 * lam
         for k in range(n):
             p = a * p + b
             out[k + 1] = 0.5 * float(np.sum(lam * p))
         return out
 
-    # momentum families on isotropic_shift
     P = np.zeros((model.dim, 2, 2))
     P[:, 1, 1] = y0 * y0
-    noise = np.empty((model.dim, 2, 2))
-    nv = np.stack([eta * lam, eta * eta * lam], axis=1)
-    noise[:] = ns2 * nv[:, :, None] * nv[:, None, :]
-    out[0] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     constant = isinstance(algo.momentum, ConstantMomentum)
-    m = _mode_matrices(algo, model, 0)
+    m, noise = _mode_matrices(algo, model, 0)
     for k in range(n):
         if not constant:
-            m = _mode_matrices(algo, model, k)
+            m, noise = _mode_matrices(algo, model, k)
         P = m @ P @ np.swapaxes(m, 1, 2) + noise
         out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     return out
@@ -346,50 +351,38 @@ def exact_moment_state(algo, model, x0, k_target):
 
     Cross-mode second moments from a deterministic start factor into products
     of the means (the cross covariances satisfy the same homogeneous linear
-    recursion with zero initial condition), so only per-mode blocks are evolved.
+    recursion with zero initial condition), so only per-mode means and second
+    moments are evolved.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s" % (algo.family, model.kind))
     if not (0 <= k_target <= algo.n_steps):
         raise ValueError("k must lie in [0, N]")
-    x0 = np.asarray(x0, dtype=float)
-    lam = model.spec.eigenvalues
     q = model.spec.basis
-    y0 = model.spec.to_eigen(x0)
-    eta = algo.eta
-    ns2 = model.noise_scale ** 2
+    y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
     d = model.dim
 
     if algo.family == SGD:
-        mean_y = y0.copy()
-        P = np.outer(y0, y0)
-        if model.kind == models.ISOTROPIC_SHIFT:
-            a = 1.0 - eta * lam
-            for _ in range(k_target):
-                P = np.outer(a, a) * P + np.diag(ns2 * (eta * lam) ** 2)
-                mean_y = a * mean_y
-        else:
-            a = 1.0 - eta * lam
-            for _ in range(k_target):
-                P = np.outer(a, a) * P + np.diag(eta * eta * ns2 * np.diag(P))
-                mean_y = a * mean_y
-        return MomentState(k_target, q @ mean_y, q @ P @ q.T)
-
-    mean = np.zeros((d, 2))
-    mean[:, 1] = y0
-    P = np.zeros((d, 2, 2))
-    P[:, 1, 1] = y0 * y0
-    nv = np.stack([eta * lam, eta * eta * lam], axis=1)
-    noise = ns2 * nv[:, :, None] * nv[:, None, :]
-    for k in range(k_target):
-        m = _mode_matrices(algo, model, k)
-        P = m @ P @ np.swapaxes(m, 1, 2) + noise
-        mean = np.einsum("dij,dj->di", m, mean)
-    full_mean = np.concatenate([q @ mean[:, 0], q @ mean[:, 1]])
-    second = np.empty((2 * d, 2 * d))
-    for a_idx in range(2):
-        for b_idx in range(2):
-            cross = np.outer(mean[:, a_idx], mean[:, b_idx])
-            np.fill_diagonal(cross, P[:, a_idx, b_idx])
-            second[a_idx * d:(a_idx + 1) * d, b_idx * d:(b_idx + 1) * d] = q @ cross @ q.T
-    return MomentState(k_target, full_mean, second)
+        factor, a, b = _sgd_factors(model, algo.eta)
+        mean, p = y0.copy(), y0 * y0
+        for _ in range(k_target):
+            mean = factor * mean
+            p = a * p + b
+        mean, P = mean[:, None], p[:, None, None]
+    else:
+        mean = np.zeros((d, 2))
+        mean[:, 1] = y0
+        P = np.zeros((d, 2, 2))
+        P[:, 1, 1] = y0 * y0
+        for k in range(k_target):
+            m, noise = _mode_matrices(algo, model, k)
+            P = m @ P @ np.swapaxes(m, 1, 2) + noise
+            mean = np.einsum("dij,dj->di", m, mean)
+    s = mean.shape[1]
+    second = np.empty((s * d, s * d))
+    for i in range(s):
+        for j in range(s):
+            cross = np.outer(mean[:, i], mean[:, j])
+            np.fill_diagonal(cross, P[:, i, j])
+            second[i * d:(i + 1) * d, j * d:(j + 1) * d] = q @ cross @ q.T
+    return MomentState(k_target, (q @ mean).T.reshape(-1), second)

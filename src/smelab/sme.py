@@ -32,7 +32,8 @@ from scipy.linalg import expm
 
 from . import models, rng, sga
 from .analysis import CRITICAL, OVERDAMPED, UNDERDAMPED, classify_damping
-from .matkit import Block2x2Family, SpectralDecomp, block_reduce, mat_exp_2x2, mat_exp_dense
+from .matkit import (Block2x2Family, SpectralDecomp, _assemble, mat_exp_2x2,
+                     mat_exp_dense)
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -90,47 +91,30 @@ class SmeSystem:
             return None, y
         return y[:self.dim_x], y[self.dim_x:]
 
+    def _blocks(self, t=0.0):
+        """Per-mode drift blocks (b0, b1) at time t; see _drift_blocks."""
+        return _drift_blocks(self.family, self.order, self.model.spec.eigenvalues,
+                             self.eta, self.mu, t)
+
+    def _map(self, blocks, y):
+        self.split_state(y)
+        return _assemble(self.model.spec, blocks) @ np.asarray(y, dtype=float)
+
     def drift_b0(self, y, t=0.0):
-        v, x = self.split_state(y)
-        g = models.grad_full(self.model, x)
-        if self.family == sga.SGD:
-            return -g
-        if self.family == SNAG_VARYING:
-            if t <= 0:
-                raise ValueError("varying drift needs t > 0")
-            return np.concatenate([-(3.0 / t) * v - g, v])
-        return np.concatenate([-self.mu * v - g, v])
+        return self._map(self._blocks(t)[0], y)
 
     def drift_b1(self, y, t=0.0):
-        v, x = self.split_state(y)
-        if self.order == 1:
-            return np.zeros(self.state_dim)
-        model = self.model
-        g = models.grad_full(model, x)
-        if self.family == sga.SGD:
-            # -(1/4) grad |grad f|^2 = -(1/2) Hess f grad f
-            return -0.5 * model.spec.from_eigen(
-                model.spec.eigenvalues * model.spec.to_eigen(g))
-        hv = model.spec.from_eigen(model.spec.eigenvalues * model.spec.to_eigen(v))
-        sign = -1.0 if self.family == sga.MSGD else 1.0
-        bv = -0.5 * (self.mu * (self.mu * v + g) + sign * hv)
-        bx = -0.5 * (self.mu * v + g)
-        return np.concatenate([bv, bx])
+        return self._map(self._blocks(t)[1], y)
 
     def drift(self, y, t=0.0):
-        b = self.drift_b0(y, t)
-        if self.order == 2:
-            b = b + self.eta * self.drift_b1(y, t)
-        return b
+        b0, b1 = self._blocks(t)
+        return self._map(b0 + self.eta * b1, y)
 
     def noise_factor(self, y, t=0.0):
         """Full diffusion factor multiplying dW: sqrt(eta) [Sigma^{1/2}; 0]."""
         _, x = self.split_state(y)
-        sig = models.sigma_sqrt(self.model, x)
-        if self.family == sga.SGD:
-            return math.sqrt(self.eta) * sig
         out = np.zeros((self.state_dim, self.dim_x))
-        out[:self.dim_x] = math.sqrt(self.eta) * sig
+        out[:self.dim_x] = math.sqrt(self.eta) * models.sigma_sqrt(self.model, x)
         return out
 
     def linear_parts(self):
@@ -143,31 +127,10 @@ class SmeSystem:
             raise ValueError("the %s model has state-dependent noise" % self.model.kind)
         if self.family == SNAG_VARYING:
             raise ValueError("the varying-coefficient system is not autonomous")
-        d = self.dim_x
-        h = self.model.hessian
-        ns = self.model.noise_scale
-        eta = self.eta
-        if self.family == sga.SGD:
-            a = -h.copy()
-            if self.order == 2:
-                a -= 0.5 * eta * h @ h
-            s = math.sqrt(eta) * ns * h
-            return a, s
-        mu = self.mu
-        eye = np.eye(d)
-        a = np.zeros((2 * d, 2 * d))
-        if self.order == 1:
-            a[:d, :d] = -mu * eye
-            a[:d, d:] = -h
-            a[d:, :d] = eye
-        else:
-            sign = -1.0 if self.family == sga.MSGD else 1.0
-            a[:d, :d] = -(mu + 0.5 * eta * mu * mu) * eye - 0.5 * eta * sign * h
-            a[:d, d:] = -(1.0 + 0.5 * eta * mu) * h
-            a[d:, :d] = (1.0 - 0.5 * eta * mu) * eye
-            a[d:, d:] = -0.5 * eta * h
-        s = np.zeros((2 * d, d))
-        s[:d] = math.sqrt(eta) * ns * h
+        b0, b1 = self._blocks()
+        a = _assemble(self.model.spec, b0 + self.eta * b1)
+        s = np.zeros((self.state_dim, self.dim_x))
+        s[:self.dim_x] = math.sqrt(self.eta) * self.model.noise_scale * self.model.hessian
         return a, s
 
 
@@ -178,35 +141,40 @@ def build_sme(model, family, order, eta, mu=None, t0=None):
     return SmeSystem(family, order, model, eta, mu, 0.0)
 
 
-def _batch_grad_full(model, X):
-    q = model.spec.basis
-    return (X @ q * model.spec.eigenvalues) @ q.T
+def _drift_blocks(family, order, lam, eta, mu=None, t=0.0):
+    """Per-mode drift blocks (b0, b1) of an SME, each of shape (d, m, m).
+
+    In the eigenbasis of H the drift b0 + eta b1 acts on mode i as the m x m
+    block b0_i + eta b1_i, with state y_i (m = 1) for sgd and (v_i, y_i)
+    (m = 2) for the momentum families:
+      sgd:  b0 = -lam,                   b1 = -lam^2 / 2
+      msgd: b0 = [[-mu, -lam], [1, 0]],  b1 = -(1/2) [[mu^2 - lam, mu lam], [mu, lam]]
+      snag: as msgd with mu^2 + lam in b1's velocity entry
+      snag_varying: b0 with the drag 3/t in place of mu
+    b1 is zero at order 1.
+    """
+    d = lam.shape[0]
+    if family == sga.SGD:
+        b0 = -lam.reshape(d, 1, 1)
+        b1 = -0.5 * b0 * b0
+    else:
+        if family == SNAG_VARYING:
+            if t <= 0:
+                raise ValueError("varying drift needs t > 0")
+            mu = 3.0 / t
+        b0 = np.zeros((d, 2, 2))
+        b0[:, 0, 0], b0[:, 0, 1], b0[:, 1, 0] = -mu, -lam, 1.0
+        sign = -1.0 if family == sga.MSGD else 1.0
+        b1 = -0.5 * np.stack([mu * mu + sign * lam, mu * lam, np.full(d, mu), lam],
+                             axis=-1).reshape(d, 2, 2)
+    if order == 1:
+        b1 = np.zeros_like(b0)
+    return b0, b1
 
 
 def _batch_drift(system, Y, t):
-    d = system.dim_x
-    model = system.model
-    eta = system.eta
-    X = Y[:, -d:]
-    g = _batch_grad_full(model, X)
-    if system.family == sga.SGD:
-        b = -g
-        if system.order == 2:
-            b -= 0.5 * eta * _batch_grad_full(model, g)
-        return b
-    V = Y[:, :d]
-    if system.family == SNAG_VARYING:
-        bv = -(3.0 / t) * V - g
-        return np.concatenate([bv, V], axis=1)
-    mu = system.mu
-    bv = -mu * V - g
-    bx = V.copy()
-    if system.order == 2:
-        hv = _batch_grad_full(model, V)
-        sign = -1.0 if system.family == sga.MSGD else 1.0
-        bv -= 0.5 * eta * (mu * mu * V + sign * hv + mu * g)
-        bx -= 0.5 * eta * (mu * V + g)
-    return np.concatenate([bv, bx], axis=1)
+    b0, b1 = system._blocks(t)
+    return Y @ _assemble(system.model.spec, b0 + system.eta * b1).T
 
 
 def _batch_noise(system, Y, Z):
@@ -220,8 +188,6 @@ def _batch_noise(system, Y, Z):
     else:
         yc = np.abs(Y[:, -d:] @ q)
         inc = root_eta * model.noise_scale * (yc * (Z @ q)) @ q.T
-    if system.family == sga.SGD:
-        return inc
     out = np.zeros_like(Y)
     out[:, :d] = inc
     return out
@@ -302,30 +268,21 @@ def one_step_moments(system, y):
     Returns (first, second, bounded_flag):
       first  = eta b0 + eta^2 (b1 + (1/2) (Db0) b0)          (length D)
       second = eta^2 (b0 b0^T + Sigma_tilde)                  (D x D)
-    where Sigma_tilde is the state-noise covariance block.  The directional
-    derivative (Db0) b0 is a central difference along b0, exact for the linear
-    drifts of the quadratic models.  bounded_flag reports that the implied
-    third-absolute-moment bound is finite for this state.
+    where Sigma_tilde is the state-noise covariance block.  The drifts of the
+    quadratic models are linear in the state, so (Db0) b0 = b0(b0), at the
+    fixed time t0.  bounded_flag reports that the implied third-absolute-moment
+    bound is finite for this state.
     """
     y = np.asarray(y, dtype=float)
     eta = system.eta
-    t = system.t0 if system.family == SNAG_VARYING else 0.0
-    if system.family == SNAG_VARYING and t <= 0:
-        raise ValueError("varying system needs t0 > 0")
-    b0 = system.drift_b0(y, t)
-    b1 = system.drift_b1(y, t)
-    norm = float(np.linalg.norm(b0))
-    if norm == 0.0:
-        jb = np.zeros_like(b0)
-    else:
-        h = 1e-4 * (1.0 + float(np.linalg.norm(y))) / norm
-        jb = (system.drift_b0(y + h * b0, t) - system.drift_b0(y - h * b0, t)) / (2.0 * h)
+    b0 = system.drift_b0(y, system.t0)
+    b1 = system.drift_b1(y, system.t0)
+    jb = system.drift_b0(b0, system.t0)
     first = eta * b0 + eta * eta * (b1 + 0.5 * jb)
-    sig = system.noise_factor(y, t) / math.sqrt(eta)
+    sig = system.noise_factor(y, system.t0) / math.sqrt(eta)
     second = eta * eta * (np.outer(b0, b0) + sig @ sig.T)
-    kbound = (norm + float(np.linalg.norm(sig))) ** 3
-    flag = bool(np.isfinite(kbound))
-    return first, second, flag
+    kbound = (float(np.linalg.norm(b0)) + float(np.linalg.norm(sig))) ** 3
+    return first, second, bool(np.isfinite(kbound))
 
 
 def linear_sme_moments(system, y0, h=None):
@@ -335,23 +292,18 @@ def linear_sme_moments(system, y0, h=None):
     one eta interval):
       E[Y_h - y0]            = (e^{hA} - I) y0
       E[(Y_h-y0)(Y_h-y0)^T]  = C(h) + mean mean^T,
-      C(h) = int_0^h e^{uA} S S^T e^{uA^T} du   (Gauss-Legendre nodes).
+      C(h) = int_0^h e^{uA} S S^T e^{uA^T} du = G e^{hA^T},
+    G the upper-right block of Van Loan's expm(h [[A, S S^T], [0, -A^T]]).
     Independent of the order-2 truncation in one_step_moments, so the two can
     be compared against the discrete algorithms.
     """
     a, s = system.linear_parts()
     h = system.eta if h is None else float(h)
     y0 = np.asarray(y0, dtype=float)
-    mean = (mat_exp_dense(a, h) - np.eye(a.shape[0])) @ y0
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    u = 0.5 * h * (nodes + 1.0)
-    w = 0.5 * h * weights
-    ssT = s @ s.T
-    cov = np.zeros_like(a)
-    for ui, wi in zip(u, w):
-        e = mat_exp_dense(a, ui)
-        cov += wi * (e @ ssT @ e.T)
-    return mean, cov + np.outer(mean, mean)
+    n = a.shape[0]
+    big = expm(h * np.block([[a, s @ s.T], [np.zeros_like(a), -a.T]]))
+    mean = (big[:n, :n] - np.eye(n)) @ y0
+    return mean, big[:n, n:] @ big[:n, :n].T + np.outer(mean, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +405,10 @@ def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
         raise ValueError("variant must be order1, msgd2 or snag2")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if variant == "order1":
-        fam = block_reduce((mu, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 0.0), spec)
-    else:
-        sign = -0.5 * eta if variant == "msgd2" else 0.5 * eta
-        fam = block_reduce((mu + 0.5 * eta * mu * mu, sign),
-                           (0.0, 1.0 + 0.5 * eta * mu),
-                           (-1.0 + 0.5 * eta * mu, 0.0),
-                           (0.0, 0.5 * eta), spec)
+    family, order = {"order1": (sga.MSGD, 1), "msgd2": (sga.MSGD, 2),
+                     "snag2": (sga.SNAG, 2)}[variant]
+    b0, b1 = _drift_blocks(family, order, spec.eigenvalues, eta, mu)
+    fam = Block2x2Family(-(b0 + eta * b1), spec)
     return LangevinBlockSystem(spec, float(mu), float(eta), float(noise_scale),
                                variant, fam)
 
@@ -520,6 +468,7 @@ def _mode_quad_integral(block, t):
     det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
     disc = tr * tr - 4.0 * det
     min_re = 0.5 * (tr - math.sqrt(disc)) if disc > 0 else 0.5 * tr
+    max_re = tr - min_re
     if np.isinf(t):
         if min_re <= 0:
             raise ValueError("unstable block; infinite-horizon integral diverges")
@@ -532,6 +481,10 @@ def _mode_quad_integral(block, t):
     seg = min(t, math.pi / max(freq, 1e-2))
     n_seg = min(20000, max(1, int(math.ceil(t / seg))))
     edges = np.linspace(0.0, t, n_seg + 1)
+    # a stiff block's fast mode settles on the scale 1/max_re, far inside the
+    # first segment: break that segment at 1/max_re * 2^j
+    fast = 2.0 ** np.arange(math.ceil(math.log2(max(edges[1] * max_re, 1.0))))
+    edges = np.concatenate([[0.0], fast / max_re, edges[1:]])
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         val, _ = quad(lambda u: mat_exp_2x2(block, -u)[1, 0] ** 2, a, b,

@@ -109,3 +109,18 @@ def test_selftest_passes_and_writes_nothing(tmp_path, monkeypatch, capsys):
     assert len(lines) == 6
     assert all(l.startswith("PASS ") for l in lines)
     assert _files(tmp_path) == []
+
+
+def test_start_inside_the_floor_is_a_config_error(tmp_path, capsys):
+    # f(x0) sits below the noise floor, so no descent rate can be fitted
+    cfg = tmp_path / "momentum.json"
+    cfg.write_text(json.dumps({
+        "experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
+        "eta_grid": [0.1], "horizon": 6.0, "mu_values": [0.3, 3.0],
+        "x0": [0.01, 0.01]}))
+    code = cli.main(["momentum", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: x0")
+    assert "Traceback" not in err

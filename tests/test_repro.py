@@ -13,7 +13,7 @@ from smelab.repro import (ConfigError, ExperimentConfig, RateFit, Table,
                           exp_momentum_dynamics, exp_msgd_vs_snag,
                           exp_weak_error, parse_csv, render_csv, render_svg,
                           run_experiment, windowed_rate, Panel)
-from smelab.sga import MSGD, SGD, AlgoSpec, ConstantMomentum, \
+from smelab.sga import MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum, \
     exact_moment_recursion
 
 
@@ -165,6 +165,17 @@ def test_discrete_floor_closed_forms():
         discrete_floor(AlgoSpec(SGD, 0.1, 1.0),
                        from_spectrum(EIGENBASIS_SCALED, [1.0, 0.01],
                                      noise_scale=1.0))
+    # a momentum mode whose update matrix has spectral radius >= 1 diverges
+    # (snag here: 2.49), even where the fixed point of the moment map exists
+    stiff = from_spectrum(ISOTROPIC_SHIFT, [5.674], noise_scale=1.0)
+    with pytest.raises(ValueError):
+        discrete_floor(AlgoSpec(SNAG, 0.6, 6.0, ConstantMomentum(0.02)), stiff)
+    # stable snag and slowly contracting msgd (radius 0.994) modes on the
+    # same spectrum keep their floors, which the long-run recursion reaches
+    for algo_s in (AlgoSpec(SNAG, 0.3, 300.0, ConstantMomentum(0.5)),
+                   AlgoSpec(MSGD, 0.6, 3000.0, ConstantMomentum(0.02))):
+        tail = exact_moment_recursion(algo_s, stiff, np.zeros(1))[-1]
+        assert_allclose(tail, discrete_floor(algo_s, stiff), rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

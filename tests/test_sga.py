@@ -274,6 +274,29 @@ def test_exact_moment_state_consistency():
         assert np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) > -1e-10
 
 
+@pytest.mark.parametrize("kind,family,momentum", [
+    (ISOTROPIC_SHIFT, SGD, None),
+    (EIGENBASIS_SCALED, SGD, None),
+    (ISOTROPIC_SHIFT, MSGD, ConstantMomentum(0.9)),
+    (ISOTROPIC_SHIFT, SNAG, ConstantMomentum(0.9)),
+    (ISOTROPIC_SHIFT, SNAG, NesterovSchedule()),
+])
+def test_exact_moment_state_consistency_every_family(kind, family, momentum):
+    # the state and the recursion read the same per-mode tables
+    model = from_spectrum(kind, [1.0, 0.5, 0.25],
+                          basis=haar_orthogonal(3, seed=8), noise_scale=0.7)
+    algo = AlgoSpec(family, 0.1, 2.0, momentum)
+    x0 = np.array([2.0, -1.0, 0.5])
+    series = exact_moment_recursion(algo, model, x0)
+    h = model.spec.matrix()
+    for k in (0, 1, 7, algo.n_steps):
+        ms = exact_moment_state(algo, model, x0, k)
+        sxx = ms.second[-3:, -3:]
+        assert_allclose(0.5 * np.trace(h @ sxx), series[k], rtol=1e-11)
+        cov = ms.second - np.outer(ms.mean, ms.mean)
+        assert np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) > -1e-10
+
+
 def test_exact_moment_state_mean_is_deterministic_path():
     # the mean follows the noise-free recursion
     model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 0.25], noise_scale=0.7)

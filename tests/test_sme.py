@@ -10,7 +10,8 @@ from smelab.matkit import haar_orthogonal, mat_exp_dense
 from smelab.models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                            grad_full, objective)
 from smelab.sga import MSGD, SGD, SNAG
-from smelab.sme import (SNAG_VARYING, SmeSystem, asymptotic_noise_msgd,
+from smelab.sme import (SNAG_VARYING, SmeSystem, _batch_drift,
+                        asymptotic_noise_msgd,
                         bs_expected_f, build_sme, em_integrate_ensemble,
                         langevin_expected_f_exact,
                         langevin_expected_f_quadrature, langevin_system,
@@ -110,6 +111,27 @@ def test_noise_factor_and_linear_parts():
         build_sme(scaled, SGD, 1, eta).linear_parts()
     with pytest.raises(ValueError):
         build_sme(model, SNAG_VARYING, 1, eta, t0=1.0).linear_parts()
+
+
+@pytest.mark.parametrize("family", [SGD, MSGD, SNAG])
+@pytest.mark.parametrize("order", [1, 2])
+def test_drift_routes_share_one_block_table(family, order):
+    # drift, batched drift, dense linear part and Langevin blocks all derive
+    # from the same per-mode drift blocks
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.5, 0.6, 0.2],
+                          basis=haar_orthogonal(3, seed=4), noise_scale=0.8)
+    mu = None if family == SGD else 0.9
+    system = build_sme(model, family, order, 0.2, mu=mu)
+    a = system.linear_parts()[0]
+    ys = np.random.default_rng(3).standard_normal((5, system.state_dim))
+    batch = _batch_drift(system, ys, 0.0)
+    for y, row in zip(ys, batch):
+        assert_allclose(system.drift(y), a @ y, rtol=1e-13, atol=1e-13)
+        assert_allclose(row, system.drift(y), rtol=1e-13, atol=1e-13)
+    if family != SGD:
+        variant = "order1" if order == 1 else family + "2"
+        blocks = langevin_system(model.spec, mu, 0.2, 0.8, variant).blocks
+        assert_allclose(blocks.assemble(), -a, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +323,7 @@ def _stationary_f_order2(lams, mu, eta, ns, variant):
 
 
 @pytest.mark.parametrize("variant", ["msgd2", "snag2"])
-@pytest.mark.parametrize("mu", [1.85, 2.0, 2.5, 2.95, 3.0])
+@pytest.mark.parametrize("mu", [1.85, 2.0, 2.5, 2.95, 3.0, 10.0, 30.0, 100.0])
 def test_order2_stationary_value_is_finite_and_matches_lyapunov(variant, mu):
     # overdamped order-2 modes, where cosh(om t) of a finite-time exponential
     # overflows long before the stationary value is reached
