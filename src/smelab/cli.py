@@ -167,8 +167,11 @@ def _selftest_rng():
 
     numpy's generator increments the counter (with carry) before producing
     its first block, so numpy(counter) must equal our block at counter + 1.
+    Then a consecutive-path, multi-block raw_words request, which numpy's
+    generator serves from counters that borrow through every word, must
+    equal philox4x64 block by block.
     """
-    from .rng import philox4x64
+    from .rng import philox4x64, raw_words
     cases = [((10, 20, 30, 40), (12345, 678)),
              ((0, 0, 0, 0), (0, 0)),
              ((2 ** 64 - 1, 7, 0, 3), (2 ** 63, 2 ** 64 - 1))]
@@ -186,7 +189,13 @@ def _selftest_rng():
         if not np.array_equal(mine, np.asarray(theirs, dtype=np.uint64)):
             raise AssertionError("block mismatch at counter=%s key=%s"
                                  % (counter, key))
-    return "%d counter/key pairs" % len(cases)
+    paths = np.arange(3, dtype=np.uint64)
+    words = raw_words(2 ** 63, 5, paths, 0, 0, 10)
+    ref = philox4x64((paths[:, None], 0, 0, np.arange(3, dtype=np.uint64)),
+                     (2 ** 63, 5))
+    if not np.array_equal(words, np.stack(ref, axis=-1).reshape(3, 12)[:, :10]):
+        raise AssertionError("path-run words differ from the emulation")
+    return "%d counter/key pairs, 1 path run" % len(cases)
 
 
 def _selftest_matkit():

@@ -35,7 +35,7 @@ from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _mode_matrices, _sgd_factors,
+                  NesterovSchedule, _mode_noise, _mode_update, _sgd_factors,
                   exact_moment_recursion, iteration_count, nesterov_mu,
                   run_ensemble, supports_exact_moments)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
@@ -168,6 +168,11 @@ class ExperimentConfig:
                            _as_tuple("mu_values", self.mu_values))
         if any(not (v > 0 and math.isfinite(v)) for v in self.mu_values):
             raise ConfigError("mu_values: must be positive and finite")
+        # the largest step size sets the smallest admissible ceiling 1/eta
+        ceiling = 1.0 / max(self.eta_grid)
+        if any(v > ceiling for v in self.mu_values):
+            raise ConfigError("mu_values: momenta must not exceed 1/eta = %g "
+                              "for eta = %g" % (ceiling, max(self.eta_grid)))
         object.__setattr__(self, "n_paths",
                            _as_number("n_paths", self.n_paths, int))
         if self.n_paths < 0:
@@ -618,7 +623,8 @@ def discrete_floor(algo, model):
         return float(0.5 * np.sum(lam * (b / (1.0 - a))))
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
-    mats, noise = _mode_matrices(algo, model, 0)
+    mats = _mode_update(algo, model, 0)
+    noise = _mode_noise(algo, model)
     if np.any(np.abs(np.linalg.eigvals(mats)) >= 1.0):
         raise ValueError("a mode diverges; no stationary value")
     return float(sum(0.5 * lam_i * solve_discrete_lyapunov(m, n)[1, 1]

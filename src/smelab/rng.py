@@ -10,6 +10,20 @@ with 10 rounds; the two 64-bit key words hold (seed, stream) and the four
 counter words hold (path, step, draw, block).  Standard normals are produced by
 the inverse-CDF transform (scipy.special.ndtri) applied to open-interval
 uniforms, never by rejection or Box-Muller, so the draw count per key is fixed.
+
+raw_words computes the same words by one of two routes:
+
+* numpy's C Philox (np.random.Philox, the same bijection) serves a request
+  whose step is a scalar and whose path is a scalar or a 1-d run of
+  consecutive integers p0, p0+1, ..., p0+m-1, provided p0 + m <= 2**64 (no
+  carry reaches the step word) and the request spans at most m blocks of
+  four words.  numpy adds one to its 256-bit counter, path word first,
+  before each block, so one generator started at (p0, step, draw, b) - 1
+  emits block b of the m paths in order.
+* the vectorised numpy emulation philox4x64 serves every other request:
+  arbitrary path and step arrays, and single keys with many blocks (one
+  generator per block would cost more than it saves there).  It is also the
+  reference the tests hold the C route to.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ _M1 = 0xCA5A826395121157
 _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
+_MASK256 = (1 << 256) - 1
 _ROUNDS = 10
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -84,18 +99,45 @@ def raw_words(seed, stream, path, step, draw, n_words):
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
     scalar_key = np.ndim(path) == 0 and np.ndim(step) == 0
+    path_run = np.ndim(path) <= 1 and np.ndim(step) == 0
     path = np.atleast_1d(np.asarray(path, dtype=np.uint64))
     step = np.atleast_1d(np.asarray(step, dtype=np.uint64))
-    base = np.broadcast(path, step)
     n_blocks = -(-n_words // 4)
-    blocks = np.arange(n_blocks, dtype=np.uint64)
-    c0 = path.reshape(path.shape + (1,))
-    c1 = step.reshape(step.shape + (1,))
-    c2 = np.uint64(int(draw) & _MASK64)
-    out = philox4x64((c0, c1, c2, blocks), (seed, stream))
-    words = np.stack(out, axis=-1).reshape(base.shape + (4 * n_blocks,))
+    if path_run and _is_path_run(path, n_blocks):
+        words = _path_run_words(seed, stream, path, int(step[0]), draw, n_blocks)
+    else:
+        base = np.broadcast(path, step)
+        blocks = np.arange(n_blocks, dtype=np.uint64)
+        c0 = path.reshape(path.shape + (1,))
+        c1 = step.reshape(step.shape + (1,))
+        c2 = np.uint64(int(draw) & _MASK64)
+        out = philox4x64((c0, c1, c2, blocks), (seed, stream))
+        words = np.stack(out, axis=-1).reshape(base.shape + (4 * n_blocks,))
     words = words[..., :n_words]
     return words[0] if scalar_key else words
+
+
+def _is_path_run(path, n_blocks):
+    """True when the 1-d uint64 path array suits the C route (module doc)."""
+    m = path.size
+    return (n_blocks <= m and int(path[0]) + m <= 1 << 64
+            and bool(np.all(np.diff(path) == 1)))
+
+
+def _path_run_words(seed, stream, path, step, draw, n_blocks):
+    """Words of the consecutive paths path[0], path[0]+1, ... from numpy's Philox.
+
+    One generator per block b, started at the 256-bit counter
+    (path[0], step, draw, b) - 1 with borrow across all four words; its
+    4 m outputs are block b of each path in turn.
+    """
+    m = path.size
+    key = (int(seed) & _MASK64) | (int(stream) & _MASK64) << 64
+    base = int(path[0]) | step << 64 | (int(draw) & _MASK64) << 128
+    blocks = [np.random.Philox(counter=((base | b << 192) - 1) & _MASK256, key=key)
+              .random_raw(4 * m).reshape(m, 4) for b in range(n_blocks)]
+    # one block needs no copy, which saves page-faulting a fresh array
+    return blocks[0] if n_blocks == 1 else np.concatenate(blocks, axis=1)
 
 
 def uniforms(seed, stream, path, step, draw, n):

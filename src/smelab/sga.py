@@ -250,11 +250,11 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 # Exact moment recursions (no Monte Carlo error).
 #
 # Both models are diagonal in the eigenbasis of H, so each family is one
-# small linear map per mode.  The two functions below are the only place that
-# writes it; the recursion, the moment state, the stationary floor and the
+# small linear map per mode.  The three functions below are the only place
+# that writes it; the recursion, the moment state, the stationary floor and the
 # closed-form sgd series all read them.
 #
-# _mode_matrices (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
+# _mode_update, _mode_noise (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
 #     msgd: M = [[1 - mu eta, -eta lam], [eta (1 - mu eta), 1 - eta^2 lam]]
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
@@ -266,8 +266,8 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 # ---------------------------------------------------------------------------
 
 
-def _mode_matrices(algo, model, k):
-    """Per-mode update M_k and noise covariance N of a momentum family, (d, 2, 2) each."""
+def _mode_update(algo, model, k):
+    """Per-mode update M_k of a momentum family, (d, 2, 2)."""
     lam = model.spec.eigenvalues
     eta = algo.eta
     mu = mu_at(algo, k)
@@ -279,8 +279,16 @@ def _mode_matrices(algo, model, k):
     m[:, 0, 1] = -eta * lam
     m[:, 1, 0] = eta * damp
     m[:, 1, 1] = 1.0 - eta * eta * lam
+    return m
+
+
+def _mode_noise(algo, model):
+    """Per-mode noise covariance N of a momentum family, (d, 2, 2); the same at
+    every step."""
+    lam = model.spec.eigenvalues
+    eta = algo.eta
     nv = np.stack([eta * lam, eta * eta * lam], axis=1)
-    return m, model.noise_scale ** 2 * nv[:, :, None] * nv[:, None, :]
+    return model.noise_scale ** 2 * nv[:, :, None] * nv[:, None, :]
 
 
 def _sgd_factors(model, eta):
@@ -324,10 +332,11 @@ def exact_moment_recursion(algo, model, x0):
     P = np.zeros((model.dim, 2, 2))
     P[:, 1, 1] = y0 * y0
     constant = isinstance(algo.momentum, ConstantMomentum)
-    m, noise = _mode_matrices(algo, model, 0)
+    m = _mode_update(algo, model, 0)
+    noise = _mode_noise(algo, model)
     for k in range(n):
         if not constant:
-            m, noise = _mode_matrices(algo, model, k)
+            m = _mode_update(algo, model, k)
         P = m @ P @ np.swapaxes(m, 1, 2) + noise
         out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     return out
@@ -374,8 +383,9 @@ def exact_moment_state(algo, model, x0, k_target):
         mean[:, 1] = y0
         P = np.zeros((d, 2, 2))
         P[:, 1, 1] = y0 * y0
+        noise = _mode_noise(algo, model)
         for k in range(k_target):
-            m, noise = _mode_matrices(algo, model, k)
+            m = _mode_update(algo, model, k)
             P = m @ P @ np.swapaxes(m, 1, 2) + noise
             mean = np.einsum("dij,dj->di", m, mean)
     s = mean.shape[1]

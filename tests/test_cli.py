@@ -124,3 +124,18 @@ def test_start_inside_the_floor_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: x0")
     assert "Traceback" not in err
+
+
+def test_momentum_above_the_ceiling_is_a_config_error(tmp_path, capsys):
+    # mu = 20 exceeds 1/eta = 10, where the momentum map is not admissible
+    cfg = tmp_path / "momentum.json"
+    cfg.write_text(json.dumps({
+        "experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
+        "eta_grid": [0.1], "horizon": 6.0, "mu_values": [0.3, 20.0],
+        "x0": [30, 30]}))
+    code = cli.main(["momentum", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mu_values")
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
@@ -130,3 +132,75 @@ def test_counter_stream_cursor():
 def test_raw_words_rejects_empty_request():
     with pytest.raises(ValueError):
         rng.raw_words(0, 0, 0, 0, 0, 0)
+
+
+# raw_words serves consecutive-path requests from numpy's C Philox; the
+# emulation below, block by block through philox4x64, is the reference.
+def _emulated_words(seed, stream, paths, step, draw, n_words):
+    paths = np.asarray(paths, dtype=np.uint64)
+    step = np.asarray(step, dtype=np.uint64)
+    n_blocks = -(-n_words // 4)
+    out = rng.philox4x64((paths[..., None], step[..., None], np.uint64(draw),
+                          np.arange(n_blocks, dtype=np.uint64)), (seed, stream))
+    shape = np.broadcast_shapes(paths.shape, step.shape)
+    words = np.stack(out, axis=-1).reshape(shape + (4 * n_blocks,))
+    return words[..., :n_words]
+
+
+_WORD = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _path_runs(draw):
+    m = draw(st.integers(1, 40))
+    p0 = draw(st.integers(0, 2**64 - m))
+    n_words = draw(st.integers(1, 4 * m))
+    return p0, m, n_words
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_WORD, stream=_WORD, run=_path_runs(), step=_WORD, draw=_WORD)
+# p0 = step = draw = 0: the start counter borrows through every word
+@example(seed=3, stream=1, run=(0, 3, 10), step=0, draw=0)
+@example(seed=2**63, stream=2**64 - 1, run=(0, 1, 4), step=0, draw=0)
+# p0 + m = 2**64: the last path is the largest counter word
+@example(seed=2**64 - 1, stream=2**63, run=(2**64 - 5, 5, 7), step=2**64 - 1,
+         draw=2**64 - 1)
+@example(seed=0, stream=0, run=(2**64 - 1, 1, 3), step=5, draw=0)
+def test_path_runs_match_the_emulation(seed, stream, run, step, draw):
+    p0, m, n_words = run
+    paths = np.arange(m, dtype=np.uint64) + np.uint64(p0)
+    assert rng._is_path_run(paths, -(-n_words // 4))
+    words = rng.raw_words(seed, stream, paths, step, draw, n_words)
+    assert words.shape == (m, n_words)
+    assert np.array_equal(words,
+                          _emulated_words(seed, stream, paths, step, draw, n_words))
+
+
+def _forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError("%s must not serve this request" % name)
+    monkeypatch.setattr(rng, name, fail)
+
+
+def test_path_runs_and_scalar_keys_take_the_c_route(monkeypatch):
+    expect_run = _emulated_words(8, 4, np.arange(2, 7), 9, 1, 13)
+    expect_key = _emulated_words(8, 4, 2, 9, 1, 3)
+    _forbid(monkeypatch, "philox4x64")
+    assert np.array_equal(rng.raw_words(8, 4, np.arange(2, 7), 9, 1, 13), expect_run)
+    assert np.array_equal(rng.raw_words(8, 4, 2, 9, 1, 3), expect_key)
+
+
+@pytest.mark.parametrize("paths,step,n_words", [
+    (np.array([4, 5, 7, 8]), 3, 6),            # not consecutive
+    (np.array([9, 8, 7]), 3, 4),               # descending
+    (np.arange(6).reshape(2, 3), 3, 5),        # 2-d
+    (np.arange(2), 3, 12),                     # more blocks than paths
+    (7, 3, 9),                                 # one key, three blocks
+    (np.arange(3), np.array([3, 4, 5]), 4),    # step array
+    (np.array([2**64 - 1, 0], dtype=np.uint64), 3, 4),  # wraps past 2**64
+])
+def test_other_requests_stay_on_the_emulation(monkeypatch, paths, step, n_words):
+    expect = _emulated_words(11, 6, paths, step, 2, n_words)
+    _forbid(monkeypatch, "_path_run_words")
+    assert np.array_equal(rng.raw_words(11, 6, paths, step, 2, n_words), expect)
