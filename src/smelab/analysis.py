@@ -77,22 +77,10 @@ def optimal_mu(spec_or_lambdas):
     return 2.0 * math.sqrt(float(np.min(lam)))
 
 
-def order2_eigs(family, mu, eta, spec_or_lambdas):
-    """Eigenvalues of the order-2 momentum drift blocks, in closed form.
-
-    msgd: (1/4) [mu(eta mu + 2) +- sqrt(mu^2 (eta mu+2)^2 + 4 eta^2 lam^2
-          - 8 lam (eta mu + 2))]
-    snag: (1/4) [mu(eta mu + 2) + 2 eta lam +- sqrt(eta mu + 2)
-          * sqrt(mu^2 (eta mu + 2) + 4 lam (eta mu - 2))]
-    In the underdamped regime each snag eigenvalue's real part exceeds its
-    msgd counterpart by eta lam / 2: the extra Hessian damping is what speeds
-    SNAG up at order eta.
-    """
-    if family not in ("msgd", "snag"):
-        raise ValueError("family must be msgd or snag")
-    if mu <= 0 or eta <= 0:
-        raise ValueError("mu and eta must be positive")
-    lam = _eigenvalues_of(spec_or_lambdas)
+def _order2_pairs(family, mu, eta, lam):
+    """Closed-form eigenvalue pairs of the order-2 momentum drift blocks at
+    the momenta mu (a scalar or an array): shape mu.shape + lam.shape + (2,)."""
+    mu = np.asarray(mu, dtype=float)[..., None]
     s = eta * mu + 2.0
     if family == "msgd":
         disc = np.asarray(mu * mu * s * s + 4.0 * eta * eta * lam * lam
@@ -102,10 +90,29 @@ def order2_eigs(family, mu, eta, spec_or_lambdas):
         minus = 0.25 * (mu * s - root)
     else:
         inner = np.asarray(mu * mu * s + 4.0 * lam * (eta * mu - 2.0), dtype=complex)
-        root = math.sqrt(s) * np.sqrt(inner)
+        root = np.sqrt(s) * np.sqrt(inner)
         plus = 0.25 * (mu * s + 2.0 * eta * lam + root)
         minus = 0.25 * (mu * s + 2.0 * eta * lam - root)
-    pairs = np.stack([plus, minus], axis=1)
+    return np.stack([plus, minus], axis=-1)
+
+
+def order2_eigs(family, mu, eta, spec_or_lambdas):
+    """Eigenvalues of the order-2 momentum drift blocks, in closed form.
+
+    msgd: (1/4) [mu(eta mu + 2) +- sqrt(mu^2 (eta mu+2)^2 + 4 eta^2 lam^2
+          - 8 lam (eta mu + 2))]
+    snag: (1/4) [mu(eta mu + 2) + 2 eta lam +- sqrt(eta mu + 2)
+          * sqrt(mu^2 (eta mu + 2) + 4 lam (eta mu - 2))]
+    In the underdamped regime each snag eigenvalue's real part exceeds its
+    msgd counterpart by eta lam / 2: the extra Hessian damping is what speeds
+    SNAG up at order eta.  _order2_pairs evaluates the same closed form over
+    an array of mu.
+    """
+    if family not in ("msgd", "snag"):
+        raise ValueError("family must be msgd or snag")
+    if mu <= 0 or eta <= 0:
+        raise ValueError("mu and eta must be positive")
+    pairs = _order2_pairs(family, mu, eta, _eigenvalues_of(spec_or_lambdas))
     cls = []
     for row in pairs:
         if abs(row[0] - row[1]) <= _DEGENERATE_TOL * max(1.0, abs(row[0]) + abs(row[1])):
@@ -209,13 +216,10 @@ def decay_bound_check(family: Block2x2Family, t_grid):
             basis = np.stack([_real_eigvec(a, lam_p.real),
                               _real_eigvec(a, lam_m.real)], axis=1)
         constant *= max(1.0, _cond2_2x2(basis))
-    holds = True
-    for t in t_grid:
-        e = family.block_exp(-float(t))
-        bound = constant * math.exp(-(rate - eps) * float(t))
-        if math.sqrt(float(np.sum(e * e))) > bound * (1.0 + 1e-9) + 1e-300:
-            holds = False
-            break
+    e = family.block_exp(-t_grid)
+    norms = np.sqrt(np.sum(e * e, axis=(1, 2, 3)))
+    bound = constant * np.exp(-(rate - eps) * t_grid)
+    holds = bool(np.all(norms <= bound * (1.0 + 1e-9) + 1e-300))
     return DecayBound(rate, constant, eps, holds, any_def)
 
 

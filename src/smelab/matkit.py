@@ -11,7 +11,6 @@ eigenbasis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,35 +88,43 @@ def sym_eig(H):
     return SpectralDecomp(lam[::-1], q[:, ::-1])
 
 
-def mat_exp_2x2(M, t=1.0):
-    """exp(t M) for a real 2x2 matrix, in closed form.
+def _exp_2x2(a, t):
+    """exp(t a) for 2x2 blocks a (..., 2, 2) at times t that broadcast
+    against a's batch shape.
 
-    Writes M = (tr/2) I + K with K^2 = (Delta/4) I, Delta = tr^2 - 4 det, and
-    dispatches on the sign of Delta (cosh/sinh, cos/sin, or the defective
+    Writes a = (tr/2) I + K with K^2 = (Delta/4) I, Delta = tr^2 - 4 det, and
+    picks per block on the sign of Delta (cosh/sinh, cos/sin, or the defective
     I + tK branch when |Delta| <= 1e-12 * max(1, tr^2)).  In the cosh/sinh
     branch e^{|om t|} is folded into the exponent, so the result stays finite
-    wherever exp(t M) is, even when cosh(om t) alone would overflow.
+    wherever exp(t a) is, even when cosh(om t) alone would overflow.
     """
+    tr = a[..., 0, 0] + a[..., 1, 1]
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    delta = tr * tr - 4.0 * det
+    half = 0.5 * tr
+    defective = np.abs(delta) <= 1e-12 * np.maximum(1.0, tr * tr)
+    over = (delta > 0.0) & ~defective
+    under = (delta < 0.0) & ~defective
+    om = 0.5 * np.sqrt(np.abs(delta))
+    om_over = np.where(over, om, 1.0)
+    om_under = np.where(under, om, 1.0)
+    # cosh(om t) = e^s (1 + e^{-2s}) / 2, sinh(om t) = sign(t) e^s (1 - e^{-2s}) / 2
+    s = np.where(over, np.abs(om * t), 0.0)
+    g = np.exp(half * t + s)
+    c0 = np.where(over, 0.5 * g * (1.0 + np.exp(-2.0 * s)),
+                  np.where(under, g * np.cos(om_under * t), g))
+    c1 = np.where(over, 0.5 * g * np.copysign(-np.expm1(-2.0 * s) / om_over, t),
+                  np.where(under, g * np.sin(om_under * t) / om_under, g * t))
+    k = a - half[..., None, None] * np.eye(2)
+    return c0[..., None, None] * np.eye(2) + c1[..., None, None] * k
+
+
+def mat_exp_2x2(M, t=1.0):
+    """exp(t M) for a real 2x2 matrix, in closed form (see _exp_2x2)."""
     a = np.asarray(M, dtype=float)
     if a.shape != (2, 2) or not np.all(np.isfinite(a)):
         raise MatkitError("mat_exp_2x2 needs a finite 2x2 matrix")
-    t = float(t)
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    delta = tr * tr - 4.0 * det
-    half = 0.5 * tr
-    K = a - half * np.eye(2)
-    if abs(delta) <= 1e-12 * max(1.0, tr * tr):
-        return math.exp(half * t) * (np.eye(2) + t * K)
-    if delta > 0.0:
-        om = 0.5 * math.sqrt(delta)
-        s = abs(om * t)
-        # cosh(om t) = e^s (1 + e^{-2s}) / 2, sinh(om t) = sign(t) e^s (1 - e^{-2s}) / 2
-        return 0.5 * math.exp(half * t + s) * (
-            (1.0 + math.exp(-2.0 * s)) * np.eye(2)
-            + math.copysign(-math.expm1(-2.0 * s) / om, t) * K)
-    om = 0.5 * math.sqrt(-delta)
-    return math.exp(half * t) * (math.cos(om * t) * np.eye(2) + (math.sin(om * t) / om) * K)
+    return _exp_2x2(a, float(t))
 
 
 def mat_exp_dense(M, t=1.0):
@@ -195,8 +202,11 @@ class Block2x2Family:
         return _assemble(self.spec, self.blocks)
 
     def block_exp(self, t):
-        """exp(t A_i) for every block, shape (d, 2, 2)."""
-        return np.stack([mat_exp_2x2(self.blocks[i], t) for i in range(self.dim)])
+        """exp(t A_i) for every block: shape (d, 2, 2) at a scalar t, or
+        t.shape + (d, 2, 2) for an array of times, in one broadcast
+        evaluation of the closed form (_exp_2x2) over (t, mode)."""
+        t = np.asarray(t, dtype=float)
+        return _exp_2x2(self.blocks, t[..., None])
 
     def block_eigenvalues(self):
         """Complex eigenvalue pair of each 2x2 block, shape (d, 2)."""

@@ -29,19 +29,20 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                   NesterovSchedule, _mode_noise, _mode_update, _sgd_factors,
+                  _stationary_second_moment,
                   exact_moment_recursion, iteration_count, nesterov_mu,
                   run_ensemble, supports_exact_moments)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
-from .analysis import (CRITICAL, RateFit, _ols, classify_damping,
-                       descent_rate, discrete_divergence_threshold,
+from .analysis import (CRITICAL, RateFit, _ols, _order2_pairs,
+                       classify_damping, descent_rate,
+                       discrete_divergence_threshold,
                        discrete_growth_factors, divergence_threshold,
                        fit_loglog_slope, optimal_mu, order2_eigs)
 
@@ -60,6 +61,10 @@ _SCAN_LAMBDAS = (1.0, 0.225625)
 _SCAN_MU_GRID = tuple(i / 100.0 for i in range(30, 191))
 _SCAN_X0 = (1.0e6, 1.0e6)
 _SCAN_HORIZON = 40.0
+
+# longest exact series a config may ask for, horizon / min(eta_grid) steps;
+# the longest default series is condition_sweep's 120,000
+_MAX_SERIES_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -96,7 +101,8 @@ def _as_number(key, value, kind=float):
 class ExperimentConfig:
     """One experiment run: model, algorithm, ensemble and output parameters.
 
-    Invariants: eta_grid is strictly decreasing and horizon >= max(eta_grid).
+    Invariants: eta_grid is strictly decreasing, horizon >= max(eta_grid),
+    and horizon / min(eta_grid) is at most _MAX_SERIES_STEPS.
     Validation failures raise ConfigError naming the offending key.
     """
 
@@ -154,6 +160,11 @@ class ExperimentConfig:
         if not (math.isfinite(self.horizon)
                 and self.horizon >= max(self.eta_grid)):
             raise ConfigError("horizon: must be at least the largest step size")
+        steps = self.horizon / min(self.eta_grid)
+        if steps > _MAX_SERIES_STEPS:
+            raise ConfigError("horizon: %.3g steps of eta = %g exceed the limit "
+                              "of %d per series" % (steps, min(self.eta_grid),
+                                                    _MAX_SERIES_STEPS))
         object.__setattr__(self, "families",
                            tuple(self.families) if not isinstance(self.families, str)
                            else (self.families,))
@@ -608,9 +619,11 @@ def discrete_floor(algo, model):
     """Stationary E f of the exact second-moment recursion (constant mu).
 
     Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
-    eigenbasis_scaled), or the solution of the discrete Lyapunov equation
-    P = M P M^T + N of a momentum family.  Raises ValueError when a mode
-    diverges (a >= 1, or M has spectral radius >= 1).
+    eigenbasis_scaled), or the solution P_inf of the discrete Lyapunov
+    equation P = M P M^T + N of a momentum family, from the closed form the
+    constant-momentum series uses (one batched 3 x 3 solve over the modes).
+    Raises ValueError when a mode diverges (a >= 1, or M has spectral radius
+    >= 1).
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact stationary value for %s on %s"
@@ -624,11 +637,10 @@ def discrete_floor(algo, model):
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
     mats = _mode_update(algo, model, 0)
-    noise = _mode_noise(algo, model)
     if np.any(np.abs(np.linalg.eigvals(mats)) >= 1.0):
         raise ValueError("a mode diverges; no stationary value")
-    return float(sum(0.5 * lam_i * solve_discrete_lyapunov(m, n)[1, 1]
-                     for lam_i, m, n in zip(lam, mats, noise)))
+    p_inf = _stationary_second_moment(mats, _mode_noise(algo, model))
+    return float(0.5 * np.sum(lam * p_inf[:, 1, 1]))
 
 
 def _sgd_series(model, eta, x0, ks):
@@ -1018,15 +1030,16 @@ def exp_momentum_dynamics(config=None):
 
 def _argmax_order2_mu(family, eta, spec):
     """Momentum maximizing the order-2 minimal real part (coarse grid then
-    a local refinement)."""
+    a local refinement), each grid in one array evaluation."""
+    def min_real(grid):
+        return _order2_pairs(family, grid, eta, spec.eigenvalues).real.min(axis=(1, 2))
+
     lam_max = float(np.max(spec.eigenvalues))
     coarse = np.arange(0.002, 3.0 * 2.0 * math.sqrt(lam_max), 0.002)
-    values = [order2_eigs(family, mu, eta, spec).min_real_part for mu in coarse]
-    center = coarse[int(np.argmax(values))]
+    center = coarse[int(np.argmax(min_real(coarse)))]
     fine = np.arange(center - 0.004, center + 0.004, 2e-5)
     fine = fine[fine > 0]
-    values = [order2_eigs(family, mu, eta, spec).min_real_part for mu in fine]
-    return float(fine[int(np.argmax(values))])
+    return float(fine[int(np.argmax(min_real(fine)))])
 
 
 def exp_msgd_vs_snag(config=None):

@@ -251,8 +251,8 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 #
 # Both models are diagonal in the eigenbasis of H, so each family is one
 # small linear map per mode.  The three functions below are the only place
-# that writes it; the recursion, the moment state, the stationary floor and the
-# closed-form sgd series all read them.
+# that writes it; the recursion, the constant-momentum closed form, the moment
+# state, the stationary floor and the closed-form sgd series all read them.
 #
 # _mode_update, _mode_noise (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
@@ -291,6 +291,80 @@ def _mode_noise(algo, model):
     return model.noise_scale ** 2 * nv[:, :, None] * nv[:, None, :]
 
 
+def _stationary_second_moment(m, noise):
+    """P_inf solving P = M P M^T + N per mode, (d, 2, 2).
+
+    The symmetric equation has three unknowns p = (P00, P01, P11), and
+    (I - K) p = (N00, N01, N11) with K the action of P -> M P M^T on them;
+    the 3 x 3 systems are solved in one batched call.
+    """
+    a, b = m[:, 0, 0], m[:, 0, 1]
+    c, e = m[:, 1, 0], m[:, 1, 1]
+    k = np.stack([a * a, 2.0 * a * b, b * b,
+                  a * c, a * e + b * c, b * e,
+                  c * c, 2.0 * c * e, e * e], axis=-1).reshape(-1, 3, 3)
+    rhs = np.stack([noise[:, 0, 0], noise[:, 0, 1], noise[:, 1, 1]], axis=-1)
+    p = np.linalg.solve(np.eye(3) - k, rhs[:, :, None])[:, :, 0]
+    return np.stack([p[:, 0], p[:, 1], p[:, 1], p[:, 2]], axis=-1).reshape(-1, 2, 2)
+
+
+def _powers(m, count):
+    """m^0, ..., m^(count-1) of a stack of 2x2 blocks m (d, 2, 2), by doubling:
+    shape (count, d, 2, 2)."""
+    out = np.empty((count,) + m.shape, dtype=m.dtype)
+    out[0] = np.eye(2)
+    filled, step = 1, m
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled:filled + take] = out[:take] @ step
+        filled += take
+        if filled < count:
+            step = step @ step
+    return out
+
+
+# working-set bound of the constant-momentum series: elements per temporary
+_SERIES_BLOCK = 1 << 13
+
+
+def _momentum_series(m, noise, y0, lam, n):
+    """E f(x_k), k = 0..n, of a momentum family at a constant per-mode update
+    m whose blocks all have spectral radius < 1.
+
+    Per mode P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf, and only the x row r_k
+    of M^k is needed.  With a block length B ~ sqrt(n + 1), r_{jB+i} is the x
+    row of M^{jB} times M^i: B small powers, about n/B large powers, and a
+    broadcast product, accumulated a few large-power blocks at a time so the
+    working set stays O(sqrt(n) d).  The power tables are built in
+    np.longdouble: the rounding of M^B would otherwise be raised to the j-th
+    power and shift the phase of an oscillating mode (on a platform whose
+    longdouble is double the series is then about 10x less accurate, still
+    well inside the step loop's error).
+    """
+    d = lam.shape[0]
+    p_inf = _stationary_second_moment(m, noise)
+    dev = -p_inf
+    dev[:, 1, 1] += y0 * y0
+    width = math.isqrt(n) + 1
+    mx = m.astype(np.longdouble)
+    small = _powers(mx, width)
+    rows = _powers(small[-1] @ mx, -(-(n + 1) // width))[:, :, 1, :].astype(float)
+    small = small.astype(float)
+    half = 0.5 * lam
+    out = np.empty(rows.shape[0] * width)
+    per = max(1, _SERIES_BLOCK // (width * d))
+    for j in range(0, rows.shape[0], per):
+        # the x row of M^k, k = jB + i, as (blocks, B, d) components
+        r0 = rows[j:j + per, None, :, 0]
+        r1 = rows[j:j + per, None, :, 1]
+        c0 = r0 * small[..., 0, 0] + r1 * small[..., 1, 0]
+        c1 = r0 * small[..., 0, 1] + r1 * small[..., 1, 1]
+        p = c0 * (c0 * dev[:, 0, 0] + 2.0 * c1 * dev[:, 0, 1]) \
+            + c1 * c1 * dev[:, 1, 1] + p_inf[:, 1, 1]
+        out[j * width:(j + c0.shape[0]) * width] = (p @ half).reshape(-1)
+    return out[:n + 1]
+
+
 def _sgd_factors(model, eta):
     """Per-mode sgd factors (c, a, b) of the mean, y' = c y, and of the second
     moment, p' = a p + b."""
@@ -312,6 +386,13 @@ def exact_moment_recursion(algo, model, x0):
 
     Supported: isotropic_shift with any family, eigenbasis_scaled with sgd.
     Raises ValueError otherwise (use run_ensemble for those).
+
+    Routes: a momentum family at constant momentum whose per-mode updates all
+    have spectral radius < 1 takes the closed form P_k = M^k (P_0 - P_inf)
+    (M^k)^T + P_inf by blocked matrix powers (_momentum_series).  sgd, the
+    Nesterov schedule (time-varying M_k) and a constant momentum with a mode
+    of radius >= 1 (no stationary P_inf) step the recursion once per
+    iteration.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
@@ -329,11 +410,14 @@ def exact_moment_recursion(algo, model, x0):
             out[k + 1] = 0.5 * float(np.sum(lam * p))
         return out
 
-    P = np.zeros((model.dim, 2, 2))
-    P[:, 1, 1] = y0 * y0
     constant = isinstance(algo.momentum, ConstantMomentum)
     m = _mode_update(algo, model, 0)
     noise = _mode_noise(algo, model)
+    if constant and np.all(np.abs(np.linalg.eigvals(m)) < 1.0):
+        out[1:] = _momentum_series(m, noise, y0, lam, n)[1:]
+        return out
+    P = np.zeros((model.dim, 2, 2))
+    P[:, 1, 1] = y0 * y0
     for k in range(n):
         if not constant:
             m = _mode_update(algo, model, k)

@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from . import models, rng, sga
@@ -421,7 +420,8 @@ def langevin_expected_f_exact(system, x0, t):
       E f = sum_i (lam_i/2) [(E z0)_x^2 + eta ns^2 lam_i^2 C_i(t)_xx],
       C_i(t) = int_0^t e^{-s a_i} e_v e_v^T e^{-s a_i^T} ds = C_inf - E C_inf E^T,
     where C_inf solves a C + C a^T = e_v e_v^T.  One route serves every
-    variant and damping regime: E is the closed-form 2x2 exponential, and at
+    variant and damping regime: E is the closed-form 2x2 exponential,
+    evaluated over every finite t and mode in one broadcast call, and at
     t = inf only C_inf is used (the system must be asymptotically stable).
     Where t ||a_i||_1 < 0.5 the difference cancels (relative error ~ eps/t^3),
     so C_i(t) = E G instead, G the upper-right block of Van Loan's
@@ -445,8 +445,9 @@ def langevin_expected_f_exact(system, x0, t):
     c_inf[:, 0, 1] = c_inf[:, 1, 0] = -a[:, 1, 0] * a[:, 1, 1]
     c_inf[:, 1, 1] = a[:, 1, 0] ** 2
     c_inf /= (2.0 * tr * np.linalg.det(a))[:, None, None]
-    e = np.stack([system.blocks.block_exp(-s) if np.isfinite(s) else np.zeros_like(a)
-                  for s in ts])
+    finite = np.isfinite(ts)
+    e = system.blocks.block_exp(-np.where(finite, ts, 0.0))
+    e[~finite] = 0.0
     cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
     small = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1) < 0.5
     if small.any():
@@ -461,6 +462,14 @@ def langevin_expected_f_exact(system, x0, t):
     noise = system.eta * system.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
     out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: only the quadrature
+    oracle integrates, and importing scipy.integrate costs an import of this
+    package about as much time and memory as scipy.linalg does."""
+    from scipy.integrate import quad as integrate
+    return integrate(*args, **kwargs)
 
 
 def _mode_quad_integral(block, t):

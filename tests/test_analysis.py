@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smelab.analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED,
-                             classify_damping, decay_bound_check,
+                             _order2_pairs, classify_damping, decay_bound_check,
                              descent_rate, discrete_divergence_threshold,
                              discrete_growth_factors, divergence_threshold,
                              fit_loglog_slope, momentum_eigs, optimal_mu,
@@ -80,6 +80,20 @@ def test_order2_eigs_match_block_numerics():
                 want = sorted(num[i], key=lambda z: (z.real, z.imag))
                 got = sorted(rep.eigenvalues[i], key=lambda z: (z.real, z.imag))
                 assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["msgd", "snag"])
+def test_order2_pairs_over_a_grid_equal_scalar_calls(family):
+    # the coarse momentum grid of the order-2 argmax, in one array call
+    spec = _spec([1.0, 0.25])
+    grid = np.arange(0.002, 6.0, 0.002)
+    pairs = _order2_pairs(family, grid, 0.1, spec.eigenvalues)
+    assert pairs.shape == (grid.size, 2, 2)
+    min_real = pairs.real.min(axis=(1, 2))
+    for mu, row, value in zip(grid, pairs, min_real):
+        rep = order2_eigs(family, mu, 0.1, spec)
+        assert value == rep.min_real_part
+        assert np.array_equal(row, rep.eigenvalues)
 
 
 def test_order2_eigs_limits_and_gap():

@@ -139,3 +139,23 @@ def test_momentum_above_the_ceiling_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: mu_values")
     assert "Traceback" not in err
+
+
+def test_series_longer_than_the_limit_is_a_config_error(tmp_path, monkeypatch,
+                                                        capsys):
+    # 2e13 steps at eta = 0.05: validation rejects it before any experiment
+    # code runs, so nothing is allocated
+    def refuse(config):
+        raise AssertionError("experiment ran")
+
+    monkeypatch.setattr("smelab.repro.run_experiment", refuse)
+    cfg = tmp_path / "weak.json"
+    cfg.write_text(json.dumps({
+        "experiment": "weak_error", "eigenvalues": [1.0, 0.1],
+        "eta_grid": [0.1, 0.05], "horizon": 1e12}))
+    code = cli.main(["weak-error", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon")
+    assert "Traceback" not in err

@@ -212,6 +212,26 @@ def test_block_exp_matches_dense_exponential():
     assert_allclose(recon, dense, rtol=1e-9, atol=1e-10)
 
 
+def test_block_exp_array_t_equals_scalar_calls():
+    # one overdamped, one critically damped (defective) and one underdamped
+    # block, each at an array of times
+    spec = SpectralDecomp(np.array([4.0, 1.0, 0.25]), np.eye(3))
+    blocks = np.array([[[3.0, 1.0], [-1.0, 0.0]],      # Delta = 5
+                       [[2.0, 1.0], [-1.0, 0.0]],      # Delta = 0
+                       [[0.5, 0.25], [-1.0, 0.0]]])    # Delta = -0.75
+    fam = Block2x2Family(blocks, spec)
+    t = np.linspace(-3.0, 5.0, 17).reshape(1, 17)
+    exps = fam.block_exp(t)
+    assert exps.shape == (1, 17, 3, 2, 2)
+    for j, tj in enumerate(t[0]):
+        assert_allclose(exps[0, j], fam.block_exp(float(tj)), rtol=1e-15, atol=0)
+        for i in range(3):
+            assert_allclose(exps[0, j, i], mat_exp_2x2(blocks[i], float(tj)),
+                            rtol=1e-15, atol=0)
+            assert_allclose(exps[0, j, i], scipy.linalg.expm(tj * blocks[i]),
+                            rtol=1e-10, atol=1e-12)
+
+
 def test_block_eigenvalues_match_reference():
     _, spec, fam = _family()
     eigs = fam.block_eigenvalues()

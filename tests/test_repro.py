@@ -178,6 +178,41 @@ def test_discrete_floor_closed_forms():
         assert_allclose(tail, discrete_floor(algo_s, stiff), rtol=1e-6)
 
 
+def test_discrete_floor_matches_lyapunov_solver():
+    # scipy's discrete Lyapunov solver, one mode at a time, as the oracle
+    from scipy.linalg import solve_discrete_lyapunov
+    from smelab.sga import _mode_noise, _mode_update
+
+    scan = from_spectrum(ISOTROPIC_SHIFT, [1.0, 0.225625], noise_scale=0.8)
+    stiff = from_spectrum(ISOTROPIC_SHIFT, [5.674], noise_scale=1.0)
+    cases = [(scan, AlgoSpec(family, 0.1, 1.0, ConstantMomentum(mu)))
+             for family in (MSGD, SNAG) for mu in (0.1, 0.95, 3.0, 10.0)]
+    # mu = 0.95 is critically damped on (1, 0.225625); the msgd case on the
+    # stiff mode contracts with spectral radius 0.994
+    cases += [(stiff, AlgoSpec(SNAG, 0.3, 1.0, ConstantMomentum(0.5))),
+              (stiff, AlgoSpec(MSGD, 0.6, 1.0, ConstantMomentum(0.02)))]
+    for model, algo in cases:
+        mats = _mode_update(algo, model, 0)
+        noise = _mode_noise(algo, model)
+        oracle = sum(0.5 * lam * solve_discrete_lyapunov(m, n)[1, 1]
+                     for lam, m, n in zip(model.spec.eigenvalues, mats, noise))
+        assert_allclose(discrete_floor(algo, model), oracle, rtol=1e-13)
+
+
+def test_series_longer_than_the_limit_is_rejected():
+    _expect_config_error("horizon", horizon=1e12,
+                         eta_grid=(0.1, 0.05))
+    # the longest default series, condition_sweep's 120,000 steps, is accepted
+    cfg = default_config("condition_sweep")
+    assert cfg.horizon / min(cfg.eta_grid) == pytest.approx(120000.0)
+
+
+def test_tuned_momenta_are_unchanged():
+    report = exp_msgd_vs_snag()
+    assert report.metric("tuned_mu[msgd]") == 0.9761600000000041
+    assert report.metric("tuned_mu[snag]") == 0.9534000000000055
+
+
 # ---------------------------------------------------------------------------
 # experiments: frozen reference values at the default configurations
 # ---------------------------------------------------------------------------

@@ -313,6 +313,103 @@ def test_exact_moment_state_mean_is_deterministic_path():
 
 
 # ---------------------------------------------------------------------------
+# constant momentum: the closed-form series against step loops
+# ---------------------------------------------------------------------------
+
+
+def _mode_matrices(family, lam, eta, mu, ns):
+    """Per-mode update and noise covariance, written from the update
+    equations: z = (v, y), z' = M z + (eta lam, eta^2 lam) gamma."""
+    damp = 1.0 - mu * eta
+    if family == SNAG:
+        damp = damp * (1.0 - eta * eta * lam)
+    m = np.array([[damp, -eta * lam], [eta * damp, 1.0 - eta * eta * lam]])
+    nv = np.array([eta * lam, eta * eta * lam])
+    return m, ns * ns * np.outer(nv, nv)
+
+
+def _loop_series(family, lams, eta, mu, ns, y0, n):
+    mats = [_mode_matrices(family, lam, eta, mu, ns) for lam in lams]
+    ps = [np.array([[0.0, 0.0], [0.0, y * y]]) for y in y0]
+    out = [0.5 * sum(lam * p[1, 1] for lam, p in zip(lams, ps))]
+    for _ in range(n):
+        ps = [m @ p @ m.T + noise for (m, noise), p in zip(mats, ps)]
+        out.append(0.5 * sum(lam * p[1, 1] for lam, p in zip(lams, ps)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+@pytest.mark.parametrize("lams", [[1.0, 0.225625], [1.0, 0.25], [1.0, 1e-3]])
+def test_constant_momentum_series_equals_step_loop(family, lams):
+    # mu = 0.95 is critically damped on the scan spectrum (1, 0.225625)
+    eta, ns = 0.1, 1.0
+    model = from_spectrum(ISOTROPIC_SHIFT, lams, noise_scale=ns)
+    x0 = np.array([1.0, 1.0])
+    y0 = model.spec.to_eigen(x0)
+    for mu in (0.1, 0.95, 1.0, 2.0, 3.0, 9.9):
+        for horizon in (40.0, 400.0):
+            algo = AlgoSpec(family, eta, horizon, ConstantMomentum(mu))
+            series = exact_moment_recursion(algo, model, x0)
+            loop = _loop_series(family, lams, eta, mu, ns, y0, algo.n_steps)
+            assert_allclose(series, loop, rtol=1e-12, atol=0)
+
+
+def test_unstable_constant_momentum_steps_the_recursion():
+    # spectral radius 2.49: no stationary P_inf, so the step loop serves
+    model = from_spectrum(ISOTROPIC_SHIFT, [5.674], noise_scale=1.0)
+    algo = AlgoSpec(SNAG, 0.6, 6.0, ConstantMomentum(0.02))
+    series = exact_moment_recursion(algo, model, np.array([1.0]))
+    loop = _loop_series(SNAG, [5.674], 0.6, 0.02, 1.0, [1.0], algo.n_steps)
+    assert_allclose(series, loop, rtol=1e-12, atol=0)
+    assert series[-1] > 1e6 * series[0]
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+def test_constant_momentum_series_against_mpmath(family):
+    # a 40-digit recursion on the same per-mode M and N doubles; the step
+    # loop in double precision is off by up to 1.4e-10 (msgd) and 3.7e-10
+    # (snag) here, where an oscillating mode passes near zero
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eta, mu, n = 0.1, 0.2, 1200
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 1.0], noise_scale=1.0)
+    x0 = np.array([5.0e4, 1.0e6])
+    algo = AlgoSpec(family, eta, n * eta + 1e-9, ConstantMomentum(mu))
+    series = exact_moment_recursion(algo, model, x0)
+    modes = []
+    for lam, y in zip(model.spec.eigenvalues, model.spec.to_eigen(x0)):
+        m, noise = _mode_matrices(family, lam, eta, mu, 1.0)
+        modes.append((mp.mpf(lam), mp.matrix(m.tolist()), mp.matrix(noise.tolist()),
+                      mp.matrix([[0, 0], [0, mp.mpf(y) ** 2]])))
+    worst = 0.0
+    for k in range(n + 1):
+        ref = sum(lam / 2 * p[1, 1] for lam, _, _, p in modes)
+        worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
+        modes = [(lam, m, noise, m * p * m.T + noise) for lam, m, noise, p in modes]
+    # the power tables are built in extended precision where the platform
+    # has it; with a double-only longdouble the bound is 10x wider
+    extended = np.finfo(np.longdouble).eps < 1e-18
+    assert worst < (5e-12 if extended else 5e-11)
+
+
+def test_constant_momentum_series_memory_stays_small():
+    import tracemalloc
+    lams = np.linspace(1.0, 0.01, 64)
+    model = from_spectrum(ISOTROPIC_SHIFT, lams, noise_scale=1.0)
+    algo = AlgoSpec(SNAG, 0.1, 300.0, ConstantMomentum(0.5))
+    x0 = np.ones(64)
+    assert algo.n_steps == 3000
+    tracemalloc.start()
+    try:
+        series = exact_moment_recursion(algo, model, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (3001,)
+    assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
 # ensembles: layout, determinism, thread invariance
 # ---------------------------------------------------------------------------
 
