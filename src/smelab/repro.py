@@ -33,7 +33,7 @@ import numpy as np
 from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
-from .sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
+from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                   NesterovSchedule, _mode_noise, _mode_update, _sgd_factors,
                   _stationary_second_moment,
                   exact_moment_recursion, iteration_count, nesterov_mu,
@@ -65,6 +65,11 @@ _SCAN_HORIZON = 40.0
 # longest exact series a config may ask for, horizon / min(eta_grid) steps;
 # the longest default series is condition_sweep's 120,000
 _MAX_SERIES_STEPS = 1_000_000
+# largest series length x dimension: the Langevin closed form holds about
+# 97 bytes per (time point, mode), so this keeps its peak near 0.9 GiB
+_MAX_SERIES_CELLS = 10_000_000
+# largest n_paths x series length of one ensemble
+_MAX_PATH_STEPS = 1_000_000_000
 
 
 class ConfigError(ValueError):
@@ -102,7 +107,9 @@ class ExperimentConfig:
     """One experiment run: model, algorithm, ensemble and output parameters.
 
     Invariants: eta_grid is strictly decreasing, horizon >= max(eta_grid),
-    and horizon / min(eta_grid) is at most _MAX_SERIES_STEPS.
+    and the series length horizon / min(eta_grid) is at most
+    _MAX_SERIES_STEPS; times dimension it is at most _MAX_SERIES_CELLS, and
+    times n_paths at most _MAX_PATH_STEPS.  threads is at most _MAX_THREADS.
     Validation failures raise ConfigError naming the offending key.
     """
 
@@ -165,6 +172,10 @@ class ExperimentConfig:
             raise ConfigError("horizon: %.3g steps of eta = %g exceed the limit "
                               "of %d per series" % (steps, min(self.eta_grid),
                                                     _MAX_SERIES_STEPS))
+        if steps * self.dimension > _MAX_SERIES_CELLS:
+            raise ConfigError("horizon: %.3g steps x %d modes exceed the limit of "
+                              "%d series cells" % (steps, self.dimension,
+                                                   _MAX_SERIES_CELLS))
         object.__setattr__(self, "families",
                            tuple(self.families) if not isinstance(self.families, str)
                            else (self.families,))
@@ -188,13 +199,17 @@ class ExperimentConfig:
                            _as_number("n_paths", self.n_paths, int))
         if self.n_paths < 0:
             raise ConfigError("n_paths: must be nonnegative")
+        if self.n_paths * steps > _MAX_PATH_STEPS:
+            raise ConfigError("n_paths: %d paths x %.3g steps exceed the limit "
+                              "of %d path-steps" % (self.n_paths, steps,
+                                                    _MAX_PATH_STEPS))
         object.__setattr__(self, "seed", _as_number("seed", self.seed, int))
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
         object.__setattr__(self, "threads",
                            _as_number("threads", self.threads, int))
-        if self.threads < 1:
-            raise ConfigError("threads: must be a positive integer")
+        if not 1 <= self.threads <= _MAX_THREADS:
+            raise ConfigError("threads: must be an integer in [1, %d]" % _MAX_THREADS)
         object.__setattr__(self, "x0", _as_tuple("x0", self.x0))
         if self.x0 and len(self.x0) != self.dimension:
             raise ConfigError("x0: expected %d coordinates to match dimension"

@@ -34,7 +34,8 @@ MSGD = "msgd"
 SNAG = "snag"
 _FAMILIES = (SGD, MSGD, SNAG)
 
-_CHUNK = 4096
+_CHUNK = 4096        # paths per ensemble chunk; part of the byte contract
+_MAX_THREADS = 64    # fixed, so a config's validity does not depend on the machine
 
 
 def iteration_count(horizon, eta):
@@ -182,11 +183,11 @@ class EnsembleStats:
     observable: object = "f"
 
 
-def _advance_chunk(algo, model, X, V, paths, k, seed, stream=rng.STREAM_GAMMA):
+def _advance_chunk(algo, model, X, V, paths, k, seed):
     """One vectorized iteration for a chunk of paths; mutates X (and V) in place."""
     eta = algo.eta
     d = model.dim
-    gammas = model.noise_scale * rng.normals(seed, stream, paths, k, 0, d)
+    gammas = model.noise_scale * rng.normals(seed, rng.STREAM_GAMMA, paths, k, 0, d)
     if algo.family == SGD:
         X -= eta * models._batch_gradient(model, X, gammas)
         return
@@ -198,52 +199,60 @@ def _advance_chunk(algo, model, X, V, paths, k, seed, stream=rng.STREAM_GAMMA):
     X += eta * V
 
 
-def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
-    """Ensemble mean/stderr of an observable at every iterate, k = 0..N.
+def _ensemble(n_paths, n, start, advance, observe, threads):
+    """(mean, stderr) of observe(state) at points 0..n over n_paths paths.
 
-    Paths are processed in fixed chunks of 4096 and every draw is addressed by
-    (seed, stream, path, step), so the result is bit-identical for any thread
-    count; threads only parallelize over chunks.
+    start(m) builds the state of m paths and advance(state, paths, k) moves it
+    from point k to k + 1 in place.  Sums are taken per chunk of _CHUNK paths
+    and added in chunk order, so with every draw keyed by path and step the
+    chunk size is part of the byte contract and the thread count is not.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    x0 = np.asarray(x0, dtype=float)
-    g = models.observable_fn(model, observable)
-    n = algo.n_steps
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError("threads must lie in [1, %d], got %r" % (_MAX_THREADS, threads))
 
-    def worker(bounds):
-        lo, hi = bounds
-        m = hi - lo
-        paths = np.arange(lo, hi, dtype=np.uint64)
-        X = np.tile(x0, (m, 1))
-        V = None if algo.family == SGD else np.zeros_like(X)
+    def run_chunk(lo):
+        paths = np.arange(lo, min(lo + _CHUNK, n_paths), dtype=np.uint64)
+        state = start(paths.size)
         s1 = np.empty(n + 1)
         s2 = np.empty(n + 1)
-        vals = g(X)
-        s1[0] = vals.sum()
-        s2[0] = (vals * vals).sum()
-        for k in range(n):
-            _advance_chunk(algo, model, X, V, paths, k, seed)
-            vals = g(X)
-            s1[k + 1] = vals.sum()
-            s2[k + 1] = (vals * vals).sum()
+        for k in range(n + 1):
+            if k:
+                advance(state, paths, k - 1)
+            vals = observe(state)
+            s1[k] = vals.sum()
+            s2[k] = (vals * vals).sum()
         return s1, s2
 
-    chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(worker, chunks))
-    else:
-        partials = [worker(c) for c in chunks]
+    lows = range(0, n_paths, _CHUNK)
     s1 = np.zeros(n + 1)
     s2 = np.zeros(n + 1)
-    for p1, p2 in partials:
-        s1 += p1
-        s2 += p2
+    with ThreadPoolExecutor(max_workers=min(threads, len(lows))) as pool:
+        for p1, p2 in pool.map(run_chunk, lows):   # consumed in chunk order
+            s1 += p1
+            s2 += p2
     mean = s1 / n_paths
     var = np.maximum(s2 - n_paths * mean * mean, 0.0) / (n_paths - 1)
-    times = algo.eta * np.arange(n + 1)
-    return EnsembleStats(times, mean, np.sqrt(var / n_paths), n_paths, observable)
+    return mean, np.sqrt(var / n_paths)
+
+
+def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
+    """Ensemble mean/stderr of an observable at every iterate, k = 0..N.
+
+    Draws are keyed by (seed, stream, path, step) and sums are taken per
+    4096-path chunk, so the result is bit-identical for any thread count.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    g = models.observable_fn(model, observable)
+    momentum = algo.family != SGD
+    mean, stderr = _ensemble(
+        n_paths, algo.n_steps,
+        lambda m: (np.tile(x0, (m, 1)), np.zeros((m, x0.size)) if momentum else None),
+        lambda state, paths, k: _advance_chunk(algo, model, *state, paths, k, seed),
+        lambda state: g(state[0]), threads)
+    times = algo.eta * np.arange(algo.n_steps + 1)
+    return EnsembleStats(times, mean, stderr, n_paths, observable)
 
 
 # ---------------------------------------------------------------------------

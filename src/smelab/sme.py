@@ -23,7 +23,7 @@ take (y, t); autonomous systems ignore t.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- bench/tracing.py patches it
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,7 @@ from .sga import EnsembleStats, iteration_count
 SNAG_VARYING = "snag_varying"
 _FAMILIES = (sga.SGD, sga.MSGD, sga.SNAG, SNAG_VARYING)
 
-_CHUNK = 4096
+_CHUNK = sga._CHUNK  # bench/tracing.py asserts it at import
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,11 @@ def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
     """Euler-Maruyama ensemble statistics on the grid t = t0 + k eta, k = 0..N.
 
     start is either an x-point (momentum state is padded with v = 0) or the
-    full state vector.  substeps Euler steps of size eta/substeps are taken
-    per grid interval; Brownian increments are keyed by (seed, path, global
-    substep) so results do not depend on chunking or thread count.
+    full state vector; substeps Euler steps of size eta/substeps are taken per
+    grid interval.  Increments are keyed by (seed, path, global substep) and
+    sums are taken per 4096-path chunk, so the result depends on the chunk
+    size but not on the thread count.
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     start = np.asarray(start, dtype=float)
@@ -221,44 +220,16 @@ def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
     g = models.observable_fn(system.model, observable)
     d = system.dim_x
 
-    def worker(bounds):
-        lo, hi = bounds
-        m = hi - lo
-        paths = np.arange(lo, hi, dtype=np.uint64)
-        Y = np.tile(y0, (m, 1))
-        s1 = np.empty(n + 1)
-        s2 = np.empty(n + 1)
-        vals = g(Y[:, -d:])
-        s1[0] = vals.sum()
-        s2[0] = (vals * vals).sum()
-        for k in range(n):
-            for j in range(substeps):
-                idx = k * substeps + j
-                t = t0 + idx * delta
-                Z = rng.normals(seed, rng.STREAM_EM, paths, idx, 0, d)
-                incr = delta * _batch_drift(system, Y, t) \
-                    + math.sqrt(delta) * _batch_noise(system, Y, Z)
-                Y += incr
-            vals = g(Y[:, -d:])
-            s1[k + 1] = vals.sum()
-            s2[k + 1] = (vals * vals).sum()
-        return s1, s2
+    def advance(Y, paths, k):
+        for idx in range(k * substeps, (k + 1) * substeps):
+            Z = rng.normals(seed, rng.STREAM_EM, paths, idx, 0, d)
+            Y += delta * _batch_drift(system, Y, t0 + idx * delta) \
+                + math.sqrt(delta) * _batch_noise(system, Y, Z)
 
-    chunks = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(worker, chunks))
-    else:
-        partials = [worker(c) for c in chunks]
-    s1 = np.zeros(n + 1)
-    s2 = np.zeros(n + 1)
-    for p1, p2 in partials:
-        s1 += p1
-        s2 += p2
-    mean = s1 / n_paths
-    var = np.maximum(s2 - n_paths * mean * mean, 0.0) / (n_paths - 1)
+    mean, stderr = sga._ensemble(n_paths, n, lambda m: np.tile(y0, (m, 1)),
+                                 advance, lambda Y: g(Y[:, -d:]), threads)
     times = t0 + system.eta * np.arange(n + 1)
-    return EnsembleStats(times, mean, np.sqrt(var / n_paths), n_paths, observable)
+    return EnsembleStats(times, mean, stderr, n_paths, observable)
 
 
 def one_step_moments(system, y):

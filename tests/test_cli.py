@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from smelab import cli
 from smelab.repro import parse_csv
 
@@ -158,4 +160,28 @@ def test_series_longer_than_the_limit_is_a_config_error(tmp_path, monkeypatch,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: horizon")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, config, flags", [
+    ("threads", {}, ["--threads", "100000"]),
+    ("n_paths", {"n_paths": 1e8, "horizon": 1000}, []),
+    ("horizon", {"dimension": 64, "horizon": 1e5}, []),   # 10^6 steps at d = 64
+])
+def test_work_over_budget_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                            key, config, flags):
+    # validation rejects it before any experiment code or thread starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("smelab.repro.run_experiment", refuse)
+    monkeypatch.setattr("smelab.sga.ThreadPoolExecutor", refuse)
+    cfg = tmp_path / "momentum.json"
+    cfg.write_text(json.dumps({"experiment": "momentum_dynamics",
+                               "eta_grid": [0.1], **config}))
+    code = cli.main(["momentum", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + key)
     assert "Traceback" not in err

@@ -46,6 +46,11 @@ def test_validation_names_the_offending_key():
     _expect_config_error("dimension", dimension=0)
     _expect_config_error("n_paths", n_paths=-5)
     _expect_config_error("threads", threads=0)
+    _expect_config_error("threads", threads=65)
+    _expect_config_error("n_paths", n_paths=10**8, horizon=1000.0)
+    # 10^6 steps of eta = 0.0125 at d = 64
+    _expect_config_error("horizon", dimension=64, eigenvalues=(), x0=(),
+                         horizon=12500.0)
     _expect_config_error("mu_values", mu_values=(-0.5,))
 
 

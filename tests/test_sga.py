@@ -12,6 +12,7 @@ from smelab.sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                         mu_at, nesterov_mu, nesterov_mu_hat, rescale,
                         rescale_inverse, run_ensemble, run_path, step,
                         supports_exact_moments)
+from smelab.sme import build_sme, em_integrate_ensemble
 
 
 def _gamma_at(model, seed, path, k):
@@ -436,6 +437,21 @@ def test_run_ensemble_thread_invariance():
     many = run_ensemble(algo, model, [1.0, 1.0], n_paths=9000, seed=5, threads=4)
     assert np.array_equal(one.mean, many.mean)
     assert np.array_equal(one.stderr, many.stderr)
+
+
+def test_ensembles_reject_threads_outside_the_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(sga, "ThreadPoolExecutor", refuse)
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 0.25], noise_scale=1.0)
+    algo = AlgoSpec(MSGD, 0.1, 0.5, ConstantMomentum(0.5))
+    system = build_sme(model, MSGD, 1, 0.1, mu=0.5)
+    for threads in (0, sga._MAX_THREADS + 1):
+        with pytest.raises(ValueError, match="threads"):
+            run_ensemble(algo, model, [1.0, 1.0], 16, 0, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            em_integrate_ensemble(system, [1.0, 1.0], 0.5, 16, 0, threads=threads)
 
 
 def test_run_ensemble_matches_run_path():

@@ -506,6 +506,12 @@ def test_em_layout_thread_invariance_and_start_forms():
                                  substeps=4, threads=3)
     assert np.array_equal(one.mean, many.mean)
     assert np.array_equal(one.stderr, many.stderr)
+    # three uneven chunks, so the pool runs them at once and the sum order
+    # of three partials is fixed (two partials would commute)
+    wide = [em_integrate_ensemble(system, [1.0, 1.0], 0.2, n_paths=2 * 4096 + 8,
+                                  seed=7, substeps=4, threads=t) for t in (1, 3)]
+    assert np.array_equal(wide[0].mean, wide[1].mean)
+    assert np.array_equal(wide[0].stderr, wide[1].stderr)
     assert_allclose(one.times, 0.1 * np.arange(6), rtol=1e-15)
     padded = em_integrate_ensemble(system, [0.0, 0.0, 1.0, 1.0], 0.5,
                                    n_paths=600, seed=7, substeps=4)
