@@ -640,6 +640,20 @@ def discrete_floor(algo, model):
     Raises ValueError when a mode diverges (a >= 1, or M has spectral radius
     >= 1).
     """
+    return _floor(algo, model, ValueError("a mode diverges; no stationary value"))
+
+
+def _stable_floor(algo, model):
+    """discrete_floor of an experiment's run; a mode that diverges at the
+    configured step size is reported against eta_grid."""
+    mu = ", mu = %g" % algo.momentum.mu if algo.momentum else ""
+    return _floor(algo, model, ConfigError(
+        "eta_grid: %s at eta = %g%s has a diverging mode on this spectrum; "
+        "there is no stationary floor" % (algo.family, algo.eta, mu)))
+
+
+def _floor(algo, model, diverging):
+    """discrete_floor, raising the exception diverging when a mode diverges."""
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact stationary value for %s on %s"
                          % (algo.family, model.kind))
@@ -647,31 +661,15 @@ def discrete_floor(algo, model):
     if algo.family == SGD:
         _, a, b = _sgd_factors(model, algo.eta)
         if np.any(a >= 1.0):
-            raise ValueError("a mode diverges; no stationary value")
+            raise diverging
         return float(0.5 * np.sum(lam * (b / (1.0 - a))))
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
     mats = _mode_update(algo, model, 0)
     if np.any(np.abs(np.linalg.eigvals(mats)) >= 1.0):
-        raise ValueError("a mode diverges; no stationary value")
+        raise diverging
     p_inf = _stationary_second_moment(mats, _mode_noise(algo, model))
     return float(0.5 * np.sum(lam * p_inf[:, 1, 1]))
-
-
-def _sgd_series(model, eta, x0, ks):
-    """Closed-form E f(x_k) of sgd at the indices ks: per mode p_k = a^k (p_0 -
-    p_inf) + p_inf, p_inf = b / (1 - a) (0 on eigenbasis_scaled, which may grow)."""
-    lam = model.spec.eigenvalues
-    y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
-    _, a, b = _sgd_factors(model, eta)
-    p_inf = np.zeros_like(a)
-    if np.any(b):
-        if np.any(a >= 1.0):
-            raise ValueError("a mode diverges; use the step-by-step recursion")
-        p_inf = b / (1.0 - a)
-    ks = np.asarray(ks, dtype=float)[:, None]
-    p_k = a[None, :] ** ks * (y0 * y0 - p_inf) + p_inf
-    return 0.5 * np.sum(lam * p_k, axis=1)
 
 
 def _descent_series(algo, model, x0, floor, scale, pad):
@@ -816,12 +814,12 @@ def exp_condition_sweep(config=None):
         for family in cfg.families:
             if family == SGD:
                 algo = AlgoSpec(SGD, eta, cfg.horizon)
-                floor = discrete_floor(algo, model)
-                series = _sgd_series(model, eta, x0, np.arange(algo.n_steps + 1))
+                floor = _stable_floor(algo, model)
+                series = exact_moment_recursion(algo, model, x0)
             else:
                 momentum = ConstantMomentum(optimal_mu(model.spec))
                 algo = AlgoSpec(family, eta, cfg.horizon, momentum)
-                floor = discrete_floor(algo, model)
+                floor = _stable_floor(algo, model)
                 series = _descent_series(algo, model, x0, floor, 1.4, 50)
             rate = _fit_descent(series, eta, floor).slope
             rows[family].append((cfg.experiment, float(kappa), rate, family))
@@ -871,7 +869,7 @@ def exp_divergence(config=None):
     for eta in cfg.eta_grid:
         n = iteration_count(cfg.horizon, eta)
         ks = _subsample(n)
-        series = _sgd_series(model, eta, x0, ks)
+        series = exact_moment_recursion(AlgoSpec(SGD, eta, cfg.horizon), model, x0)[ks]
         discrete_divergent = bool(np.max(discrete_growth_factors(model, eta)) > 1.0)
         sme_divergent = bool(np.any(eta * ns2 > 2.0 * lam))
         verdicts[eta] = (discrete_divergent, sme_divergent)
@@ -946,11 +944,11 @@ def exp_momentum_dynamics(config=None):
         for eta in cfg.eta_grid:
             algo = AlgoSpec(MSGD, eta, cfg.horizon, ConstantMomentum(mu))
             n = algo.n_steps
+            floor = _stable_floor(algo, model)
             exact = exact_moment_recursion(algo, model, x0)
             system = langevin_system(model.spec, mu, eta, cfg.noise_scale)
             t_grid = eta * np.arange(n + 1)
             closed = langevin_expected_f_exact(system, x0, t_grid)
-            floor = discrete_floor(algo, model)
             fit = _fit_descent(exact, eta, floor)
             lo, hi = fit.window
             deviation = _max_relative_deviation(exact, closed, lo, hi)
@@ -1016,8 +1014,8 @@ def exp_momentum_dynamics(config=None):
     scan_rows, scan_rates = [], []
     for mu in _SCAN_MU_GRID:
         algo = AlgoSpec(MSGD, eta0, _SCAN_HORIZON, ConstantMomentum(mu))
+        floor = _stable_floor(algo, scan_model)
         series = exact_moment_recursion(algo, scan_model, scan_x0)
-        floor = discrete_floor(algo, scan_model)
         rate = _fit_descent(series, eta0, floor).slope
         scan_rates.append(rate)
         scan_rows.append((cfg.experiment, float(mu), rate, MSGD))
@@ -1094,7 +1092,7 @@ def exp_msgd_vs_snag(config=None):
         rows, rates, curves = [], {}, []
         for family in (MSGD, SNAG):
             algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_const))
-            floor = discrete_floor(algo, model)
+            floor = _stable_floor(algo, model)
             series = _descent_series(algo, model, x0, floor, 1.3, 100)
             rates[family] = _fit_descent(series, eta, floor).slope
             ks = _subsample(series.size - 1)
@@ -1133,7 +1131,7 @@ def exp_msgd_vs_snag(config=None):
     for family in (MSGD, SNAG):
         mu_opt = _argmax_order2_mu(family, eta, model_b.spec)
         algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_opt))
-        floor = discrete_floor(algo, model_b)
+        floor = _stable_floor(algo, model_b)
         series = _descent_series(algo, model_b, x0_b, floor, 1.3, 100)
         tuned_rates[family] = _fit_descent(series, eta, floor).slope
         metrics.append(("tuned_mu[%s]" % family, mu_opt))

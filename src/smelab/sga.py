@@ -260,8 +260,8 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 #
 # Both models are diagonal in the eigenbasis of H, so each family is one
 # small linear map per mode.  The three functions below are the only place
-# that writes it; the recursion, the constant-momentum closed form, the moment
-# state, the stationary floor and the closed-form sgd series all read them.
+# that writes it; the closed-form series (sgd, constant momentum), the
+# schedule's step loop, the moment state and the stationary floor read them.
 #
 # _mode_update, _mode_noise (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
@@ -384,6 +384,48 @@ def _sgd_factors(model, eta):
     return mean, discrete_growth_factors(model, eta), np.zeros_like(lam)
 
 
+def _times(c, x):
+    """c * x, broadcast, with 0 wherever c == 0 even if x is inf (0 * inf is NaN)."""
+    out = np.zeros(np.broadcast_shapes(c.shape, x.shape), np.result_type(c, x))
+    return np.multiply(c, x, out=out, where=c != 0.0)
+
+
+def _sgd_series(model, eta, y0, n):
+    """E f(x_k), k = 0..n, of sgd from eigen-coordinates y0.
+
+    Per mode p_k = a^k p_0 + b S_k, S_k = 1 + a + ... + a^(k-1); with k = jL + i
+    and L ~ sqrt(n + 1), p_k = a^i p_(jL) + b S_i: the block starts
+    p_(jL) = a^(jL) p_0 + b S_(jL) times a (d, L) table of a^i, one product
+    whose extra row carries b S_i.  p_inf is never subtracted: a == 1
+    (eta lam = 2) and a > 1 need no branch.  No zero meets an overflowed
+    power, so a growing mode reads +inf once it overflows, never NaN.
+    """
+    half = 0.5 * model.spec.eigenvalues
+    _, a, b = _sgd_factors(model, eta)
+    p0 = y0 * y0
+    a = np.where((p0 != 0.0) | (b != 0.0), a, 0.0)   # else p_k = 0 for all k
+    d, width = a.size, math.isqrt(n) + 1
+    right = np.empty((d + 1, width))
+    np.power(a[:, None], np.arange(width), out=right[:d])            # a^i
+    geo = np.zeros((d, width + 1))
+    np.cumsum(right[:d], axis=1, out=geo[:, 1:])                      # S_i
+    right[d] = half @ _times(b[:, None], geo[:, :-1])                 # E f of b S_i
+    # a^(jL) in np.longdouble's wider range, so a power past the largest double
+    # still scales a small p_0 to its finite p_(jL)
+    big = np.power(a.astype(np.longdouble),
+                   width * np.arange(-(-(n + 1) // width))[:, None])  # a^(jL)
+    left = np.ones((big.shape[0] - 1, d + 1))                        # p_(jL), j >= 1
+    left[:, :d] = half * (_times(p0, big[1:])
+                          + _times(b, np.cumsum(big[:-1], axis=0) * geo[:, -1]))
+    first = half @ _times(p0[:, None], right[:d]) + right[d]          # j = 0
+    del geo, big     # the output is most of the working set; keep the rest small
+    out = np.empty((left.shape[0] + 1, width))
+    out[0] = first
+    with np.errstate(invalid="ignore"):   # BLAS flags its padding lanes when an
+        np.matmul(left, right, out=out[1:])   # entry is inf; no zero meets one
+    return out.reshape(-1)[:n + 1]
+
+
 def supports_exact_moments(algo, model):
     if model.kind == models.ISOTROPIC_SHIFT:
         return True
@@ -396,12 +438,12 @@ def exact_moment_recursion(algo, model, x0):
     Supported: isotropic_shift with any family, eigenbasis_scaled with sgd.
     Raises ValueError otherwise (use run_ensemble for those).
 
-    Routes: a momentum family at constant momentum whose per-mode updates all
-    have spectral radius < 1 takes the closed form P_k = M^k (P_0 - P_inf)
-    (M^k)^T + P_inf by blocked matrix powers (_momentum_series).  sgd, the
-    Nesterov schedule (time-varying M_k) and a constant momentum with a mode
-    of radius >= 1 (no stationary P_inf) step the recursion once per
-    iteration.
+    Routes: sgd never steps; it takes p_k = a^k p_0 + b S_k from blocked
+    power tables (_sgd_series).  A constant momentum whose per-mode updates
+    all have spectral radius < 1 takes P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf
+    by blocked matrix powers (_momentum_series).  The Nesterov schedule
+    (time-varying M_k) and a constant momentum with a mode of radius >= 1
+    (no stationary P_inf) step the recursion once per iteration.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
@@ -409,14 +451,9 @@ def exact_moment_recursion(algo, model, x0):
     lam = model.spec.eigenvalues
     y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
     n = algo.n_steps
-    out = np.empty(n + 1)
+    out = _sgd_series(model, algo.eta, y0, n) if algo.family == SGD else np.empty(n + 1)
     out[0] = 0.5 * float(np.sum(lam * (y0 * y0)))
     if algo.family == SGD:
-        _, a, b = _sgd_factors(model, algo.eta)
-        p = y0 * y0
-        for k in range(n):
-            p = a * p + b
-            out[k + 1] = 0.5 * float(np.sum(lam * p))
         return out
 
     constant = isinstance(algo.momentum, ConstantMomentum)

@@ -31,8 +31,7 @@ from scipy.linalg import expm
 
 from . import models, rng, sga
 from .analysis import CRITICAL, OVERDAMPED, UNDERDAMPED, classify_damping
-from .matkit import (Block2x2Family, SpectralDecomp, _assemble, mat_exp_2x2,
-                     mat_exp_dense)
+from .matkit import Block2x2Family, SpectralDecomp, _assemble, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -443,6 +442,22 @@ def quad(*args, **kwargs):
     return integrate(*args, **kwargs)
 
 
+def _decay_entry(block):
+    """u -> the [1, 0] entry of exp(-u block) for u >= 0, c1(-u) block[1, 0]
+    with c1 as in matkit._exp_2x2, in scalar math (branch picked once)."""
+    a00, a01, a10, a11 = (float(v) for v in np.ravel(block))
+    tr = a00 + a11
+    delta = tr * tr - 4.0 * (a00 * a11 - a01 * a10)
+    half, om = 0.5 * tr, 0.5 * math.sqrt(abs(delta))
+    if abs(delta) <= 1e-12 * max(1.0, tr * tr):
+        return lambda u: -a10 * u * math.exp(-half * u)
+    if delta < 0.0:
+        return lambda u: -a10 * math.exp(-half * u) * math.sin(om * u) / om
+    # e^{-half u} sinh(om u) with e^{om u} folded into the exponent
+    return lambda u: (a10 * math.exp((om - half) * u)
+                      * math.expm1(-2.0 * om * u) / (2.0 * om))
+
+
 def _mode_quad_integral(block, t):
     tr = block[0, 0] + block[1, 1]
     det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
@@ -465,9 +480,10 @@ def _mode_quad_integral(block, t):
     # first segment: break that segment at 1/max_re * 2^j
     fast = 2.0 ** np.arange(math.ceil(math.log2(max(edges[1] * max_re, 1.0))))
     edges = np.concatenate([[0.0], fast / max_re, edges[1:]])
+    entry = _decay_entry(block)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(lambda u: mat_exp_2x2(block, -u)[1, 0] ** 2, a, b,
+        val, _ = quad(lambda u: entry(u) ** 2, a, b,
                       epsabs=1e-14, epsrel=1e-11, limit=100)
         total += val
     return total

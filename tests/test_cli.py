@@ -185,3 +185,26 @@ def test_work_over_budget_is_a_config_error(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: " + key)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config", [
+    # lam = 500 at eta = 0.1: the msgd update has spectral radius > 1
+    ("momentum", {"experiment": "momentum_dynamics", "dimension": 2,
+                  "eigenvalues": [500.0, 1.0], "eta_grid": [0.1],
+                  "horizon": 4.0, "families": ["msgd"], "mu_values": [0.5, 1.0],
+                  "n_paths": 0, "x0": [1e6, 1e6]}),
+    # lam = 300: snag at its order-2-optimal momentum diverges
+    ("compare-snag", {"experiment": "msgd_vs_snag", "dimension": 2,
+                      "eigenvalues": [300.0, 0.25], "eta_grid": [0.1],
+                      "horizon": 40.0, "families": ["msgd", "snag"],
+                      "mu_values": [0.2]}),
+])
+def test_step_size_with_a_diverging_mode_is_a_config_error(tmp_path, capsys,
+                                                           command, config):
+    cfg = tmp_path / "diverging.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eta_grid")
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smelab import rng, sga
-from smelab.matkit import haar_orthogonal
+from smelab.matkit import condition_spectrum, haar_orthogonal
 from smelab.models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                            gradient_given_gamma, objective)
 from smelab.sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
@@ -408,6 +408,118 @@ def test_constant_momentum_series_memory_stays_small():
         tracemalloc.stop()
     assert series.shape == (3001,)
     assert peak < 1 << 20
+
+
+def _sweep_case():
+    model = from_spectrum(ISOTROPIC_SHIFT, condition_spectrum(6, 1000.0),
+                          noise_scale=1.0)
+    return model, 0.1, 1.0e7 * model.spec.basis[:, -1], 120000
+
+
+_SGD_SERIES_CASES = {
+    # condition_sweep at kappa = 1000: 120,001 points, checked every 300th
+    "sweep": _sweep_case,
+    # divergence defaults: b = 0, decaying at eta = 0.005, growing at 0.04
+    "scaled-decay": lambda: (from_spectrum(EIGENBASIS_SCALED, [1.0, 0.01]),
+                             0.005, np.array([0.1, 1.0]), 60000),
+    "scaled-growth": lambda: (from_spectrum(EIGENBASIS_SCALED, [1.0, 0.01]),
+                              0.04, np.array([0.1, 1.0]), 7500),
+    # eta lam = 2: a == 1 exactly, p_k = p_0 + b k
+    "a-is-one": lambda: (from_spectrum(ISOTROPIC_SHIFT, [20.0]), 0.1,
+                         np.array([1.0]), 2000),
+    # a within about 2e-8 of 1 on either side
+    "a-near-one": lambda: (from_spectrum(ISOTROPIC_SHIFT, [20.0 + 1e-7, 20.0 - 1e-7]),
+                           0.1, np.array([1.0, 1.0]), 2000),
+    # a = 1.44 with noise, started at 0 on that mode: p_k = b S_k alone
+    "isotropic-growth": lambda: (from_spectrum(ISOTROPIC_SHIFT, [22.0, 1.0]),
+                                 0.1, np.array([0.0, 1.0]), 1500),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SGD_SERIES_CASES))
+def test_sgd_series_against_mpmath(case):
+    # p_k = a^k p_0 + b S_k per mode in 40 digits on the same a, b doubles,
+    # with S_k = k at a == 1 and (1 - a^k) / (1 - a) otherwise
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    model, eta, x0, n = _SGD_SERIES_CASES[case]()
+    algo = AlgoSpec(SGD, eta, n * eta + 1e-9)
+    assert algo.n_steps == n
+    series = exact_moment_recursion(algo, model, x0)
+    assert series.shape == (n + 1,)
+    _, a, b = sga._sgd_factors(model, eta)
+    assert case != "a-is-one" or a[0] == 1.0
+    modes = [(mp.mpf(lam) / 2, mp.mpf(ai), mp.mpf(bi), mp.mpf(y) ** 2)
+             for lam, ai, bi, y in zip(model.spec.eigenvalues, a, b,
+                                       model.spec.to_eigen(x0))]
+    worst = 0.0
+    for k in sorted(set(range(0, n + 1, 300 if n > 10000 else 1)) | {n}):
+        ref = mp.fsum(half * (ai ** k * p0 + bi * (k if ai == 1 else
+                                                   (1 - ai ** k) / (1 - ai)))
+                      for half, ai, bi, p0 in modes)
+        worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
+    assert worst < 1e-15
+
+
+def test_sgd_series_memory_stays_small():
+    import tracemalloc
+    model, eta, x0, n = _sweep_case()
+    algo = AlgoSpec(SGD, eta, n * eta + 1e-9)
+    tracemalloc.start()
+    try:
+        series = exact_moment_recursion(algo, model, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (n + 1,)
+    assert peak < 1 << 20     # an (n + 1) x d power table alone is 5.8 MB
+
+
+_OVERFLOW_CASES = {
+    # divergence defaults at noise_scale 10: b = 0 and the lam = 0.01 mode
+    # grows (a = 1.159 at eta = 0.04) until a^k passes the largest double
+    "scaled-eta0.04": lambda: (from_spectrum(EIGENBASIS_SCALED, [1.0, 0.01],
+                                             noise_scale=10.0),
+                               0.04, np.array([0.1, 1.0]), 7500),
+    "scaled-eta0.025": lambda: (from_spectrum(EIGENBASIS_SCALED, [1.0, 0.01],
+                                              noise_scale=10.0),
+                                0.025, np.array([0.1, 1.0]), 12000),
+    # a = 1.44 with noise, started at 0 on that mode
+    "isotropic-zero-start": lambda: (from_spectrum(ISOTROPIC_SHIFT, [22.0, 1.0]),
+                                     0.1, np.array([0.0, 1.0]), 2500),
+    # a = 25 from 0: a^i overflows inside the first block (i > 220, L = 245)
+    "isotropic-first-block": lambda: (from_spectrum(ISOTROPIC_SHIFT, [60.0, 1.0]),
+                                      0.1, np.array([0.0, 1.0]), 60000),
+    # a = 1999^2 from 0 with no noise: a^i overflows inside every block
+    # (i > 46, L = 55), and that mode stays 0
+    "noiseless-zero-mode": lambda: (from_spectrum(ISOTROPIC_SHIFT, [20000.0, 1.0],
+                                                  noise_scale=0.0),
+                                    0.1, np.array([0.0, 1.0]), 3000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOW_CASES))
+def test_sgd_series_overflow_reads_inf_not_nan(case):
+    # the step-loop recursion per mode, on the E f contributions half * p
+    # (exact_moment_state's rotated second moment turns an infinite mode
+    # into NaN, so it cannot be the oracle past the overflow)
+    model, eta, x0, n = _OVERFLOW_CASES[case]()
+    algo = AlgoSpec(SGD, eta, n * eta + 1e-9)
+    with np.errstate(over="ignore"):
+        series = exact_moment_recursion(algo, model, x0)
+        _, a, b = sga._sgd_factors(model, eta)
+        half = 0.5 * model.spec.eigenvalues
+        q = half * model.spec.to_eigen(x0) ** 2
+        ref = np.empty(n + 1)
+        ref[0] = q.sum()
+        for k in range(n):
+            q = a * q + half * b
+            ref[k + 1] = q.sum()
+    assert n * np.log(np.max(a)) > np.log(np.finfo(float).max)
+    assert not np.any(np.isnan(series))
+    assert np.array_equal(np.isinf(series), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert_allclose(series[finite], ref[finite], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

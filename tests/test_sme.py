@@ -291,6 +291,24 @@ def test_langevin_unstable_asymptote_raises():
         langevin_system(spec, -0.5, 0.1)
 
 
+@pytest.mark.parametrize("block", [
+    [[3.0, 1.0], [-1.0, 0.0]],     # overdamped: tr^2 - 4 det = 5
+    [[0.4, 1.0], [-1.0, 0.0]],     # underdamped: -3.84
+    [[2.0, 1.0], [-1.0, 0.0]],     # defective (critical): 0
+    [[0.7, 0.3], [-2.5, 0.05]],    # underdamped with a general [1, 0] entry
+])
+def test_quadrature_integrand_entry_matches_the_matrix_exponential(block):
+    import scipy.linalg
+    from smelab.matkit import mat_exp_2x2
+    from smelab.sme import _decay_entry
+    m = np.array(block)
+    entry = _decay_entry(m)
+    for u in (0.0, 1e-9, 0.3, 2.0, 37.5, 600.0):
+        # scipy's expm is off by about 1e-10 on the defective block at u = 600
+        assert_allclose(entry(u), mat_exp_2x2(m, -u)[1, 0], rtol=1e-13, atol=0)
+        assert_allclose(entry(u), scipy.linalg.expm(-u * m)[1, 0], rtol=1e-9, atol=0)
+
+
 def test_order2_variants_differ_and_agree_between_routes():
     spec = _iso([1.0, 0.25]).spec
     x0 = np.array([1.0, 1.0])
