@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import Block2x2Family, SpectralDecomp
+from .matkit import Block2x2Family, SpectralDecomp, _pairs_2x2
 
 _DEGENERATE_TOL = 1e-9
 
@@ -51,7 +51,8 @@ def classify_damping(mu, lam, tol=_DEGENERATE_TOL):
 
 
 def momentum_eigs(mu, spec_or_lambdas):
-    """Continuous-time momentum eigenvalues Lam_+- = (mu +- sqrt(mu^2-4lam))/2.
+    """Continuous-time momentum eigenvalues Lam_+- = (mu +- sqrt(mu^2-4lam))/2,
+    the eigenvalue pairs of the order-1 drift blocks -b0.
 
     These govern e^{-t Lam} decay, so stability means positive real parts.
     """
@@ -60,9 +61,7 @@ def momentum_eigs(mu, spec_or_lambdas):
     lam = _eigenvalues_of(spec_or_lambdas)
     if np.any(lam <= 0):
         raise ValueError("eigenvalues must be positive")
-    disc = np.asarray(mu * mu - 4.0 * lam, dtype=complex)
-    root = np.sqrt(disc)
-    pairs = np.stack([(mu + root) / 2.0, (mu - root) / 2.0], axis=1)
+    pairs = _pairs_2x2(-_drift_blocks("msgd", 1, lam, 0.0, mu)[0])
     cls = tuple(classify_damping(mu, l) for l in lam)
     return EigenReport(pairs, float(np.min(pairs.real)), cls,
                        CRITICAL not in cls)
@@ -77,36 +76,56 @@ def optimal_mu(spec_or_lambdas):
     return 2.0 * math.sqrt(float(np.min(lam)))
 
 
-def _order2_pairs(family, mu, eta, lam):
-    """Closed-form eigenvalue pairs of the order-2 momentum drift blocks at
-    the momenta mu (a scalar or an array): shape mu.shape + lam.shape + (2,)."""
-    mu = np.asarray(mu, dtype=float)[..., None]
-    s = eta * mu + 2.0
-    if family == "msgd":
-        disc = np.asarray(mu * mu * s * s + 4.0 * eta * eta * lam * lam
-                          - 8.0 * lam * s, dtype=complex)
-        root = np.sqrt(disc)
-        plus = 0.25 * (mu * s + root)
-        minus = 0.25 * (mu * s - root)
+def _drift_blocks(family, order, lam, eta, mu=None, t=0.0):
+    """Per-mode drift blocks (b0, b1) of an SME, each of shape (d, m, m).
+
+    In the eigenbasis of H the drift b0 + eta b1 acts on mode i as the m x m
+    block b0_i + eta b1_i, with state y_i (m = 1) for sgd and (v_i, y_i)
+    (m = 2) for the momentum families:
+      sgd:  b0 = -lam,                   b1 = -lam^2 / 2
+      msgd: b0 = [[-mu, -lam], [1, 0]],  b1 = -(1/2) [[mu^2 - lam, mu lam], [mu, lam]]
+      snag: as msgd with mu^2 + lam in b1's velocity entry
+      snag_varying: b0 with the drag 3/t in place of mu
+    b1 is zero at order 1.  An array of momenta mu gives blocks of shape
+    mu.shape + (d, 2, 2).
+    """
+    if family == "sgd":
+        b0 = -lam.reshape(-1, 1, 1)
+        b1 = -0.5 * b0 * b0
     else:
-        inner = np.asarray(mu * mu * s + 4.0 * lam * (eta * mu - 2.0), dtype=complex)
-        root = np.sqrt(s) * np.sqrt(inner)
-        plus = 0.25 * (mu * s + 2.0 * eta * lam + root)
-        minus = 0.25 * (mu * s + 2.0 * eta * lam - root)
-    return np.stack([plus, minus], axis=-1)
+        if family == "snag_varying":
+            if t <= 0:
+                raise ValueError("varying drift needs t > 0")
+            mu = 3.0 / t
+        mu = np.asarray(mu, dtype=float)
+        shape = mu.shape + lam.shape + (2, 2)
+        mu = mu[..., None]
+        b0 = np.zeros(shape)
+        b0[..., 0, 0], b0[..., 0, 1], b0[..., 1, 0] = -mu, -lam, 1.0
+        sign = -1.0 if family == "msgd" else 1.0
+        b1 = np.empty(shape)
+        b1[..., 0, 0], b1[..., 0, 1] = mu * mu + sign * lam, mu * lam
+        b1[..., 1, 0], b1[..., 1, 1] = mu, lam
+        b1 *= -0.5
+    if order == 1:
+        b1 = np.zeros_like(b0)
+    return b0, b1
+
+
+def _order2_pairs(family, mu, eta, lam):
+    """Eigenvalue pairs of the order-2 momentum drift blocks -(b0 + eta b1)
+    at the momenta mu (a scalar or an array): shape mu.shape + lam.shape + (2,)."""
+    b0, b1 = _drift_blocks(family, 2, lam, eta, mu)
+    return _pairs_2x2(-(b0 + eta * b1))
 
 
 def order2_eigs(family, mu, eta, spec_or_lambdas):
-    """Eigenvalues of the order-2 momentum drift blocks, in closed form.
+    """Eigenvalues of the order-2 momentum drift blocks -(b0 + eta b1).
 
-    msgd: (1/4) [mu(eta mu + 2) +- sqrt(mu^2 (eta mu+2)^2 + 4 eta^2 lam^2
-          - 8 lam (eta mu + 2))]
-    snag: (1/4) [mu(eta mu + 2) + 2 eta lam +- sqrt(eta mu + 2)
-          * sqrt(mu^2 (eta mu + 2) + 4 lam (eta mu - 2))]
     In the underdamped regime each snag eigenvalue's real part exceeds its
     msgd counterpart by eta lam / 2: the extra Hessian damping is what speeds
-    SNAG up at order eta.  _order2_pairs evaluates the same closed form over
-    an array of mu.
+    SNAG up at order eta.  _order2_pairs evaluates the same pairs over an
+    array of mu.
     """
     if family not in ("msgd", "snag"):
         raise ValueError("family must be msgd or snag")

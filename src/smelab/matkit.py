@@ -210,12 +210,16 @@ class Block2x2Family:
 
     def block_eigenvalues(self):
         """Complex eigenvalue pair of each 2x2 block, shape (d, 2)."""
-        tr = self.blocks[:, 0, 0] + self.blocks[:, 1, 1]
-        det = (self.blocks[:, 0, 0] * self.blocks[:, 1, 1]
-               - self.blocks[:, 0, 1] * self.blocks[:, 1, 0])
-        disc = np.asarray(tr * tr - 4.0 * det, dtype=complex)
-        root = np.sqrt(disc)
-        return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=1)
+        return _pairs_2x2(self.blocks)
+
+
+def _pairs_2x2(a):
+    """Complex eigenvalue pairs (tr +- sqrt(tr^2 - 4 det)) / 2 of 2x2 blocks
+    a (..., 2, 2): shape (..., 2)."""
+    tr = a[..., 0, 0] + a[..., 1, 1]
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    root = np.sqrt(np.asarray(tr * tr - 4.0 * det, dtype=complex))
+    return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=-1)
 
 
 def _assemble(spec, blocks):

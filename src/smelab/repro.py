@@ -331,16 +331,6 @@ class ExperimentReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class WeakErrorReport(ExperimentReport):
-    fits: tuple = ()          # ((order, RateFit or None), ...)
-
-
-@dataclass(frozen=True)
-class SweepReport(ExperimentReport):
-    fits: tuple = ()          # ((family, RateFit or None), ...)
-
-
 # ---------------------------------------------------------------------------
 # CSV / SVG emission
 # ---------------------------------------------------------------------------
@@ -349,12 +339,10 @@ class SweepReport(ExperimentReport):
 def _fmt_cell(value):
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
     return str(value)
 
 
@@ -385,12 +373,19 @@ def emit_csv(report, out_dir):
     canonical = dataclasses.replace(report.config, out_dir=".", threads=1)
     comments = ("config," + canonical.to_json(compact=True),
                 "seed,%d" % report.config.seed)
+    return _write(out_dir, report.tables, ".csv",
+                  lambda table: render_csv(table, comments))
+
+
+def _write(out_dir, items, suffix, render):
+    """Write render(item) to out_dir/<item.name><suffix> for each item;
+    returns the paths."""
     paths = []
-    for table in report.tables:
-        path = os.path.join(out_dir, table.name + ".csv")
+    for item in items:
+        path = os.path.join(out_dir, item.name + suffix)
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(render_csv(table, comments))
+                handle.write(render(item))
         except OSError as exc:
             raise OSError("failed writing %s: %s" % (path, exc))
         paths.append(path)
@@ -471,6 +466,24 @@ def _log_ticks(lo, hi):
     return [10.0 ** e for e in range(lo_e, hi_e + 1, step)]
 
 
+def _axis(values, log, panel, name):
+    """One axis of a chart: its map into plot units (log10 on a log axis),
+    the data range in those units padded by 4 % of its span (by 1 when the
+    span is 0, by NaN when it is NaN), and the ticks inside the range."""
+    lo, hi = min(values), max(values)
+    if log and not (lo > 0 and hi < math.inf):
+        raise ValueError("panel %s: log %s-axis needs positive finite data"
+                         % (panel, name))
+    fwd = math.log10 if log else float
+    u_lo, u_hi = fwd(lo), fwd(hi)
+    pad = 1.0 if u_hi - u_lo <= 0 else 0.04 * (u_hi - u_lo)
+    u_lo, u_hi = u_lo - pad, u_hi + pad
+    ticks = _log_ticks(lo, hi) if log else _linear_ticks(lo, hi)
+    # NaN bounds keep every tick
+    inside = [t for t in ticks if not (fwd(t) < u_lo or fwd(t) > u_hi)]
+    return fwd, u_lo, u_hi, inside
+
+
 def render_svg(panel):
     """Self-contained 960x640 line chart with the data embedded as a comment."""
     if not panel.curves:
@@ -482,36 +495,16 @@ def render_svg(panel):
                              % (panel.name, label))
         xs_all.extend(float(v) for v in xs)
         ys_all.extend(float(v) for v in ys)
-    if panel.logx and min(xs_all) <= 0:
-        raise ValueError("panel %s: log x-axis needs positive data" % panel.name)
-    if panel.logy and min(ys_all) <= 0:
-        raise ValueError("panel %s: log y-axis needs positive data" % panel.name)
-
-    def fwd(v, log):
-        return math.log10(v) if log else v
-
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    ux_lo, ux_hi = fwd(x_lo, panel.logx), fwd(x_hi, panel.logx)
-    uy_lo, uy_hi = fwd(y_lo, panel.logy), fwd(y_hi, panel.logy)
-    if ux_hi - ux_lo <= 0:
-        ux_lo, ux_hi = ux_lo - 1.0, ux_hi + 1.0
-    else:
-        pad = 0.04 * (ux_hi - ux_lo)
-        ux_lo, ux_hi = ux_lo - pad, ux_hi + pad
-    if uy_hi - uy_lo <= 0:
-        uy_lo, uy_hi = uy_lo - 1.0, uy_hi + 1.0
-    else:
-        pad = 0.04 * (uy_hi - uy_lo)
-        uy_lo, uy_hi = uy_lo - pad, uy_hi + pad
+    fx, ux_lo, ux_hi, x_ticks = _axis(xs_all, panel.logx, panel.name, "x")
+    fy, uy_lo, uy_hi, y_ticks = _axis(ys_all, panel.logy, panel.name, "y")
     plot_w = _SVG_W - _SVG_ML - _SVG_MR
     plot_h = _SVG_H - _SVG_MT - _SVG_MB
 
     def px(v):
-        return _SVG_ML + plot_w * (fwd(v, panel.logx) - ux_lo) / (ux_hi - ux_lo)
+        return _SVG_ML + plot_w * (fx(v) - ux_lo) / (ux_hi - ux_lo)
 
     def py(v):
-        return _SVG_MT + plot_h * (uy_hi - fwd(v, panel.logy)) / (uy_hi - uy_lo)
+        return _SVG_MT + plot_h * (uy_hi - fy(v)) / (uy_hi - uy_lo)
 
     data_lines = ["data"]
     for label, xs, ys in panel.curves:
@@ -525,27 +518,13 @@ def render_svg(panel):
              '<rect width="%d" height="%d" fill="white"/>' % (_SVG_W, _SVG_H),
              '<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
              'stroke="black"/>' % (_SVG_ML, _SVG_MT, plot_w, plot_h)]
-    if panel.logx:
-        x_ticks = _log_ticks(x_lo, x_hi)
-    else:
-        x_ticks = _linear_ticks(x_lo, x_hi)
-    if panel.logy:
-        y_ticks = _log_ticks(y_lo, y_hi)
-    else:
-        y_ticks = _linear_ticks(y_lo, y_hi)
     for tick in x_ticks:
-        u = fwd(tick, panel.logx)
-        if u < ux_lo or u > ux_hi:
-            continue
         x = px(tick)
         parts.append('<line x1="%.3f" y1="%d" x2="%.3f" y2="%d" stroke="#dddddd"/>'
                      % (x, _SVG_MT, x, _SVG_MT + plot_h))
         parts.append('<text x="%.3f" y="%d" font-size="14" text-anchor="middle">'
                      '%g</text>' % (x, _SVG_MT + plot_h + 22, tick))
     for tick in y_ticks:
-        u = fwd(tick, panel.logy)
-        if u < uy_lo or u > uy_hi:
-            continue
         y = py(tick)
         parts.append('<line x1="%d" y1="%.3f" x2="%d" y2="%.3f" stroke="#dddddd"/>'
                      % (_SVG_ML, y, _SVG_ML + plot_w, y))
@@ -576,16 +555,7 @@ def render_svg(panel):
 
 def emit_svg(report, out_dir):
     """Write one SVG per panel; returns the paths."""
-    paths = []
-    for panel in report.panels:
-        path = os.path.join(out_dir, panel.name + ".svg")
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(render_svg(panel))
-        except OSError as exc:
-            raise OSError("failed writing %s: %s" % (path, exc))
-        paths.append(path)
-    return paths
+    return _write(out_dir, report.panels, ".svg", render_svg)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +563,16 @@ def emit_svg(report, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _resolve(config, experiment):
+def _resolve(config, experiment, variant=None):
+    """The config to run (the defaults when None), checked against the
+    experiment and, when given, the only model variant it supports."""
     if config is None:
         config = default_config(experiment)
     if config.experiment != experiment:
         raise ConfigError("experiment: config is for %r but %r was requested"
                           % (config.experiment, experiment))
+    if variant is not None and config.variant != variant:
+        raise ConfigError("variant: %s supports %s only" % (experiment, variant))
     return config
 
 
@@ -672,29 +646,62 @@ def _floor(algo, model, diverging):
     return float(0.5 * np.sum(lam * p_inf[:, 1, 1]))
 
 
-def _descent_series(algo, model, x0, floor, scale, pad):
-    """Exact E f series of a constant-momentum run, cut to scale times the steps
-    f(x0) needs to reach 10x the floor at the rate -log(1 - mu eta), plus pad."""
-    f0 = objective(model, x0)
-    if not f0 > 10.0 * floor:
-        raise ConfigError("x0: f(x0) = %g starts within 10x of the stationary "
-                          "floor %g; there is no descent to fit" % (f0, floor))
-    guess = -math.log1p(-algo.momentum.mu * algo.eta)
-    n_need = int(scale * math.log(f0 / (10.0 * floor)) / guess) + pad
-    n_run = min(algo.n_steps, n_need)
-    trimmed = AlgoSpec(algo.family, algo.eta, n_run * algo.eta + 1e-9,
-                       algo.momentum)
-    return exact_moment_recursion(trimmed, model, x0)
+def _descent(algo, model, x0, trim=None):
+    """(floor, series, fit): the stationary floor, the exact E f series and
+    its fitted descent rate of one run.
 
-
-def _fit_descent(series, eta, floor):
-    """descent_rate, with a series it cannot fit reported against the config
-    key at fault: horizon (too few steps) or x0 (no descent to fit)."""
+    trim = (scale, pad) cuts a constant-momentum series to scale times the
+    steps f(x0) needs to reach 10x the floor at the rate -log(1 - mu eta),
+    plus pad; with a zero floor or mu eta = 1 there is no such estimate, and
+    the full horizon runs.  A series the fit cannot use is reported against
+    the config key at fault: horizon (too few steps) or x0 (no descent).
+    """
+    floor = _stable_floor(algo, model)
+    if trim is not None:
+        f0 = objective(model, x0)
+        if not f0 > 10.0 * floor:
+            raise ConfigError("x0: f(x0) = %g starts within 10x of the stationary "
+                              "floor %g; there is no descent to fit" % (f0, floor))
+        mu_eta = algo.momentum.mu * algo.eta
+        if floor > 0 and mu_eta < 1.0:
+            scale, pad = trim
+            guess = -math.log1p(-mu_eta)
+            n_need = int(scale * math.log(f0 / (10.0 * floor)) / guess) + pad
+            algo = AlgoSpec(algo.family, algo.eta,
+                            min(algo.n_steps, n_need) * algo.eta + 1e-9,
+                            algo.momentum)
+    series = exact_moment_recursion(algo, model, x0)
     try:
-        return descent_rate(series, eta, floor=floor)
+        fit = descent_rate(series, algo.eta, floor=floor)
     except ValueError as exc:
         key = "horizon" if len(series) < 8 else "x0"
         raise ConfigError("%s: no descent rate to fit (%s)" % (key, exc)) from None
+    return floor, series, fit
+
+
+def _trajectory(cfg, family, mu, eta, ks, series, method, stderr=None):
+    """Dynamics-table rows of one E f series at the indices ks; mu is one
+    momentum or one per index, stderr one per step (zero when omitted)."""
+    mus = np.broadcast_to(np.asarray(mu, dtype=float), ks.shape)
+    return [(cfg.experiment, family, float(m), float(eta), int(k),
+             float(k * eta), float(series[k]),
+             0.0 if stderr is None else float(stderr[k]), method)
+            for k, m in zip(ks, mus)]
+
+
+def _curve(label, eta, ks, series):
+    """Panel curve (t, E f) of one E f series at the indices ks.  The panels
+    draw E f on a log axis, so a value that is not finite and positive is a
+    ConfigError naming x0 at k = 0 and horizon after it."""
+    values = np.asarray(series, dtype=float)[ks]
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        k = int(ks[bad[0]])
+        raise ConfigError("%s: E f = %g at k = %d (%s) cannot be drawn on a "
+                          "log axis" % ("x0" if k == 0 else "horizon",
+                                        values[bad[0]], k, label))
+    return (label, tuple(float(k * eta) for k in ks),
+            tuple(float(v) for v in values))
 
 
 def _max_relative_deviation(reference, other, lo, hi):
@@ -737,8 +744,7 @@ def exp_weak_error(config=None):
     x0 = np.asarray(cfg.x0 or (1.0,) * cfg.dimension, dtype=float)
     closed_form = ou_expected_f if cfg.variant == ISOTROPIC_SHIFT else bs_expected_f
 
-    tables, fits, metrics, checks, curves = [], [], [], [], []
-    min_eta_order2_error = None
+    tables, metrics, checks, curves = [], [], [], []
     for order in (1, 2):
         rows, errors = [], []
         for eta in cfg.eta_grid:
@@ -754,29 +760,22 @@ def exp_weak_error(config=None):
         if len(errors) >= 2 and all(e > 0 for e in errors):
             fit = fit_loglog_slope(cfg.eta_grid, errors)
             metrics.append(("order%d_slope" % order, fit.slope))
-        fits.append((order, fit))
+            if cfg.noise_scale > 0 and order == 1:
+                checks.append(_band_check("order1-slope", fit.slope, 0.85, 1.15))
+            elif cfg.noise_scale > 0 and cfg.variant == ISOTROPIC_SHIFT:
+                checks.append(_band_check("order2-slope", fit.slope, 1.8, 2.2))
         tables.append(Table("weak_error_%s_order%d" % (cfg.variant, order),
                             _WEAK_HEADER, tuple(rows), fit))
         if all(e > 0 for e in errors):
             curves.append(("order %d" % order, tuple(cfg.eta_grid),
                            tuple(errors)))
-        if order == 2:
-            min_eta_order2_error = errors[-1]
 
-    if cfg.noise_scale > 0:
-        for order, fit in fits:
-            if fit is None:
-                continue
-            if order == 1:
-                checks.append(_band_check("order1-slope", fit.slope, 0.85, 1.15))
-            elif cfg.variant == ISOTROPIC_SHIFT:
-                checks.append(_band_check("order2-slope", fit.slope, 1.8, 2.2))
-    else:
+    if cfg.noise_scale == 0:
+        # errors holds order 2's; its last entry is at the smallest eta
         budget = 1e-6 * objective(model, x0)
         checks.append(Check(
-            "deterministic-order2-error",
-            bool(min_eta_order2_error <= budget),
-            "error=%.3g budget=%.3g at eta=%g" % (min_eta_order2_error, budget,
+            "deterministic-order2-error", bool(errors[-1] <= budget),
+            "error=%.3g budget=%.3g at eta=%g" % (errors[-1], budget,
                                                   cfg.eta_grid[-1])))
 
     panels = ()
@@ -785,8 +784,8 @@ def exp_weak_error(config=None):
                         "weak error vs step size (%s)" % cfg.variant,
                         "eta", "max weak error", tuple(curves),
                         logx=True, logy=True),)
-    return WeakErrorReport(cfg.experiment, cfg, tuple(tables), panels,
-                           tuple(metrics), tuple(checks), fits=tuple(fits))
+    return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels,
+                            tuple(metrics), tuple(checks))
 
 
 def exp_condition_sweep(config=None):
@@ -798,10 +797,7 @@ def exp_condition_sweep(config=None):
     descent_rate on exact-recursion trajectories with closed-form floors; a
     log-log fit of rate vs kappa per family estimates the scaling exponent.
     """
-    cfg = _resolve(config, "condition_sweep")
-    if cfg.variant != ISOTROPIC_SHIFT:
-        raise ConfigError("variant: condition_sweep supports isotropic_shift "
-                          "only")
+    cfg = _resolve(config, "condition_sweep", ISOTROPIC_SHIFT)
     if not cfg.kappa:
         raise ConfigError("kappa: condition_sweep needs a kappa grid")
     eta = cfg.eta_grid[0]
@@ -813,18 +809,14 @@ def exp_condition_sweep(config=None):
               else 1.0e7 * model.spec.basis[:, -1])
         for family in cfg.families:
             if family == SGD:
-                algo = AlgoSpec(SGD, eta, cfg.horizon)
-                floor = _stable_floor(algo, model)
-                series = exact_moment_recursion(algo, model, x0)
+                fit = _descent(AlgoSpec(SGD, eta, cfg.horizon), model, x0)[2]
             else:
                 momentum = ConstantMomentum(optimal_mu(model.spec))
                 algo = AlgoSpec(family, eta, cfg.horizon, momentum)
-                floor = _stable_floor(algo, model)
-                series = _descent_series(algo, model, x0, floor, 1.4, 50)
-            rate = _fit_descent(series, eta, floor).slope
-            rows[family].append((cfg.experiment, float(kappa), rate, family))
+                fit = _descent(algo, model, x0, trim=(1.4, 50))[2]
+            rows[family].append((cfg.experiment, float(kappa), fit.slope, family))
 
-    tables, fits, metrics, checks, curves = [], [], [], [], []
+    tables, metrics, checks, curves = [], [], [], []
     for family in cfg.families:
         rates = [row[2] for row in rows[family]]
         fit = None
@@ -837,15 +829,14 @@ def exp_condition_sweep(config=None):
             elif family == MSGD:
                 checks.append(_band_check("msgd-kappa-slope", fit.slope,
                                           -0.6, -0.4))
-        fits.append((family, fit))
         tables.append(Table("sweep_%s" % family, _SWEEP_HEADER,
                             tuple(rows[family]), fit))
         curves.append((family, tuple(cfg.kappa), tuple(rates)))
     panels = (Panel("sweep", "descent rate vs condition number",
                     "kappa", "rate per iteration", tuple(curves),
                     logx=True, logy=True),)
-    return SweepReport(cfg.experiment, cfg, tuple(tables), panels,
-                       tuple(metrics), tuple(checks), fits=tuple(fits))
+    return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels,
+                            tuple(metrics), tuple(checks))
 
 
 def exp_divergence(config=None):
@@ -856,9 +847,7 @@ def exp_divergence(config=None):
     of the modified-equation exponent eta ns^2 - 2 lam.  Emits the exact
     E f trajectories and compares the two flip thresholds.
     """
-    cfg = _resolve(config, "divergence")
-    if cfg.variant != EIGENBASIS_SCALED:
-        raise ConfigError("variant: divergence needs eigenbasis_scaled")
+    cfg = _resolve(config, "divergence", EIGENBASIS_SCALED)
     model = _model_for(cfg)
     x0 = np.asarray(cfg.x0 or (1.0,) * cfg.dimension, dtype=float)
     lam = model.spec.eigenvalues
@@ -869,15 +858,12 @@ def exp_divergence(config=None):
     for eta in cfg.eta_grid:
         n = iteration_count(cfg.horizon, eta)
         ks = _subsample(n)
-        series = exact_moment_recursion(AlgoSpec(SGD, eta, cfg.horizon), model, x0)[ks]
+        series = exact_moment_recursion(AlgoSpec(SGD, eta, cfg.horizon), model, x0)
         discrete_divergent = bool(np.max(discrete_growth_factors(model, eta)) > 1.0)
         sme_divergent = bool(np.any(eta * ns2 > 2.0 * lam))
         verdicts[eta] = (discrete_divergent, sme_divergent)
-        for k, value in zip(ks, series):
-            rows.append((cfg.experiment, SGD, 0.0, float(eta), int(k),
-                         float(k * eta), float(value), 0.0, "exact"))
-        curves.append(("eta=%g" % eta, tuple(float(k * eta) for k in ks),
-                       tuple(float(v) for v in series)))
+        rows += _trajectory(cfg, SGD, 0.0, eta, ks, series, "exact")
+        curves.append(_curve("eta=%g" % eta, eta, ks, series))
 
     sme_threshold = divergence_threshold(model.spec) / ns2 if ns2 > 0 else math.inf
     disc_threshold = (discrete_divergence_threshold(lam_min, cfg.noise_scale)
@@ -917,10 +903,7 @@ def exp_momentum_dynamics(config=None):
     A separate scan measures descent rate over a mu grid on the spectrum
     whose predicted optimum is 0.95 and reports the grid argmax.
     """
-    cfg = _resolve(config, "momentum_dynamics")
-    if cfg.variant != ISOTROPIC_SHIFT:
-        raise ConfigError("variant: momentum_dynamics supports isotropic_shift "
-                          "only")
+    cfg = _resolve(config, "momentum_dynamics", ISOTROPIC_SHIFT)
     if not cfg.mu_values:
         raise ConfigError("mu_values: momentum_dynamics needs momentum values")
     model = _model_for(cfg)
@@ -944,42 +927,27 @@ def exp_momentum_dynamics(config=None):
         for eta in cfg.eta_grid:
             algo = AlgoSpec(MSGD, eta, cfg.horizon, ConstantMomentum(mu))
             n = algo.n_steps
-            floor = _stable_floor(algo, model)
-            exact = exact_moment_recursion(algo, model, x0)
+            _, exact, fit = _descent(algo, model, x0)
             system = langevin_system(model.spec, mu, eta, cfg.noise_scale)
             t_grid = eta * np.arange(n + 1)
             closed = langevin_expected_f_exact(system, x0, t_grid)
-            fit = _fit_descent(exact, eta, floor)
             lo, hi = fit.window
             deviation = _max_relative_deviation(exact, closed, lo, hi)
             deviations[(mu, eta)] = (deviation, hi)
             metrics.append(("max_rel_deviation[mu=%g,eta=%g]" % (mu, eta),
                             deviation))
             ks = _subsample(n)
-            for k in ks:
-                rows.append((cfg.experiment, MSGD, float(mu), float(eta),
-                             int(k), float(k * eta), float(exact[k]), 0.0,
-                             "exact"))
-            for k in ks:
-                rows.append((cfg.experiment, MSGD, float(mu), float(eta),
-                             int(k), float(k * eta), float(closed[k]), 0.0,
-                             "closed-form"))
+            rows += _trajectory(cfg, MSGD, mu, eta, ks, exact, "exact")
+            rows += _trajectory(cfg, MSGD, mu, eta, ks, closed, "closed-form")
             if eta == eta0:
                 series_eta0[mu] = (exact, hi)
-                curves.append(("exact mu=%g" % mu,
-                               tuple(float(k * eta) for k in ks),
-                               tuple(float(exact[k]) for k in ks)))
-                curves.append(("sme mu=%g" % mu,
-                               tuple(float(k * eta) for k in ks),
-                               tuple(float(closed[k]) for k in ks)))
+                curves.append(_curve("exact mu=%g" % mu, eta, ks, exact))
+                curves.append(_curve("sme mu=%g" % mu, eta, ks, closed))
                 if cfg.n_paths > 0:
                     stats = run_ensemble(algo, model, x0, cfg.n_paths,
                                          cfg.seed, "f", threads=cfg.threads)
-                    for k in ks:
-                        rows.append((cfg.experiment, MSGD, float(mu),
-                                     float(eta), int(k), float(k * eta),
-                                     float(stats.mean[k]),
-                                     float(stats.stderr[k]), "mc"))
+                    rows += _trajectory(cfg, MSGD, mu, eta, ks, stats.mean,
+                                        "mc", stats.stderr)
         n0 = iteration_count(cfg.horizon, eta0)
         rows.append((cfg.experiment, MSGD, float(mu), float(eta0), int(n0),
                      math.inf, float(exact_floors[mu]), 0.0, "floor"))
@@ -1014,9 +982,7 @@ def exp_momentum_dynamics(config=None):
     scan_rows, scan_rates = [], []
     for mu in _SCAN_MU_GRID:
         algo = AlgoSpec(MSGD, eta0, _SCAN_HORIZON, ConstantMomentum(mu))
-        floor = _stable_floor(algo, scan_model)
-        series = exact_moment_recursion(algo, scan_model, scan_x0)
-        rate = _fit_descent(series, eta0, floor).slope
+        rate = _descent(algo, scan_model, scan_x0)[2].slope
         scan_rates.append(rate)
         scan_rows.append((cfg.experiment, float(mu), rate, MSGD))
     best = int(np.argmax(scan_rates))
@@ -1042,17 +1008,17 @@ def exp_momentum_dynamics(config=None):
 
 
 def _argmax_order2_mu(family, eta, spec):
-    """Momentum maximizing the order-2 minimal real part (coarse grid then
-    a local refinement), each grid in one array evaluation."""
-    def min_real(grid):
-        return _order2_pairs(family, grid, eta, spec.eigenvalues).real.min(axis=(1, 2))
+    """Momentum in (0, 1/eta] maximizing the order-2 minimal real part
+    (coarse grid then a local refinement), each grid in one array
+    evaluation."""
+    def best(grid):
+        grid = grid[(grid > 0) & (grid <= 1.0 / eta)]
+        min_real = _order2_pairs(family, grid, eta, spec.eigenvalues).real
+        return grid[int(np.argmax(min_real.min(axis=(1, 2))))]
 
     lam_max = float(np.max(spec.eigenvalues))
-    coarse = np.arange(0.002, 3.0 * 2.0 * math.sqrt(lam_max), 0.002)
-    center = coarse[int(np.argmax(min_real(coarse)))]
-    fine = np.arange(center - 0.004, center + 0.004, 2e-5)
-    fine = fine[fine > 0]
-    return float(fine[int(np.argmax(min_real(fine)))])
+    center = best(np.arange(0.002, 3.0 * 2.0 * math.sqrt(lam_max), 0.002))
+    return float(best(np.arange(center - 0.004, center + 0.004, 2e-5)))
 
 
 def exp_msgd_vs_snag(config=None):
@@ -1068,9 +1034,7 @@ def exp_msgd_vs_snag(config=None):
         half the early-window rate (sub-linear phase) and the trajectory's
         late plateau sits above the tuned-msgd stationary floor.
     """
-    cfg = _resolve(config, "msgd_vs_snag")
-    if cfg.variant != ISOTROPIC_SHIFT:
-        raise ConfigError("variant: msgd_vs_snag supports isotropic_shift only")
+    cfg = _resolve(config, "msgd_vs_snag", ISOTROPIC_SHIFT)
     if not cfg.mu_values:
         raise ConfigError("mu_values: msgd_vs_snag needs a constant momentum")
     eta = cfg.eta_grid[0]
@@ -1092,16 +1056,11 @@ def exp_msgd_vs_snag(config=None):
         rows, rates, curves = [], {}, []
         for family in (MSGD, SNAG):
             algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_const))
-            floor = _stable_floor(algo, model)
-            series = _descent_series(algo, model, x0, floor, 1.3, 100)
-            rates[family] = _fit_descent(series, eta, floor).slope
+            _, series, fit = _descent(algo, model, x0, trim=(1.3, 100))
+            rates[family] = fit.slope
             ks = _subsample(series.size - 1)
-            for k in ks:
-                rows.append((cfg.experiment, family, float(mu_const),
-                             float(eta), int(k), float(k * eta),
-                             float(series[k]), 0.0, "exact"))
-            curves.append((family, tuple(float(k * eta) for k in ks),
-                           tuple(float(series[k]) for k in ks)))
+            rows += _trajectory(cfg, family, mu_const, eta, ks, series, "exact")
+            curves.append(_curve(family, eta, ks, series))
         measured = rates[SNAG] - rates[MSGD]
         measured_gaps[lam_d] = measured
         metrics.append(("closed_gap[lam_d=%g]" % lam_d, gap_closed))
@@ -1131,9 +1090,8 @@ def exp_msgd_vs_snag(config=None):
     for family in (MSGD, SNAG):
         mu_opt = _argmax_order2_mu(family, eta, model_b.spec)
         algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_opt))
-        floor = _stable_floor(algo, model_b)
-        series = _descent_series(algo, model_b, x0_b, floor, 1.3, 100)
-        tuned_rates[family] = _fit_descent(series, eta, floor).slope
+        floor, _, fit = _descent(algo, model_b, x0_b, trim=(1.3, 100))
+        tuned_rates[family] = fit.slope
         metrics.append(("tuned_mu[%s]" % family, mu_opt))
         metrics.append(("tuned_rate[%s]" % family, tuned_rates[family]))
         tuned_rows.append((cfg.experiment, mu_opt, tuned_rates[family], family))
@@ -1169,19 +1127,12 @@ def exp_msgd_vs_snag(config=None):
         "schedule floor %.4g vs tuned msgd floor %.4g"
         % (floor_sched, msgd_tuned_floor)))
     ks = _subsample(n)
-    sched_rows = []
-    for k in ks:
-        mu_k = nesterov_mu(max(int(k), 1), eta)
-        sched_rows.append((cfg.experiment, SNAG, float(mu_k), float(eta),
-                           int(k), float(k * eta), float(series_s[k]), 0.0,
-                           "exact"))
-    tables.append(Table("compare_snag_schedule", _DYNAMICS_HEADER,
-                        tuple(sched_rows)))
+    mu_k = [nesterov_mu(max(int(k), 1), eta) for k in ks]
+    tables.append(Table("compare_snag_schedule", _DYNAMICS_HEADER, tuple(
+        _trajectory(cfg, SNAG, mu_k, eta, ks, series_s, "exact"))))
     panels.append(Panel("compare_snag_schedule",
                         "snag under the Nesterov schedule", "t", "E f",
-                        (("schedule", tuple(float(k * eta) for k in ks),
-                          tuple(float(series_s[k]) for k in ks)),),
-                        logy=True))
+                        (_curve("schedule", eta, ks, series_s),), logy=True))
     return ExperimentReport(cfg.experiment, cfg, tuple(tables), tuple(panels),
                             tuple(metrics), tuple(checks))
 

@@ -30,7 +30,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import models, rng, sga
-from .analysis import CRITICAL, OVERDAMPED, UNDERDAMPED, classify_damping
+from .analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED, _drift_blocks,
+                       classify_damping)
 from .matkit import Block2x2Family, SpectralDecomp, _assemble, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
@@ -137,37 +138,6 @@ def build_sme(model, family, order, eta, mu=None, t0=None):
     if family == SNAG_VARYING:
         return SmeSystem(family, order, model, eta, None, 0.1 if t0 is None else float(t0))
     return SmeSystem(family, order, model, eta, mu, 0.0)
-
-
-def _drift_blocks(family, order, lam, eta, mu=None, t=0.0):
-    """Per-mode drift blocks (b0, b1) of an SME, each of shape (d, m, m).
-
-    In the eigenbasis of H the drift b0 + eta b1 acts on mode i as the m x m
-    block b0_i + eta b1_i, with state y_i (m = 1) for sgd and (v_i, y_i)
-    (m = 2) for the momentum families:
-      sgd:  b0 = -lam,                   b1 = -lam^2 / 2
-      msgd: b0 = [[-mu, -lam], [1, 0]],  b1 = -(1/2) [[mu^2 - lam, mu lam], [mu, lam]]
-      snag: as msgd with mu^2 + lam in b1's velocity entry
-      snag_varying: b0 with the drag 3/t in place of mu
-    b1 is zero at order 1.
-    """
-    d = lam.shape[0]
-    if family == sga.SGD:
-        b0 = -lam.reshape(d, 1, 1)
-        b1 = -0.5 * b0 * b0
-    else:
-        if family == SNAG_VARYING:
-            if t <= 0:
-                raise ValueError("varying drift needs t > 0")
-            mu = 3.0 / t
-        b0 = np.zeros((d, 2, 2))
-        b0[:, 0, 0], b0[:, 0, 1], b0[:, 1, 0] = -mu, -lam, 1.0
-        sign = -1.0 if family == sga.MSGD else 1.0
-        b1 = -0.5 * np.stack([mu * mu + sign * lam, mu * lam, np.full(d, mu), lam],
-                             axis=-1).reshape(d, 2, 2)
-    if order == 1:
-        b1 = np.zeros_like(b0)
-    return b0, b1
 
 
 def _batch_drift(system, Y, t):

@@ -69,17 +69,33 @@ def test_optimal_mu_matches_grid_argmax():
         assert abs(best - pred) <= (grid[1] - grid[0]) + 1e-12
 
 
+def _order2_closed_form(family, mu, eta, lam):
+    """Closed-form order-2 eigenvalue pairs, s = eta mu + 2:
+    msgd: (1/4) [mu s +- sqrt(mu^2 s^2 + 4 eta^2 lam^2 - 8 lam s)]
+    snag: (1/4) [mu s + 2 eta lam +- sqrt(s) sqrt(mu^2 s + 4 lam (eta mu - 2))]
+    """
+    s = eta * mu + 2.0
+    if family == "msgd":
+        root = np.sqrt(complex(mu * mu * s * s + 4.0 * eta * eta * lam * lam
+                               - 8.0 * lam * s))
+        return 0.25 * (mu * s + root), 0.25 * (mu * s - root)
+    root = math.sqrt(s) * np.sqrt(complex(mu * mu * s + 4.0 * lam * (eta * mu - 2.0)))
+    return (0.25 * (mu * s + 2.0 * eta * lam + root),
+            0.25 * (mu * s + 2.0 * eta * lam - root))
+
+
 def test_order2_eigs_match_block_numerics():
     spec = _spec([1.0, 0.25])
     for family, variant in (("msgd", "msgd2"), ("snag", "snag2")):
         for mu, eta in ((0.7, 0.25), (2.5, 0.1), (0.2, 0.1)):
             rep = order2_eigs(family, mu, eta, spec)
-            blocks = langevin_system(spec, mu, eta, variant=variant).blocks
-            num = blocks.block_eigenvalues()
-            for i in range(2):
-                want = sorted(num[i], key=lambda z: (z.real, z.imag))
+            num = langevin_system(spec, mu, eta, variant=variant).blocks \
+                .block_eigenvalues()
+            for i, lam in enumerate([1.0, 0.25]):
                 got = sorted(rep.eigenvalues[i], key=lambda z: (z.real, z.imag))
-                assert_allclose(got, want, atol=1e-10)
+                for want in (num[i], _order2_closed_form(family, mu, eta, lam)):
+                    want = sorted(want, key=lambda z: (z.real, z.imag))
+                    assert_allclose(got, want, atol=1e-10)
 
 
 @pytest.mark.parametrize("family", ["msgd", "snag"])

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from smelab import cli
-from smelab.repro import parse_csv
+from smelab.repro import default_config, parse_csv
 
 
 def _files(dirpath):
@@ -208,3 +208,38 @@ def test_step_size_with_a_diverging_mode_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: eta_grid")
     assert "Traceback" not in err
+
+
+def _defaults(experiment, **changes):
+    config = json.loads(default_config(experiment).to_json())
+    config.update(changes)
+    return config
+
+
+@pytest.mark.parametrize("command, config, code, key", [
+    # mu = 1/eta: no trim estimate, the full horizon runs and a check fails
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
+                      "horizon": 60.0, "eta_grid": [0.1], "mu_values": [10.0]},
+     1, None),
+    # no noise, so a zero floor: again the full horizon
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
+                      "horizon": 60.0, "eta_grid": [0.1], "mu_values": [0.2],
+                      "noise_scale": 0.0}, 1, None),
+    # the order-2-optimal momentum is capped at 1/eta, where lam = 1e6 diverges
+    ("compare-snag", {"experiment": "msgd_vs_snag",
+                      "eigenvalues": [1000000.0, 1.0], "horizon": 60.0,
+                      "mu_values": [0.2]}, 2, "eta_grid"),
+    # E f overflows, starts at 0, or starts above the largest double: no log axis
+    ("divergence", _defaults("divergence", noise_scale=50.0), 2, "horizon"),
+    ("divergence", _defaults("divergence", x0=[0.0, 0.0]), 2, "x0"),
+    ("momentum", _defaults("momentum_dynamics", x0=[1e300, 1e300]), 2, "x0"),
+])
+def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
+                                                    config, code, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("config error: " + key)
+        assert not out.exists() or _files(out) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -92,7 +93,7 @@ def test_render_parse_round_trip(tmp_path):
     fit = RateFit(1.0 / 3.0, -2.5e-17, 0.125, (0, 4))
     table = Table("demo", ("a", "b", "c"),
                   ((1, 1.0 / 3.0, "sgd"), (-2, 1e-300, "msgd"),
-                   (3, math.inf, "snag")), fit)
+                   (3, math.inf, "snag"), (4, np.float64(0.1), "sgd")), fit)
     text = render_csv(table, comments=("config,{}", "seed,7"))
     path = tmp_path / "demo.csv"
     path.write_text(text)
@@ -101,6 +102,7 @@ def test_render_parse_round_trip(tmp_path):
     assert back.rows[0] == (1, 1.0 / 3.0, "sgd")      # floats exact via repr
     assert back.rows[1][1] == 1e-300
     assert back.rows[2][1] == math.inf
+    assert back.rows[3][1] == 0.1                      # np.float64 as a float
     assert back.comments == ("config,{}", "seed,7")
     assert back.footer == {"slope": 1.0 / 3.0, "intercept": -2.5e-17,
                            "residual": 0.125}
@@ -353,7 +355,29 @@ def test_render_svg_contract(tmp_path):
 
 
 def test_render_svg_rejects_nonpositive_log_data():
-    panel = Panel("p", "t", "x", "y", (("c", (0.1, 0.2), (0.0, 1.0)),),
-                  logy=True)
+    for ys in ((0.0, 1.0), (1.0, math.inf)):
+        panel = Panel("p", "t", "x", "y", (("c", (0.1, 0.2), ys),), logy=True)
+        with pytest.raises(ValueError):
+            render_svg(panel)
+
+
+def test_render_svg_pads_a_point_and_a_nan_as_before():
+    # SHA-256 of the bytes rendered before the axes shared one helper: a
+    # one-point range pads by 1, and a NaN value leaves the range to the rest
+    one = (("c", (2.0,), (3.0,)),)
+    gap = (("c", (0.0, 1.0, 2.0), (1.0, math.nan, 100.0)),)
+    cases = [
+        (Panel("one", "one point", "x", "y", one),
+         "115ccd46e7aaa50c882c3e10df9d9025a68557e6e360f83707c6a384cd46fa5b"),
+        (Panel("one", "one point", "x", "y", one, logx=True, logy=True),
+         "4150d145a86129c849476b326636f8d4c4173a71b5d95be28355c68b9e98e85d"),
+        (Panel("gap", "a NaN value", "t", "E f", gap, logy=True),
+         "f8e381817a9cd0ed62a6d56398862fb11895c36c5429ad9464c4bec9f557713a"),
+        (Panel("gap", "a NaN value", "t", "E f", gap),
+         "0ea9583cb83391563ed17159cba0f939d2aef0b276471dcf88e89351cd374788"),
+    ]
+    for panel, digest in cases:
+        assert hashlib.sha256(render_svg(panel).encode()).hexdigest() == digest
+    # a range that is NaN from its first value has no ticks to draw
     with pytest.raises(ValueError):
-        render_svg(panel)
+        render_svg(Panel("nan", "t", "x", "y", (("c", (0.0, 1.0), (math.nan, 1.0)),)))
