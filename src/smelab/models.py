@@ -167,7 +167,7 @@ def sigma_mc(model, x, n_draws, seed):
     mean = np.zeros(d)
     cross = np.zeros((d, d))
     done = 0
-    chunk = 1 << 16
+    chunk = 4096   # draws at a time: bounds the memory, not the result's bits
     while done < n_draws:
         m = min(chunk, n_draws - done)
         paths = np.arange(done, done + m, dtype=np.uint64)
@@ -180,18 +180,77 @@ def sigma_mc(model, x, n_draws, seed):
     return (cross - n_draws * np.outer(mean, mean)) / (n_draws - 1)
 
 
-def _batch_gradient(model, X, gammas):
-    """Rows of grad f_gamma(x) for row-stacked points X and draws gammas."""
+class _Rows:
+    """Scratch for points of a model stacked in rows, of the given shape:
+    two buffers a and b, the eigenvalues repeated in every row (numpy runs a
+    product with a (d,) vector broadcast over the rows row by row, several
+    times slower at small d) and a C-ordered copy of basis.T (numpy
+    multiplies by the transposed view several times slower).  An ensemble
+    chunk makes one and reuses it at every step."""
+
+    def __init__(self, model, shape):
+        self.lam = np.broadcast_to(model.spec.eigenvalues, shape).copy()
+        self.basis_t = np.ascontiguousarray(model.spec.basis.T)
+        self.a = np.empty(shape)
+        self.b = np.empty(shape)
+
+
+def _batch_gradient(model, X, gammas, out=None, rows=None):
+    """Rows of grad f_gamma(x) for row-stacked points X and draws gammas,
+    written into out and rows (a _Rows of X's shape; X may be rows.a)."""
+    if rows is None:
+        rows = _Rows(model, X.shape)
     q = model.spec.basis
-    lam = model.spec.eigenvalues
     if model.kind == ISOTROPIC_SHIFT:
-        return ((X - gammas) @ q * lam) @ q.T
-    return ((X @ q) * (lam + gammas)) @ q.T
+        c = np.matmul(np.subtract(X, gammas, out=rows.a), q, out=rows.b)
+        c *= rows.lam
+    else:
+        c = np.matmul(X, q, out=rows.b)
+        c *= np.add(rows.lam, gammas, out=rows.a)
+    return np.matmul(c, rows.basis_t, out=out)
 
 
-def _batch_objective(model, X):
-    y = X @ model.spec.basis
-    return 0.5 * np.sum(model.spec.eigenvalues * y * y, axis=-1)
+def _batch_objective(model, X, out=None, rows=None):
+    """f of each row of X: 0.5 * np.sum(lam * y * y, axis=-1), y = X @ basis,
+    written into out and rows (a _Rows of X's shape) when rows is given.
+
+    numpy sums fewer than eight terms left to right, so for d < 8 the columns
+    are added in that order, which gives the same bits without the per-row
+    cost of a short reduction; d >= 8 keeps np.sum.
+    """
+    if rows is None:   # a few rows, as in run_path: scratch would cost more
+        y = X @ model.spec.basis
+        t = model.spec.eigenvalues * y
+    else:
+        y = np.matmul(X, model.spec.basis, out=rows.a)
+        t = np.multiply(rows.lam, y, out=rows.b)
+    t *= y
+    d = t.shape[-1]
+    if d >= 8:
+        out = np.sum(t, axis=-1, out=out)
+    elif d == 1:
+        out = np.positive(t[..., 0], out=out)       # a copy
+    else:
+        out = np.add(t[..., 0], t[..., 1], out=out)
+        for j in range(2, d):
+            out += t[..., j]
+    out *= 0.5
+    return out
+
+
+def _observer(model, observable):
+    """observable_fn for chunked ensembles: bind(X, rows) returns a function
+    of no arguments that evaluates the observable on the rows of X (a view of
+    one chunk's state); the objective is written into rows and a buffer that
+    bind makes once."""
+    g = observable_fn(model, observable)
+    if observable != "f":
+        return lambda X, rows: lambda: g(X)
+
+    def bind(X, rows):
+        out = np.empty(X.shape[0])
+        return lambda: _batch_objective(model, X, out, rows)
+    return bind
 
 
 def observable_fn(model, observable):

@@ -654,7 +654,8 @@ def _descent(algo, model, x0, trim=None):
     steps f(x0) needs to reach 10x the floor at the rate -log(1 - mu eta),
     plus pad; with a zero floor or mu eta = 1 there is no such estimate, and
     the full horizon runs.  A series the fit cannot use is reported against
-    the config key at fault: horizon (too few steps) or x0 (no descent).
+    the config key at fault: horizon (too few steps, or E f not finite after
+    k = 0) or x0 (no descent, or f(x0) not finite).
     """
     floor = _stable_floor(algo, model)
     if trim is not None:
@@ -671,6 +672,11 @@ def _descent(algo, model, x0, trim=None):
                             min(algo.n_steps, n_need) * algo.eta + 1e-9,
                             algo.momentum)
     series = exact_moment_recursion(algo, model, x0)
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError("%s: no descent rate to fit (E f = %g at k = %d)"
+                          % ("x0" if k == 0 else "horizon", series[k], k))
     try:
         fit = descent_rate(series, algo.eta, floor=floor)
     except ValueError as exc:

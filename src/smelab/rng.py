@@ -18,8 +18,9 @@ raw_words computes the same words by one of two routes:
   consecutive integers p0, p0+1, ..., p0+m-1, provided p0 + m <= 2**64 (no
   carry reaches the step word) and the request spans at most m blocks of
   four words.  numpy adds one to its 256-bit counter, path word first,
-  before each block, so one generator started at (p0, step, draw, b) - 1
-  emits block b of the m paths in order.
+  before each block, so a generator set to (p0, step, draw, b) - 1 emits
+  block b of the m paths in order (each thread keeps one generator and
+  re-positions it).
 * the vectorised numpy emulation philox4x64 serves every other request:
   arbitrary path and step arrays, and single keys with many blocks (one
   generator per block would cost more than it saves there).  It is also the
@@ -27,6 +28,8 @@ raw_words computes the same words by one of two routes:
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -98,13 +101,15 @@ def raw_words(seed, stream, path, step, draw, n_words):
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    scalar_key = np.ndim(path) == 0 and np.ndim(step) == 0
-    path_run = np.ndim(path) <= 1 and np.ndim(step) == 0
+    n_blocks = -(-n_words // 4)
+    path_dims, step_dims = np.ndim(path), np.ndim(step)
+    scalar_key = path_dims == 0 and step_dims == 0
+    path_run = path_dims <= 1 and step_dims == 0
     path = np.atleast_1d(np.asarray(path, dtype=np.uint64))
     step = np.atleast_1d(np.asarray(step, dtype=np.uint64))
-    n_blocks = -(-n_words // 4)
     if path_run and _is_path_run(path, n_blocks):
-        words = _path_run_words(seed, stream, path, int(step[0]), draw, n_blocks)
+        words = _path_run_words(seed, stream, int(path[0]), path.size, int(step[0]),
+                                draw, n_words)
     else:
         base = np.broadcast(path, step)
         blocks = np.arange(n_blocks, dtype=np.uint64)
@@ -113,42 +118,86 @@ def raw_words(seed, stream, path, step, draw, n_words):
         c2 = np.uint64(int(draw) & _MASK64)
         out = philox4x64((c0, c1, c2, blocks), (seed, stream))
         words = np.stack(out, axis=-1).reshape(base.shape + (4 * n_blocks,))
-    words = words[..., :n_words]
+        words = words[..., :n_words]
     return words[0] if scalar_key else words
 
 
 def _is_path_run(path, n_blocks):
-    """True when the 1-d uint64 path array suits the C route (module doc)."""
-    m = path.size
-    return (n_blocks <= m and int(path[0]) + m <= 1 << 64
-            and bool(np.all(np.diff(path) == 1)))
+    """True when the 1-d uint64 path array suits the C route (module doc).
 
-
-def _path_run_words(seed, stream, path, step, draw, n_blocks):
-    """Words of the consecutive paths path[0], path[0]+1, ... from numpy's Philox.
-
-    One generator per block b, started at the 256-bit counter
-    (path[0], step, draw, b) - 1 with borrow across all four words; its
-    4 m outputs are block b of each path in turn.
+    Strictly increasing integers that span m - 1 are consecutive, which one
+    comparison pass checks (np.diff == 1 takes two passes and two arrays).
     """
     m = path.size
+    return (n_blocks <= m and int(path[0]) + m <= 1 << 64
+            and int(path[-1]) - int(path[0]) == m - 1
+            and bool(np.all(path[1:] > path[:-1])))
+
+
+def _path_run_words(seed, stream, p0, m, step, draw, n_words):
+    """(m, n_words) words of the consecutive paths p0, p0+1, ... from numpy's
+    Philox, C-ordered.
+
+    Block b of the m paths comes from a generator started at the 256-bit
+    counter (p0, step, draw, b) - 1, with borrow across all four words; its
+    4 m outputs are block b of each path in turn.
+    """
+    n_blocks = -(-n_words // 4)
     key = (int(seed) & _MASK64) | (int(stream) & _MASK64) << 64
-    base = int(path[0]) | step << 64 | (int(draw) & _MASK64) << 128
-    blocks = [np.random.Philox(counter=((base | b << 192) - 1) & _MASK256, key=key)
-              .random_raw(4 * m).reshape(m, 4) for b in range(n_blocks)]
+    base = p0 | step << 64 | (int(draw) & _MASK64) << 128
+    blocks = [_philox(((base | b << 192) - 1) & _MASK256, key).random_raw(4 * m)
+              .reshape(m, 4) for b in range(n_blocks)]
     # one block needs no copy, which saves page-faulting a fresh array
-    return blocks[0] if n_blocks == 1 else np.concatenate(blocks, axis=1)
+    words = blocks[0] if n_blocks == 1 else np.concatenate(blocks, axis=1)
+    if n_words == words.shape[1]:
+        return words
+    # the first n_words of each row, moved as one fixed-size item per row:
+    # numpy copies a strided (m, n_words) view a short row at a time
+    rows = np.ndarray((m,), np.dtype((np.void, 8 * n_words)), words,
+                      strides=words.strides[:1])
+    return np.ascontiguousarray(rows).view(np.uint64).reshape(m, n_words)
 
 
-def uniforms(seed, stream, path, step, draw, n):
-    """n float64 uniforms on the open interval (0, 1) for the key tuple."""
+_LOCAL = threading.local()
+
+
+def _philox(counter, key):
+    """numpy's Philox at a 256-bit counter under a 128-bit key, about to
+    compute a fresh block.  Each thread keeps one generator and sets its
+    state, which costs about a fifth of making one (numpy's constructor
+    also reads OS entropy for a seed that the key replaces)."""
+    state = getattr(_LOCAL, "state", None)
+    if state is None:
+        _LOCAL.philox = np.random.Philox(0)
+        state = _LOCAL.state = _LOCAL.philox.state
+    state["state"]["counter"] = [counter >> s & _MASK64 for s in (0, 64, 128, 192)]
+    state["state"]["key"] = [key & _MASK64, key >> 64]
+    state["buffer_pos"] = 4
+    _LOCAL.philox.state = state
+    return _LOCAL.philox
+
+
+def uniforms(seed, stream, path, step, draw, n, out=None):
+    """n float64 uniforms on the open interval (0, 1) for the key tuple.
+
+    out, when given, is a float64 array of the result's shape that receives
+    the values (the same bits, with no temporaries); it is returned.
+    """
     w = raw_words(seed, stream, path, step, draw, n)
-    return ((w >> _S11).astype(np.float64) + 0.5) * _INV53
+    if out is None:
+        return ((w >> _S11).astype(np.float64) + 0.5) * _INV53
+    if out.shape != w.shape:
+        raise ValueError("out has shape %s, the draws %s" % (out.shape, w.shape))
+    np.copyto(out, w >> _S11)          # exact: the shifted words are below 2**53
+    out += 0.5
+    out *= _INV53
+    return out
 
 
-def normals(seed, stream, path, step, draw, n):
-    """n standard normal deviates for the key tuple (inverse-CDF transform)."""
-    return ndtri(uniforms(seed, stream, path, step, draw, n))
+def normals(seed, stream, path, step, draw, n, out=None):
+    """n standard normal deviates for the key tuple (inverse-CDF transform);
+    out as in uniforms."""
+    return ndtri(uniforms(seed, stream, path, step, draw, n, out), out=out)
 
 
 class CounterStream:

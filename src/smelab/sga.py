@@ -183,29 +183,16 @@ class EnsembleStats:
     observable: object = "f"
 
 
-def _advance_chunk(algo, model, X, V, paths, k, seed):
-    """One vectorized iteration for a chunk of paths; mutates X (and V) in place."""
-    eta = algo.eta
-    d = model.dim
-    gammas = model.noise_scale * rng.normals(seed, rng.STREAM_GAMMA, paths, k, 0, d)
-    if algo.family == SGD:
-        X -= eta * models._batch_gradient(model, X, gammas)
-        return
-    mu = mu_at(algo, k)
-    at = X if algo.family == MSGD else X + eta * (1.0 - mu * eta) * V
-    G = models._batch_gradient(model, at, gammas)
-    V *= (1.0 - mu * eta)
-    V -= eta * G
-    X += eta * V
+def _ensemble(n_paths, n, start, threads):
+    """(mean, stderr) of an observable at points 0..n over n_paths paths.
 
-
-def _ensemble(n_paths, n, start, advance, observe, threads):
-    """(mean, stderr) of observe(state) at points 0..n over n_paths paths.
-
-    start(m) builds the state of m paths and advance(state, paths, k) moves it
-    from point k to k + 1 in place.  Sums are taken per chunk of _CHUNK paths
-    and added in chunk order, so with every draw keyed by path and step the
-    chunk size is part of the byte contract and the thread count is not.
+    start(paths) builds the state and scratch buffers of one chunk of paths
+    (a uint64 array) and returns (advance, observe): advance(k) moves the
+    state from point k to k + 1 in place, and observe() returns the
+    observable of every path (it may reuse one buffer).  Sums are taken per
+    chunk of _CHUNK paths and added in chunk order, so with every draw keyed
+    by path and step the chunk size is part of the byte contract and the
+    thread count is not.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
@@ -213,16 +200,20 @@ def _ensemble(n_paths, n, start, advance, observe, threads):
         raise ValueError("threads must lie in [1, %d], got %r" % (_MAX_THREADS, threads))
 
     def run_chunk(lo):
+        # an array, not a range: bench/tracing.py sizes the path of a traced
+        # rng.normals call with np.size, which turns a range into an array
+        # (about 160 us for 2048 paths, charged to the ensemble's own layer)
         paths = np.arange(lo, min(lo + _CHUNK, n_paths), dtype=np.uint64)
-        state = start(paths.size)
+        advance, observe = start(paths)
         s1 = np.empty(n + 1)
         s2 = np.empty(n + 1)
+        square = np.empty(len(paths))
         for k in range(n + 1):
             if k:
-                advance(state, paths, k - 1)
-            vals = observe(state)
+                advance(k - 1)
+            vals = observe()
             s1[k] = vals.sum()
-            s2[k] = (vals * vals).sum()
+            s2[k] = np.multiply(vals, vals, out=square).sum()
         return s1, s2
 
     lows = range(0, n_paths, _CHUNK)
@@ -242,15 +233,43 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 
     Draws are keyed by (seed, stream, path, step) and sums are taken per
     4096-path chunk, so the result is bit-identical for any thread count.
+    Each chunk steps its paths in place: x (and v) and the buffers of the
+    draws, the gradient and the observable are made once per chunk.
     """
     x0 = np.asarray(x0, dtype=float)
-    g = models.observable_fn(model, observable)
-    momentum = algo.family != SGD
-    mean, stderr = _ensemble(
-        n_paths, algo.n_steps,
-        lambda m: (np.tile(x0, (m, 1)), np.zeros((m, x0.size)) if momentum else None),
-        lambda state, paths, k: _advance_chunk(algo, model, *state, paths, k, seed),
-        lambda state: g(state[0]), threads)
+    bind = models._observer(model, observable)
+    eta, d, ns = algo.eta, model.dim, model.noise_scale
+    family = algo.family
+
+    def start(paths):
+        m = len(paths)
+        X = np.tile(x0, (m, 1))
+        V = None if family == SGD else np.zeros((m, d))
+        Z, G = np.empty((m, d)), np.empty((m, d))
+        rows = models._Rows(model, (m, d))
+
+        def advance(k):
+            gamma = rng.normals(seed, rng.STREAM_GAMMA, paths, k, 0, d, out=Z)
+            gamma *= ns
+            if family == SGD:
+                grad = models._batch_gradient(model, X, gamma, G, rows)
+                grad *= eta
+                np.subtract(X, grad, out=X)
+                return
+            c = 1.0 - mu_at(algo, k) * eta
+            at = X
+            if family == SNAG:   # the look-ahead x + eta (1 - mu eta) v
+                at = np.multiply(V, eta * c, out=rows.a)
+                at += X
+            grad = models._batch_gradient(model, at, gamma, G, rows)
+            grad *= eta
+            np.multiply(V, c, out=V)
+            np.subtract(V, grad, out=V)
+            np.add(X, np.multiply(V, eta, out=G), out=X)
+
+        return advance, bind(X, rows)
+
+    mean, stderr = _ensemble(n_paths, algo.n_steps, start, threads)
     times = algo.eta * np.arange(algo.n_steps + 1)
     return EnsembleStats(times, mean, stderr, n_paths, observable)
 
@@ -353,7 +372,8 @@ def _momentum_series(m, noise, y0, lam, n):
     d = lam.shape[0]
     p_inf = _stationary_second_moment(m, noise)
     dev = -p_inf
-    dev[:, 1, 1] += y0 * y0
+    with np.errstate(over="ignore"):   # as f(x0) in exact_moment_recursion
+        dev[:, 1, 1] += y0 * y0
     width = math.isqrt(n) + 1
     mx = m.astype(np.longdouble)
     small = _powers(mx, width)
@@ -402,28 +422,29 @@ def _sgd_series(model, eta, y0, n):
     """
     half = 0.5 * model.spec.eigenvalues
     _, a, b = _sgd_factors(model, eta)
-    p0 = y0 * y0
-    a = np.where((p0 != 0.0) | (b != 0.0), a, 0.0)   # else p_k = 0 for all k
-    d, width = a.size, math.isqrt(n) + 1
-    right = np.empty((d + 1, width))
-    np.power(a[:, None], np.arange(width), out=right[:d])            # a^i
-    geo = np.zeros((d, width + 1))
-    np.cumsum(right[:d], axis=1, out=geo[:, 1:])                      # S_i
-    right[d] = half @ _times(b[:, None], geo[:, :-1])                 # E f of b S_i
-    # a^(jL) in np.longdouble's wider range, so a power past the largest double
-    # still scales a small p_0 to its finite p_(jL)
-    big = np.power(a.astype(np.longdouble),
-                   width * np.arange(-(-(n + 1) // width))[:, None])  # a^(jL)
-    left = np.ones((big.shape[0] - 1, d + 1))                        # p_(jL), j >= 1
-    left[:, :d] = half * (_times(p0, big[1:])
-                          + _times(b, np.cumsum(big[:-1], axis=0) * geo[:, -1]))
-    first = half @ _times(p0[:, None], right[:d]) + right[d]          # j = 0
-    del geo, big     # the output is most of the working set; keep the rest small
-    out = np.empty((left.shape[0] + 1, width))
-    out[0] = first
-    with np.errstate(invalid="ignore"):   # BLAS flags its padding lanes when an
-        np.matmul(left, right, out=out[1:])   # entry is inf; no zero meets one
-    return out.reshape(-1)[:n + 1]
+    with np.errstate(over="ignore"):     # +inf is the overflowed E f
+        p0 = y0 * y0
+        a = np.where((p0 != 0.0) | (b != 0.0), a, 0.0)  # else p_k = 0 for all k
+        d, width = a.size, math.isqrt(n) + 1
+        right = np.empty((d + 1, width))
+        np.power(a[:, None], np.arange(width), out=right[:d])        # a^i
+        geo = np.zeros((d, width + 1))
+        np.cumsum(right[:d], axis=1, out=geo[:, 1:])                  # S_i
+        right[d] = half @ _times(b[:, None], geo[:, :-1])             # E f of b S_i
+        # a^(jL) in np.longdouble's wider range, so a power past the largest
+        # double still scales a small p_0 to its finite p_(jL)
+        big = np.power(a.astype(np.longdouble),
+                       width * np.arange(-(-(n + 1) // width))[:, None])  # a^(jL)
+        left = np.ones((big.shape[0] - 1, d + 1))                    # p_(jL), j >= 1
+        left[:, :d] = half * (_times(p0, big[1:])
+                              + _times(b, np.cumsum(big[:-1], axis=0) * geo[:, -1]))
+        first = half @ _times(p0[:, None], right[:d]) + right[d]      # j = 0
+        del geo, big   # the output is most of the working set; keep the rest small
+        out = np.empty((left.shape[0] + 1, width))
+        out[0] = first
+        with np.errstate(invalid="ignore"):   # BLAS flags its padding lanes when an
+            np.matmul(left, right, out=out[1:])   # entry is inf; no zero meets one
+        return out.reshape(-1)[:n + 1]
 
 
 def supports_exact_moments(algo, model):
@@ -452,7 +473,8 @@ def exact_moment_recursion(algo, model, x0):
     y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
     n = algo.n_steps
     out = _sgd_series(model, algo.eta, y0, n) if algo.family == SGD else np.empty(n + 1)
-    out[0] = 0.5 * float(np.sum(lam * (y0 * y0)))
+    with np.errstate(over="ignore"):   # f(x0) past the largest double reads +inf
+        out[0] = 0.5 * float(np.sum(lam * (y0 * y0)))
     if algo.family == SGD:
         return out
 

@@ -140,25 +140,24 @@ def build_sme(model, family, order, eta, mu=None, t0=None):
     return SmeSystem(family, order, model, eta, mu, 0.0)
 
 
-def _batch_drift(system, Y, t):
+def _batch_drift(system, Y, t, out=None):
     b0, b1 = system._blocks(t)
-    return Y @ _assemble(system.model.spec, b0 + system.eta * b1).T
+    return np.matmul(Y, _assemble(system.model.spec, b0 + system.eta * b1).T, out=out)
 
 
-def _batch_noise(system, Y, Z):
-    """sqrt(eta) Sigma^{1/2}(x) z per row, placed in the v (or x for sgd) slot."""
+def _batch_noise(system, Y, Z, out, rows):
+    """sqrt(eta) Sigma^{1/2}(x) z per row (the v slot, or x for sgd), written
+    into out and the scratch rows (a models._Rows of Z's shape)."""
     d = system.dim_x
     model = system.model
     q = model.spec.basis
-    root_eta = math.sqrt(system.eta)
+    w = np.matmul(Z, q, out=rows.a)
     if model.kind == models.ISOTROPIC_SHIFT:
-        inc = root_eta * model.noise_scale * (Z @ q * model.spec.eigenvalues) @ q.T
+        w *= rows.lam
     else:
-        yc = np.abs(Y[:, -d:] @ q)
-        inc = root_eta * model.noise_scale * (yc * (Z @ q)) @ q.T
-    out = np.zeros_like(Y)
-    out[:, :d] = inc
-    return out
+        w *= np.abs(np.matmul(Y[:, -d:], q, out=rows.b), out=rows.b)
+    w *= math.sqrt(system.eta) * model.noise_scale
+    return np.matmul(w, rows.basis_t, out=out)
 
 
 def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
@@ -169,7 +168,9 @@ def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
     full state vector; substeps Euler steps of size eta/substeps are taken per
     grid interval.  Increments are keyed by (seed, path, global substep) and
     sums are taken per 4096-path chunk, so the result depends on the chunk
-    size but not on the thread count.
+    size but not on the thread count.  Each chunk steps its paths in place,
+    with its buffers made once, and the drift matrix of an autonomous system
+    is assembled once per call.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -186,17 +187,39 @@ def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
     if n < 1:
         raise ValueError("horizon leaves no full eta-interval after t0")
     delta = system.eta / substeps
-    g = models.observable_fn(system.model, observable)
+    root_delta = math.sqrt(delta)
+    bind = models._observer(system.model, observable)
     d = system.dim_x
+    varying = system.family == SNAG_VARYING
+    if not varying:   # C-ordered: numpy multiplies by a transposed view slower
+        b0, b1 = system._blocks()
+        drift_t = np.ascontiguousarray(_assemble(system.model.spec,
+                                                 b0 + system.eta * b1).T)
 
-    def advance(Y, paths, k):
-        for idx in range(k * substeps, (k + 1) * substeps):
-            Z = rng.normals(seed, rng.STREAM_EM, paths, idx, 0, d)
-            Y += delta * _batch_drift(system, Y, t0 + idx * delta) \
-                + math.sqrt(delta) * _batch_noise(system, Y, Z)
+    def chunk(paths):
+        m = len(paths)
+        Y = np.tile(y0, (m, 1))
+        Z, inc = np.empty((m, d)), np.empty((m, d))
+        rows = models._Rows(system.model, (m, d))
+        dy = np.empty_like(Y)
+        noise = np.zeros_like(Y)   # its x slot stays 0 for the momentum systems
 
-    mean, stderr = sga._ensemble(n_paths, n, lambda m: np.tile(y0, (m, 1)),
-                                 advance, lambda Y: g(Y[:, -d:]), threads)
+        def advance(k):
+            for idx in range(k * substeps, (k + 1) * substeps):
+                rng.normals(seed, rng.STREAM_EM, paths, idx, 0, d, out=Z)
+                if varying:
+                    _batch_drift(system, Y, t0 + idx * delta, out=dy)
+                else:
+                    np.matmul(Y, drift_t, out=dy)
+                np.multiply(dy, delta, out=dy)
+                np.multiply(_batch_noise(system, Y, Z, inc, rows), root_delta,
+                            out=noise[:, :d])
+                np.add(dy, noise, out=dy)
+                np.add(Y, dy, out=Y)
+
+        return advance, bind(Y[:, -d:], rows)
+
+    mean, stderr = sga._ensemble(n_paths, n, chunk, threads)
     times = t0 + system.eta * np.arange(n + 1)
     return EnsembleStats(times, mean, stderr, n_paths, observable)
 

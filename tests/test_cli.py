@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -239,7 +240,13 @@ def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+    # numpy's overflow warnings would reach stderr ahead of the message
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if code == 2:
-        assert capsys.readouterr().err.startswith("config error: " + key)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + key)
+        assert len(err.splitlines()) == 1
         assert not out.exists() or _files(out) == []

@@ -171,10 +171,15 @@ def test_path_runs_match_the_emulation(seed, stream, run, step, draw):
     p0, m, n_words = run
     paths = np.arange(m, dtype=np.uint64) + np.uint64(p0)
     assert rng._is_path_run(paths, -(-n_words // 4))
+    expect = _emulated_words(seed, stream, paths, step, draw, n_words)
     words = rng.raw_words(seed, stream, paths, step, draw, n_words)
     assert words.shape == (m, n_words)
-    assert np.array_equal(words,
-                          _emulated_words(seed, stream, paths, step, draw, n_words))
+    assert np.array_equal(words, expect)
+    # out= receives the same normals
+    z = ndtri(((expect >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    out = np.full((m, n_words), np.nan)
+    assert rng.normals(seed, stream, paths, step, draw, n_words, out=out) is out
+    assert np.array_equal(out, z)
 
 
 def _forbid(monkeypatch, name):
@@ -194,6 +199,7 @@ def test_path_runs_and_scalar_keys_take_the_c_route(monkeypatch):
 @pytest.mark.parametrize("paths,step,n_words", [
     (np.array([4, 5, 7, 8]), 3, 6),            # not consecutive
     (np.array([9, 8, 7]), 3, 4),               # descending
+    (np.array([3, 5, 4, 6]), 3, 4),            # spans m - 1, out of order
     (np.arange(6).reshape(2, 3), 3, 5),        # 2-d
     (np.arange(2), 3, 12),                     # more blocks than paths
     (7, 3, 9),                                 # one key, three blocks
@@ -204,3 +210,10 @@ def test_other_requests_stay_on_the_emulation(monkeypatch, paths, step, n_words)
     expect = _emulated_words(11, 6, paths, step, 2, n_words)
     _forbid(monkeypatch, "_path_run_words")
     assert np.array_equal(rng.raw_words(11, 6, paths, step, 2, n_words), expect)
+
+
+def test_out_must_match_the_draws():
+    with pytest.raises(ValueError, match="shape"):
+        rng.normals(1, 2, np.arange(4), 0, 0, 3, out=np.empty((4, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        rng.normals(1, 2, 0, 0, 0, 3, out=np.empty((1, 3)))

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from smelab import rng, sga
 from smelab.matkit import condition_spectrum, haar_orthogonal
 from smelab.models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
-                           gradient_given_gamma, objective)
+                           gradient_given_gamma, objective, sigma_mc)
 from smelab.sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                         NesterovSchedule, exact_moment_recursion,
                         exact_moment_state, init_state, iteration_count,
@@ -473,6 +473,22 @@ def test_sgd_series_memory_stays_small():
         tracemalloc.stop()
     assert series.shape == (n + 1,)
     assert peak < 1 << 20     # an (n + 1) x d power table alone is 5.8 MB
+
+
+def test_sigma_mc_memory_stays_small():
+    import tracemalloc
+    model = from_spectrum(EIGENBASIS_SCALED, condition_spectrum(8, 10.0),
+                          haar_orthogonal(8, seed=9), noise_scale=0.5)
+    x = np.linspace(0.5, 1.5, 8)
+    tracemalloc.start()
+    try:
+        est = sigma_mc(model, x, (1 << 16) + 4000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.shape == (8, 8)
+    # draws come in chunks of sga._CHUNK; one chunk of 2**16 peaked at 16.6 MiB
+    assert peak < 2 << 20
 
 
 _OVERFLOW_CASES = {
