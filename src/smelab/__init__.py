@@ -40,6 +40,7 @@ from .repro import (Check, ConfigError, ExperimentConfig, ExperimentReport,
                     exp_condition_sweep, exp_divergence, exp_momentum_dynamics,
                     exp_msgd_vs_snag, exp_weak_error, parse_csv, render_csv,
                     render_svg, run_experiment)
+from . import cli  # noqa: F401 -- every layer is an attribute after `import smelab`
 
 __version__ = "0.1.0"
 

@@ -272,15 +272,26 @@ class RateFit:
 
 
 def _ols(x, y):
-    xb = float(np.mean(x))
+    """(slope, intercept, rms residual) of the least-squares line y ~ x; a
+    range x is made as an array only while in use, so a long window keeps at
+    most three arrays of its length live: y and two work buffers."""
+    xs = (lambda: np.arange(x.start, x.stop, dtype=float)) if isinstance(x, range) else x.copy
+    dx = xs()
+    xb = float(np.mean(dx))
     yb = float(np.mean(y))
-    sxx = float(np.sum((x - xb) ** 2))
+    dx -= xb
+    work = np.multiply(dx, dx)
+    sxx = float(np.sum(work))
     if sxx == 0.0:
         raise ValueError("degenerate fit: all abscissae equal")
-    slope = float(np.sum((x - xb) * (y - yb))) / sxx
+    slope = float(np.sum(np.multiply(np.subtract(y, yb, out=work), dx, out=work))) / sxx
     intercept = yb - slope * xb
-    resid = y - (slope * x + intercept)
-    return slope, intercept, math.sqrt(float(np.mean(resid * resid)))
+    del dx
+    resid = xs()
+    resid *= slope
+    resid += intercept
+    np.subtract(y, resid, out=resid)
+    return slope, intercept, math.sqrt(float(np.mean(np.square(resid, out=resid))))
 
 
 def fit_loglog_slope(xs, ys):
@@ -311,17 +322,16 @@ def descent_rate(series, eta, floor=None):
     if floor is None:
         floor = float(np.mean(s[-(s.size // 4):]))
     thresh = 10.0 * floor
-    above = np.nonzero(s >= thresh)[0]
+    k_b = s.size - 1 - int(np.argmax(s[::-1] >= thresh))   # the last index above
     k_a = 2
-    if above.size == 0 or above[-1] <= k_a + 2:
+    if not s[k_b] >= thresh or k_b <= k_a + 2:
         raise ValueError("descent window is empty: trajectory starts within "
                          "10x of its floor (floor=%g)" % floor)
-    k_b = int(above[-1])
     window = s[k_a:k_b + 1]
     if np.any(window <= 0):
         raise ValueError("trajectory is not positive on the fit window")
-    k = np.arange(k_a, k_b + 1, dtype=float)
-    slope, intercept, resid = _ols(k, -np.log(window))
+    y = np.log(window)
+    slope, intercept, resid = _ols(range(k_a, k_b + 1), np.negative(y, out=y))
     return RateFit(slope, intercept, resid, (k_a, k_b))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import rng
 
@@ -128,7 +127,8 @@ def mat_exp_2x2(M, t=1.0):
 
 
 def mat_exp_dense(M, t=1.0):
-    """exp(t M) for a small dense matrix (scipy expm)."""
+    """exp(t M) for a small dense matrix (scipy expm, imported on first use)."""
+    from scipy.linalg import expm
     a = np.asarray(M, dtype=float) * float(t)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatkitError("mat_exp_dense needs a square matrix")

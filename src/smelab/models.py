@@ -214,9 +214,11 @@ def _batch_objective(model, X, out=None, rows=None):
     """f of each row of X: 0.5 * np.sum(lam * y * y, axis=-1), y = X @ basis,
     written into out and rows (a _Rows of X's shape) when rows is given.
 
-    numpy sums fewer than eight terms left to right, so for d < 8 the columns
-    are added in that order, which gives the same bits without the per-row
-    cost of a short reduction; d >= 8 keeps np.sum.
+    numpy sums fewer than eight terms left to right, and up to 128 in eight
+    accumulators r_j of the terms j, j + 8, ... of the whole eights, then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the rest in turn.
+    For d <= 128 the columns are added in that order (in t), which gives the
+    same bits without the per-row cost of a short reduction.
     """
     if rows is None:   # a few rows, as in run_path: scratch would cost more
         y = X @ model.spec.basis
@@ -226,13 +228,17 @@ def _batch_objective(model, X, out=None, rows=None):
         t = np.multiply(rows.lam, y, out=rows.b)
     t *= y
     d = t.shape[-1]
-    if d >= 8:
+    if d > 128:
         out = np.sum(t, axis=-1, out=out)
-    elif d == 1:
-        out = np.positive(t[..., 0], out=out)       # a copy
     else:
-        out = np.add(t[..., 0], t[..., 1], out=out)
-        for j in range(2, d):
+        rest = 1 if d < 8 else d - d % 8   # the first column added in turn
+        if d >= 8:
+            for i in range(8, rest, 8):
+                t[..., :8] += t[..., i:i + 8]
+            for j, k in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+                t[..., j] += t[..., k]
+        out = np.positive(t[..., 0], out=out)       # a copy
+        for j in range(rest, d):
             out += t[..., j]
     out *= 0.5
     return out

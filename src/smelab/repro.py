@@ -34,10 +34,10 @@ from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _mode_noise, _mode_update, _sgd_factors,
-                  _stationary_second_moment,
+                  NesterovSchedule, _mode_noise, _mode_update, _run_ensembles,
+                  _sgd_factors, _stationary_second_moment,
                   exact_moment_recursion, iteration_count, nesterov_mu,
-                  run_ensemble, supports_exact_moments)
+                  supports_exact_moments)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
 from .analysis import (CRITICAL, RateFit, _ols, _order2_pairs,
@@ -600,8 +600,7 @@ def windowed_rate(series, lo, hi):
     segment = values[lo:hi + 1]
     if np.any(segment <= 0):
         raise ValueError("series must be positive on the window")
-    k = np.arange(lo, hi + 1, dtype=float)
-    return RateFit(*_ols(k, -np.log(segment)), (lo, hi))
+    return RateFit(*_ols(range(lo, hi + 1), -np.log(segment)), (lo, hi))
 
 
 def discrete_floor(algo, model):
@@ -920,6 +919,7 @@ def exp_momentum_dynamics(config=None):
     deviations = {}
     exact_floors = {}
     series_eta0 = {}
+    mc_slots = []   # (row index, algo, ks) of each Monte Carlo trajectory
     for mu in cfg.mu_values:
         lsys = langevin_system(model.spec, mu, eta0, cfg.noise_scale)
         exact_floors[mu] = langevin_expected_f_exact(lsys, np.zeros_like(x0),
@@ -950,13 +950,16 @@ def exp_momentum_dynamics(config=None):
                 curves.append(_curve("exact mu=%g" % mu, eta, ks, exact))
                 curves.append(_curve("sme mu=%g" % mu, eta, ks, closed))
                 if cfg.n_paths > 0:
-                    stats = run_ensemble(algo, model, x0, cfg.n_paths,
-                                         cfg.seed, "f", threads=cfg.threads)
-                    rows += _trajectory(cfg, MSGD, mu, eta, ks, stats.mean,
-                                        "mc", stats.stderr)
+                    mc_slots.append((len(rows), algo, ks))
         n0 = iteration_count(cfg.horizon, eta0)
         rows.append((cfg.experiment, MSGD, float(mu), float(eta0), int(n0),
                      math.inf, float(exact_floors[mu]), 0.0, "floor"))
+    if mc_slots:   # one batch shares the draws; each row block goes back to its slot
+        ensembles = _run_ensembles([algo for _, algo, _ in mc_slots], model, x0,
+                                   cfg.n_paths, cfg.seed, "f", cfg.threads)
+        for (at, algo, ks), stats in reversed(list(zip(mc_slots, ensembles))):
+            rows[at:at] = _trajectory(cfg, MSGD, algo.momentum.mu, algo.eta, ks,
+                                      stats.mean, "mc", stats.stderr)
 
     ordered = sorted(cfg.mu_values)
     floor_sorted = [exact_floors[mu] for mu in ordered]

@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.special import ndtri
 
 # Philox 4x64 round multipliers and Weyl key increments (Random123 constants).
 _M0 = 0xD2E7470EE14C6C93
@@ -196,7 +195,8 @@ def uniforms(seed, stream, path, step, draw, n, out=None):
 
 def normals(seed, stream, path, step, draw, n, out=None):
     """n standard normal deviates for the key tuple (inverse-CDF transform);
-    out as in uniforms."""
+    out as in uniforms; scipy is imported on first use, not with the package."""
+    from scipy.special import ndtri
     return ndtri(uniforms(seed, stream, path, step, draw, n, out), out=out)
 
 

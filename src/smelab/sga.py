@@ -184,12 +184,12 @@ class EnsembleStats:
 
 
 def _ensemble(n_paths, n, start, threads):
-    """(mean, stderr) of an observable at points 0..n over n_paths paths.
+    """[(mean, stderr), ...] of observables at points 0..n over n_paths paths.
 
-    start(paths) builds the state and scratch buffers of one chunk of paths
-    (a uint64 array) and returns (advance, observe): advance(k) moves the
-    state from point k to k + 1 in place, and observe() returns the
-    observable of every path (it may reuse one buffer).  Sums are taken per
+    start(paths) builds the states and scratch buffers of one chunk of paths
+    (a uint64 array) and returns (advance, observes): advance(k) moves every
+    state from point k to k + 1 in place, and each observes[j]() returns
+    observable j of every path (it may reuse one buffer).  Sums are taken per
     chunk of _CHUNK paths and added in chunk order, so with every draw keyed
     by path and step the chunk size is part of the byte contract and the
     thread count is not.
@@ -204,28 +204,27 @@ def _ensemble(n_paths, n, start, threads):
         # rng.normals call with np.size, which turns a range into an array
         # (about 160 us for 2048 paths, charged to the ensemble's own layer)
         paths = np.arange(lo, min(lo + _CHUNK, n_paths), dtype=np.uint64)
-        advance, observe = start(paths)
-        s1 = np.empty(n + 1)
-        s2 = np.empty(n + 1)
+        advance, observes = start(paths)
+        sums = np.empty((2, len(observes), n + 1))   # of the values, of their squares
         square = np.empty(len(paths))
         for k in range(n + 1):
             if k:
                 advance(k - 1)
-            vals = observe()
-            s1[k] = vals.sum()
-            s2[k] = np.multiply(vals, vals, out=square).sum()
-        return s1, s2
+            for j, observe in enumerate(observes):
+                vals = observe()
+                sums[0, j, k] = vals.sum()
+                sums[1, j, k] = np.multiply(vals, vals, out=square).sum()
+        return sums
 
     lows = range(0, n_paths, _CHUNK)
-    s1 = np.zeros(n + 1)
-    s2 = np.zeros(n + 1)
+    s1 = s2 = 0.0   # the first chunk's sums are added to 0.0, as they were to zeros
     with ThreadPoolExecutor(max_workers=min(threads, len(lows))) as pool:
         for p1, p2 in pool.map(run_chunk, lows):   # consumed in chunk order
             s1 += p1
             s2 += p2
     mean = s1 / n_paths
     var = np.maximum(s2 - n_paths * mean * mean, 0.0) / (n_paths - 1)
-    return mean, np.sqrt(var / n_paths)
+    return list(zip(mean, np.sqrt(var / n_paths)))
 
 
 def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
@@ -233,45 +232,54 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
 
     Draws are keyed by (seed, stream, path, step) and sums are taken per
     4096-path chunk, so the result is bit-identical for any thread count.
-    Each chunk steps its paths in place: x (and v) and the buffers of the
-    draws, the gradient and the observable are made once per chunk.
     """
+    return _run_ensembles([algo], model, x0, n_paths, seed, observable, threads)[0]
+
+
+def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
+    """run_ensemble of algorithms with one step count on one model, start and
+    seed, as a list of EnsembleStats.  Each chunk makes its buffers once, draws
+    a step's normals once and steps every algorithm's x (and v) from them in
+    place, with the operations of a single run: each keeps its own bits."""
+    n = algos[0].n_steps
+    if any(algo.n_steps != n for algo in algos):
+        raise ValueError("a batch needs one step count, got %s" % [a.n_steps for a in algos])
     x0 = np.asarray(x0, dtype=float)
     bind = models._observer(model, observable)
-    eta, d, ns = algo.eta, model.dim, model.noise_scale
-    family = algo.family
+    d, ns = model.dim, model.noise_scale
 
     def start(paths):
         m = len(paths)
-        X = np.tile(x0, (m, 1))
-        V = None if family == SGD else np.zeros((m, d))
-        Z, G = np.empty((m, d)), np.empty((m, d))
-        rows = models._Rows(model, (m, d))
+        Z = np.empty((m, d))
+        rows = models._Rows(model, (m, d))   # scratch, used by one algorithm at a time
+        states = [(algo, np.tile(x0, (m, 1)), np.zeros((m, d)), np.empty((m, d)))
+                  for algo in algos]          # algo, x, v (unused by sgd), gradient
 
         def advance(k):
             gamma = rng.normals(seed, rng.STREAM_GAMMA, paths, k, 0, d, out=Z)
             gamma *= ns
-            if family == SGD:
-                grad = models._batch_gradient(model, X, gamma, G, rows)
+            for algo, X, V, G in states:
+                eta = algo.eta
+                if algo.family == SGD:
+                    grad = models._batch_gradient(model, X, gamma, G, rows)
+                    grad *= eta
+                    np.subtract(X, grad, out=X)
+                    continue
+                c = 1.0 - mu_at(algo, k) * eta
+                at = X
+                if algo.family == SNAG:   # the look-ahead x + eta (1 - mu eta) v
+                    at = np.multiply(V, eta * c, out=rows.a)
+                    at += X
+                grad = models._batch_gradient(model, at, gamma, G, rows)
                 grad *= eta
-                np.subtract(X, grad, out=X)
-                return
-            c = 1.0 - mu_at(algo, k) * eta
-            at = X
-            if family == SNAG:   # the look-ahead x + eta (1 - mu eta) v
-                at = np.multiply(V, eta * c, out=rows.a)
-                at += X
-            grad = models._batch_gradient(model, at, gamma, G, rows)
-            grad *= eta
-            np.multiply(V, c, out=V)
-            np.subtract(V, grad, out=V)
-            np.add(X, np.multiply(V, eta, out=G), out=X)
+                np.multiply(V, c, out=V)
+                np.subtract(V, grad, out=V)
+                np.add(X, np.multiply(V, eta, out=G), out=X)
 
-        return advance, bind(X, rows)
+        return advance, [bind(X, rows) for _, X, _, _ in states]
 
-    mean, stderr = _ensemble(n_paths, algo.n_steps, start, threads)
-    times = algo.eta * np.arange(algo.n_steps + 1)
-    return EnsembleStats(times, mean, stderr, n_paths, observable)
+    return [EnsembleStats(algo.eta * np.arange(n + 1), mean, stderr, n_paths, observable)
+            for algo, (mean, stderr) in zip(algos, _ensemble(n_paths, n, start, threads))]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- bench/tracing
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import models, rng, sga
 from .analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED, _drift_blocks,
@@ -217,9 +216,9 @@ def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
                 np.add(dy, noise, out=dy)
                 np.add(Y, dy, out=Y)
 
-        return advance, bind(Y[:, -d:], rows)
+        return advance, [bind(Y[:, -d:], rows)]
 
-    mean, stderr = sga._ensemble(n_paths, n, chunk, threads)
+    [(mean, stderr)] = sga._ensemble(n_paths, n, chunk, threads)
     times = t0 + system.eta * np.arange(n + 1)
     return EnsembleStats(times, mean, stderr, n_paths, observable)
 
@@ -259,6 +258,7 @@ def linear_sme_moments(system, y0, h=None):
     Independent of the order-2 truncation in one_step_moments, so the two can
     be compared against the discrete algorithms.
     """
+    from scipy.linalg import expm   # on first use: an import costs more than most calls
     a, s = system.linear_parts()
     h = system.eta if h is None else float(h)
     y0 = np.asarray(y0, dtype=float)
@@ -414,6 +414,7 @@ def langevin_expected_f_exact(system, x0, t):
     cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
     small = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1) < 0.5
     if small.any():
+        from scipy.linalg import expm
         k, i = np.nonzero(small)
         tk = ts[k, None, None]
         m = np.zeros((k.size, 4, 4))

@@ -21,9 +21,11 @@ from smelab.sme import SNAG_VARYING, build_sme, em_integrate_ensemble
 
 N_PATHS = sga._CHUNK + 808          # one full chunk and a partial one
 KINDS = (ISOTROPIC_SHIFT, EIGENBASIS_SCALED)
-# the objective at d = 1, 2, 7 (columns added in turn) and 8, 9 (np.sum,
-# pairwise from eight terms); a monomial on either side of that line
-OBSERVED = [(d, "f") for d in (1, 2, 7, 8, 9)] + [(2, "monomial"), (9, "monomial")]
+# the objective at d = 1, 2, 7 (columns added in turn) and 8 to 64 (eight
+# accumulators, with and without a tail and a second round of eight); a
+# monomial on either side of that line
+OBSERVED = [(d, "f") for d in (1, 2, 7, 8, 9, 15, 16, 17, 64)] \
+    + [(2, "monomial"), (9, "monomial")]
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +167,45 @@ ALGOS = {
     "msgd.sched": (MSGD, NesterovSchedule()),
     "snag.sched": (SNAG, NesterovSchedule()),
 }
+# one algorithm per run_ensemble call, or several sharing their draws in one
+# sga._run_ensembles batch: momentum_dynamics' three momenta, and one of each family
+RUNS = {name: [algo] for name, algo in ALGOS.items()}
+RUNS["batch.msgd.mu_0.1_1_3"] = [(MSGD, ConstantMomentum(mu)) for mu in (0.1, 1.0, 3.0)]
+RUNS["batch.sgd_msgd_snag.sched"] = [ALGOS["sgd"], ALGOS["msgd.const"], ALGOS["snag.sched"]]
+# a batch shares only the draws, so fewer observables cover it
+RUN_CASES = [(d, obs, kind, name) for d, obs in OBSERVED for kind in KINDS
+             for name in sorted(ALGOS)] \
+    + [(d, obs, kind, name) for d, obs in [(2, "f"), (9, "f"), (2, "monomial")]
+       for kind in KINDS for name in sorted(set(RUNS) - set(ALGOS))]
 
 
-@pytest.mark.parametrize("algo_name", sorted(ALGOS))
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("d, observable", OBSERVED)
-def test_run_ensemble_equals_the_step_loop(d, observable, kind, algo_name):
-    family, momentum = ALGOS[algo_name]
-    algo = AlgoSpec(family, 0.1, 0.3, momentum)   # the schedule's mu changes at k = 2
+def _runs(algos, model, x0, n_paths, seed, obs, threads):
+    """run_ensemble of each algorithm, and the batch of them when there are several."""
+    singles = [run_ensemble(algo, model, x0, n_paths, seed, obs, threads=threads)
+               for algo in algos]
+    if len(algos) == 1:
+        return [singles]
+    return [singles, sga._run_ensembles(algos, model, x0, n_paths, seed, obs, threads)]
+
+
+@pytest.mark.parametrize("d, observable, kind, run_name", RUN_CASES)
+def test_run_ensemble_equals_the_step_loop(d, observable, kind, run_name):
+    # the schedule's mu changes at k = 2
+    algos = [AlgoSpec(family, 0.1, 0.3, momentum) for family, momentum in RUNS[run_name]]
     model, x0, obs = _model(kind, d), _start(d), _observable(observable, d)
-    mean, stderr = _ref_run_ensemble(algo, model, x0, N_PATHS, 7, obs)
+    refs = [_ref_run_ensemble(algo, model, x0, N_PATHS, 7, obs) for algo in algos]
     for threads in (1, 2):
-        stats = run_ensemble(algo, model, x0, N_PATHS, 7, obs, threads=threads)
-        assert _same(stats, mean, stderr)
+        for run in _runs(algos, model, x0, N_PATHS, 7, obs, threads):
+            for stats, (mean, stderr) in zip(run, refs, strict=True):
+                assert _same(stats, mean, stderr)
+                assert np.array_equal(stats.times, 0.1 * np.arange(4))
+
+
+def test_a_batch_needs_one_step_count():
+    model = _model(ISOTROPIC_SHIFT, 2)
+    algos = [AlgoSpec(SGD, 0.1, 0.3), AlgoSpec(MSGD, 0.1, 0.4, ConstantMomentum(1.0))]
+    with pytest.raises(ValueError, match="one step count"):
+        sga._run_ensembles(algos, model, _start(2), N_PATHS, 7)
 
 
 SYSTEMS = {
@@ -203,9 +231,12 @@ def test_em_ensemble_equals_the_step_loop(d, observable, kind, system_name):
         assert _same(stats, mean, stderr)
 
 
-@pytest.mark.parametrize("d", range(1, 17))
+@pytest.mark.parametrize("d", list(range(1, 18)) + [23, 24, 25, 31, 32, 33, 64, 127, 128,
+                                                 129, 130])
 def test_batch_objective_equals_numpy_sum(d):
-    model = _model(ISOTROPIC_SHIFT, d)
+    # past haar_orthogonal's 64 the basis is the identity
+    model = _model(ISOTROPIC_SHIFT, d) if d <= 64 else from_spectrum(
+        ISOTROPIC_SHIFT, np.linspace(1.0, 0.2, d))
     gen = np.random.default_rng(100 + d)
     X = gen.standard_normal((1000, d)) * 10.0 ** gen.uniform(-8, 8, (1000, d))
     y = X @ model.spec.basis
@@ -221,15 +252,16 @@ def test_batch_objective_equals_numpy_sum(d):
 SEEDS = range(16)
 
 
-@pytest.mark.parametrize("algo_name", sorted(ALGOS))
+@pytest.mark.parametrize("run_name", sorted(RUNS))
 @pytest.mark.parametrize("kind", KINDS)
-def test_two_path_ensembles_equal_the_step_loop(kind, algo_name):
-    family, momentum = ALGOS[algo_name]
-    algo = AlgoSpec(family, 0.1, 1.0, momentum)
+def test_two_path_ensembles_equal_the_step_loop(kind, run_name):
+    algos = [AlgoSpec(family, 0.1, 1.0, momentum) for family, momentum in RUNS[run_name]]
     model, x0 = _model(kind, 2), _start(2)
     for seed in SEEDS:
-        mean, stderr = _ref_run_ensemble(algo, model, x0, 2, seed, "f")
-        assert _same(run_ensemble(algo, model, x0, 2, seed), mean, stderr)
+        refs = [_ref_run_ensemble(algo, model, x0, 2, seed, "f") for algo in algos]
+        for run in _runs(algos, model, x0, 2, seed, "f", 1):
+            for stats, (mean, stderr) in zip(run, refs, strict=True):
+                assert _same(stats, mean, stderr)
 
 
 @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
