@@ -42,10 +42,10 @@ class EigenReport:
     diagonalizable: bool
 
 
-def classify_damping(mu, lam, tol=_DEGENERATE_TOL):
+def classify_damping(mu, lam):
     """Damping regime of one momentum mode: mu^2 vs 4 lam with relative tolerance."""
     disc = mu * mu - 4.0 * lam
-    if abs(disc) <= tol * max(1.0, 4.0 * lam):
+    if abs(disc) <= _DEGENERATE_TOL * max(1.0, 4.0 * lam):
         return CRITICAL
     return OVERDAMPED if disc > 0 else UNDERDAMPED
 
@@ -168,17 +168,6 @@ class DecayBound:
     any_defective: bool
 
 
-def _cond2_2x2(v):
-    """2-norm condition number of a real 2x2 matrix, in closed form."""
-    g = float(np.sum(v * v))
-    det = abs(float(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]))
-    if det == 0.0:
-        return math.inf
-    inner = max(g * g - 4.0 * det * det, 0.0)
-    smax2 = 0.5 * (g + math.sqrt(inner))
-    return smax2 / det  # sigma_max/sigma_min = sigma_max^2/|det|
-
-
 def decay_bound_check(family: Block2x2Family, t_grid):
     """Certify ||e^{-tA}||_F <= C e^{-(rate-eps) t} blockwise and test it on a grid.
 
@@ -210,52 +199,33 @@ def decay_bound_check(family: Block2x2Family, t_grid):
             raise ValueError("defective block with nonpositive rate: no eps-branch")
         eps = rate / 10.0
     constant = math.sqrt(2.0 * d)
-    for i in range(d):
-        a = blocks[i]
-        if defective[i]:
-            # ||e^{-ta}||_2 <= (1 + t ||N||) e^{-(mean - s) t} with mean = tr/2
-            # and s = sqrt(|disc|)/2, so the eps-branch needs eps > s and pays
-            # sup_t (1 + t ||N||) e^{-(eps - s) t}.
-            s = 0.5 * math.sqrt(abs(disc[i]))
-            if eps <= s:
-                raise ValueError("near-degenerate block too wide for the eps-branch")
-            delta = eps - s
-            nnorm = math.sqrt(float(np.sum(nil[i] * nil[i])))
-            if nnorm <= delta:
-                factor = 1.0
-            else:
-                factor = (nnorm / delta) * math.exp(delta / nnorm - 1.0)
-            constant *= max(1.0, factor)
-            continue
-        lam_p, lam_m = eigs[i]
-        if abs(lam_p.imag) > 0:
-            v = _complex_eigvec(a, lam_p)
-            basis = np.stack([v.real, v.imag], axis=1)
+    for i in np.flatnonzero(defective):
+        # ||e^{-ta}||_2 <= (1 + t ||N||) e^{-(mean - s) t} with mean = tr/2
+        # and s = sqrt(|disc|)/2, so the eps-branch needs eps > s and pays
+        # sup_t (1 + t ||N||) e^{-(eps - s) t}.
+        s = 0.5 * math.sqrt(abs(disc[i]))
+        if eps <= s:
+            raise ValueError("near-degenerate block too wide for the eps-branch")
+        delta = eps - s
+        nnorm = math.sqrt(float(np.sum(nil[i] * nil[i])))
+        if nnorm <= delta:
+            factor = 1.0
         else:
-            basis = np.stack([_real_eigvec(a, lam_p.real),
-                              _real_eigvec(a, lam_m.real)], axis=1)
-        constant *= max(1.0, _cond2_2x2(basis))
+            factor = (nnorm / delta) * math.exp(delta / nnorm - 1.0)
+        constant *= max(1.0, factor)
+    # a real basis of each diagonalizable block: both eigenvectors of a real
+    # pair, (Re v, Im v) of a complex one.  numpy's eigenvectors have unit
+    # norm, and the condition number is blind to the phase of a complex v.
+    w, vecs = np.linalg.eig(blocks[~defective])
+    v = vecs[:, :, 0]
+    basis = np.where((w[:, 0].imag != 0)[:, None, None],
+                     np.stack([v.real, v.imag], axis=2), vecs.real)
+    constant *= float(np.prod(np.maximum(1.0, np.linalg.cond(basis))))
     e = family.block_exp(-t_grid)
     norms = np.sqrt(np.sum(e * e, axis=(1, 2, 3)))
     bound = constant * np.exp(-(rate - eps) * t_grid)
     holds = bool(np.all(norms <= bound * (1.0 + 1e-9) + 1e-300))
     return DecayBound(rate, constant, eps, holds, any_def)
-
-
-def _real_eigvec(a, lam):
-    c1 = np.array([a[0, 1], lam - a[0, 0]])
-    c2 = np.array([lam - a[1, 1], a[1, 0]])
-    v = c1 if float(np.sum(c1 * c1)) >= float(np.sum(c2 * c2)) else c2
-    n = math.sqrt(float(np.sum(v * v)))
-    if n == 0.0:  # a is lam * I; any direction is an eigenvector
-        return np.array([1.0, 0.0])
-    return v / n
-
-def _complex_eigvec(a, lam):
-    c1 = np.array([a[0, 1], lam - a[0, 0]], dtype=complex)
-    c2 = np.array([lam - a[1, 1], a[1, 0]], dtype=complex)
-    v = c1 if float(np.sum(np.abs(c1) ** 2)) >= float(np.sum(np.abs(c2) ** 2)) else c2
-    return v / math.sqrt(float(np.sum(np.abs(v) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,13 @@ def _apply_overrides(cfg, args):
 
 
 def _load_configs(args):
-    experiment = dict(_COMMAND_EXPERIMENTS)[args.command]
-    if args.config:
+    """The configs a command runs: its --config file, or its experiment's
+    defaults (every experiment's for figures)."""
+    if args.command == "figures":
+        configs = [cfg for experiment in repro.EXPERIMENTS
+                   for cfg in _default_configs(experiment)]
+    elif args.config:
+        experiment = dict(_COMMAND_EXPERIMENTS)[args.command]
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -93,21 +98,16 @@ def _load_configs(args):
                               % (cfg.experiment, args.command, experiment))
         configs = [cfg]
     else:
-        configs = [default_config(experiment)]
-        if experiment == "weak_error":
-            configs.append(dataclasses.replace(configs[0],
-                                               variant=EIGENBASIS_SCALED))
+        configs = _default_configs(dict(_COMMAND_EXPERIMENTS)[args.command])
     return [_apply_overrides(cfg, args) for cfg in configs]
 
 
-def _figures_configs(args):
-    configs = []
-    for experiment in repro.EXPERIMENTS:
-        configs.append(default_config(experiment))
-        if experiment == "weak_error":
-            configs.append(dataclasses.replace(configs[-1],
-                                               variant=EIGENBASIS_SCALED))
-    return [_apply_overrides(cfg, args) for cfg in configs]
+def _default_configs(experiment):
+    """The default config of an experiment; weak_error runs on both variants."""
+    configs = [default_config(experiment)]
+    if experiment == "weak_error":
+        configs.append(dataclasses.replace(configs[0], variant=EIGENBASIS_SCALED))
+    return configs
 
 
 def _run_configs(configs):
@@ -144,11 +144,7 @@ def main(argv=None):
     try:
         if args.command == "selftest":
             return run_selftest()
-        if args.command == "figures":
-            configs = _figures_configs(args)
-        else:
-            configs = _load_configs(args)
-        return _run_configs(configs)
+        return _run_configs(_load_configs(args))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

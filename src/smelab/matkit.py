@@ -24,17 +24,17 @@ class MatkitError(ValueError):
     pass
 
 
-def check_symmetric(H, tol=1e-12, name="H"):
+def check_symmetric(H):
     """Validate and return a float copy of a finite symmetric matrix."""
     a = np.array(H, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatkitError("%s must be a square matrix, got shape %s" % (name, (a.shape,)))
+        raise MatkitError("H must be a square matrix, got shape %s" % ((a.shape,),))
     if not np.all(np.isfinite(a)):
-        raise MatkitError("%s contains non-finite entries" % name)
+        raise MatkitError("H contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > tol * scale:
-        raise MatkitError("%s is not symmetric (max asymmetry %.3e)"
-                          % (name, float(np.max(np.abs(a - a.T)))))
+    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+        raise MatkitError("H is not symmetric (max asymmetry %.3e)"
+                          % float(np.max(np.abs(a - a.T))))
     return 0.5 * (a + a.T)
 
 

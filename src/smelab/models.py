@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .matkit import SpectralDecomp, check_symmetric, sym_eig
+from .matkit import SpectralDecomp, sym_eig
 
 ISOTROPIC_SHIFT = "isotropic_shift"
 EIGENBASIS_SCALED = "eigenbasis_scaled"
@@ -59,7 +59,7 @@ class QuadraticModel:
 
 def from_matrix(kind, H, noise_scale=1.0):
     """Build a model from a dense SPD matrix (eigendecomposed internally)."""
-    return QuadraticModel(kind, sym_eig(check_symmetric(H)), float(noise_scale))
+    return QuadraticModel(kind, sym_eig(H), float(noise_scale))
 
 
 def from_spectrum(kind, eigenvalues, basis=None, noise_scale=1.0):

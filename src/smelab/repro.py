@@ -17,9 +17,10 @@ Five desk-scale experiments quantify the headline behaviours of the library:
 
 Each experiment returns a report holding CSV-ready rows, fitted rates, scalar
 metrics, and named pass/fail checks.  ``emit_csv`` / ``emit_svg`` persist the
-reports deterministically: floats are written with ``repr`` (round-trip
-exact), row order is fixed, and no timestamps or environment data leak into
-the files, so identical configs produce byte-identical artifacts.
+reports deterministically: cells are written with ``str``, which for a float
+or np.float64 is ``repr(float(x))`` (round-trip exact), row order is fixed,
+and no timestamps or environment data leak into the files, so identical
+configs produce byte-identical artifacts.
 """
 
 import dataclasses
@@ -34,10 +35,8 @@ from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _mode_noise, _mode_update, _run_ensembles,
-                  _sgd_factors, _stationary_second_moment,
-                  exact_moment_recursion, iteration_count, nesterov_mu,
-                  supports_exact_moments)
+                  NesterovSchedule, _run_ensembles, discrete_floor,
+                  exact_moment_recursion, iteration_count, nesterov_mu)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
 from .analysis import (CRITICAL, RateFit, _ols, _order2_pairs,
@@ -197,8 +196,9 @@ class ExperimentConfig:
                               "for eta = %g" % (ceiling, max(self.eta_grid)))
         object.__setattr__(self, "n_paths",
                            _as_number("n_paths", self.n_paths, int))
-        if self.n_paths < 0:
-            raise ConfigError("n_paths: must be nonnegative")
+        if self.n_paths < 0 or self.n_paths == 1:
+            raise ConfigError("n_paths: must be 0 (no ensemble) or at least 2, "
+                              "got %d" % self.n_paths)
         if self.n_paths * steps > _MAX_PATH_STEPS:
             raise ConfigError("n_paths: %d paths x %.3g steps exceed the limit "
                               "of %d path-steps" % (self.n_paths, steps,
@@ -336,16 +336,6 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(value):
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def render_csv(table, comments=()):
     """CSV text of one table.  Empty tables render as a lone header row."""
     lines = [",".join(table.header)]
@@ -356,12 +346,11 @@ def render_csv(table, comments=()):
             if len(row) != len(table.header):
                 raise ValueError("table %s: row width %d != header width %d"
                                  % (table.name, len(row), len(table.header)))
-            lines.append(",".join(_fmt_cell(v) for v in row))
+            lines.append(",".join(map(str, row)))
         if table.footer is not None:
             fit = table.footer
             lines.append("#slope,%s,#intercept,%s,#residual,%s"
-                         % (repr(float(fit.slope)), repr(float(fit.intercept)),
-                            repr(float(fit.residual))))
+                         % (fit.slope, fit.intercept, fit.residual))
     return "\n".join(lines) + "\n"
 
 
@@ -603,48 +592,6 @@ def windowed_rate(series, lo, hi):
     return RateFit(*_ols(range(lo, hi + 1), -np.log(segment)), (lo, hi))
 
 
-def discrete_floor(algo, model):
-    """Stationary E f of the exact second-moment recursion (constant mu).
-
-    Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
-    eigenbasis_scaled), or the solution P_inf of the discrete Lyapunov
-    equation P = M P M^T + N of a momentum family, from the closed form the
-    constant-momentum series uses (one batched 3 x 3 solve over the modes).
-    Raises ValueError when a mode diverges (a >= 1, or M has spectral radius
-    >= 1).
-    """
-    return _floor(algo, model, ValueError("a mode diverges; no stationary value"))
-
-
-def _stable_floor(algo, model):
-    """discrete_floor of an experiment's run; a mode that diverges at the
-    configured step size is reported against eta_grid."""
-    mu = ", mu = %g" % algo.momentum.mu if algo.momentum else ""
-    return _floor(algo, model, ConfigError(
-        "eta_grid: %s at eta = %g%s has a diverging mode on this spectrum; "
-        "there is no stationary floor" % (algo.family, algo.eta, mu)))
-
-
-def _floor(algo, model, diverging):
-    """discrete_floor, raising the exception diverging when a mode diverges."""
-    if not supports_exact_moments(algo, model):
-        raise ValueError("no exact stationary value for %s on %s"
-                         % (algo.family, model.kind))
-    lam = model.spec.eigenvalues
-    if algo.family == SGD:
-        _, a, b = _sgd_factors(model, algo.eta)
-        if np.any(a >= 1.0):
-            raise diverging
-        return float(0.5 * np.sum(lam * (b / (1.0 - a))))
-    if not isinstance(algo.momentum, ConstantMomentum):
-        raise ValueError("stationary floor needs constant momentum")
-    mats = _mode_update(algo, model, 0)
-    if np.any(np.abs(np.linalg.eigvals(mats)) >= 1.0):
-        raise diverging
-    p_inf = _stationary_second_moment(mats, _mode_noise(algo, model))
-    return float(0.5 * np.sum(lam * p_inf[:, 1, 1]))
-
-
 def _descent(algo, model, x0, trim=None):
     """(floor, series, fit): the stationary floor, the exact E f series and
     its fitted descent rate of one run.
@@ -654,9 +601,16 @@ def _descent(algo, model, x0, trim=None):
     plus pad; with a zero floor or mu eta = 1 there is no such estimate, and
     the full horizon runs.  A series the fit cannot use is reported against
     the config key at fault: horizon (too few steps, or E f not finite after
-    k = 0) or x0 (no descent, or f(x0) not finite).
+    k = 0) or x0 (no descent, or f(x0) not finite); a step size with a
+    diverging mode, which has no floor, is reported against eta_grid.
     """
-    floor = _stable_floor(algo, model)
+    try:
+        floor = discrete_floor(algo, model)
+    except ValueError:
+        mu = ", mu = %g" % algo.momentum.mu if algo.momentum else ""
+        raise ConfigError("eta_grid: %s at eta = %g%s has a diverging mode on "
+                          "this spectrum; there is no stationary floor"
+                          % (algo.family, algo.eta, mu)) from None
     if trim is not None:
         f0 = objective(model, x0)
         if not f0 > 10.0 * floor:

@@ -10,9 +10,9 @@ Three families, all driven by one fresh noise draw gamma_k per iteration:
 The rescaling from textbook variables (step hat_eta, momentum hat_mu) is
 eta = sqrt(hat_eta), v = hat_v / sqrt(hat_eta), mu = (1 - hat_mu)/sqrt(hat_eta),
 so admissible momenta satisfy 0 < mu <= 1/eta.  The Nesterov schedule
-hat_mu_k = (k-1)/(k+2) maps to mu_k = 3/((k+2) eta), clamped by default to the
-admissible ceiling 1/eta (so mu_1 = 1/eta exactly); v_0 = 0 makes mu_0
-irrelevant and index 0 reuses mu_1.
+hat_mu_k = (k-1)/(k+2) maps to mu_k = 3/((k+2) eta), which never exceeds the
+admissible ceiling 1/eta: mu_1 = 1/eta exactly, so the schedule needs no
+clamp.  v_0 = 0 makes mu_0 irrelevant and index 0 reuses mu_1.
 
 Iteration counts use N = floor(T/eta + 1e-9); the epsilon guards against IEEE
 artifacts such as 2/0.1 = 19.999999999999996.
@@ -49,7 +49,7 @@ class ConstantMomentum:
 
 @dataclass(frozen=True)
 class NesterovSchedule:
-    clamp: bool = True
+    """The Nesterov schedule mu_k = nesterov_mu(k, eta)."""
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,9 @@ def nesterov_mu_hat(k):
     return (k - 1.0) / (k + 2.0)
 
 
-def nesterov_mu(k, eta, clamp=True):
+def nesterov_mu(k, eta):
     """Rescaled Nesterov momentum mu_k = (1 - hat_mu_k)/eta = 3/((k+2) eta)."""
-    mu = (1.0 - nesterov_mu_hat(k)) / eta
-    if clamp:
-        mu = min(mu, 1.0 / eta)
-    return mu
+    return (1.0 - nesterov_mu_hat(k)) / eta
 
 
 def mu_at(algo, k):
@@ -126,7 +123,7 @@ def mu_at(algo, k):
         raise ValueError("sgd has no momentum coefficient")
     if isinstance(algo.momentum, ConstantMomentum):
         return algo.momentum.mu
-    return nesterov_mu(max(int(k), 1), algo.eta, algo.momentum.clamp)
+    return nesterov_mu(max(int(k), 1), algo.eta)
 
 
 @dataclass(frozen=True)
@@ -327,13 +324,19 @@ def _mode_noise(algo, model):
     return model.noise_scale ** 2 * nv[:, :, None] * nv[:, None, :]
 
 
-def _stationary_second_moment(m, noise):
-    """P_inf solving P = M P M^T + N per mode, (d, 2, 2).
+def _stationary(algo, model):
+    """(M, P_inf) of a constant momentum: its per-mode update M and the P_inf
+    solving P = M P M^T + N per mode, each (d, 2, 2); None when a mode's
+    update has spectral radius >= 1 (no stationary state).
 
     The symmetric equation has three unknowns p = (P00, P01, P11), and
     (I - K) p = (N00, N01, N11) with K the action of P -> M P M^T on them;
     the 3 x 3 systems are solved in one batched call.
     """
+    m = _mode_update(algo, model, 0)
+    if np.any(np.abs(np.linalg.eigvals(m)) >= 1.0):
+        return None
+    noise = _mode_noise(algo, model)
     a, b = m[:, 0, 0], m[:, 0, 1]
     c, e = m[:, 1, 0], m[:, 1, 1]
     k = np.stack([a * a, 2.0 * a * b, b * b,
@@ -341,7 +344,7 @@ def _stationary_second_moment(m, noise):
                   c * c, 2.0 * c * e, e * e], axis=-1).reshape(-1, 3, 3)
     rhs = np.stack([noise[:, 0, 0], noise[:, 0, 1], noise[:, 1, 1]], axis=-1)
     p = np.linalg.solve(np.eye(3) - k, rhs[:, :, None])[:, :, 0]
-    return np.stack([p[:, 0], p[:, 1], p[:, 1], p[:, 2]], axis=-1).reshape(-1, 2, 2)
+    return m, np.stack([p[:, 0], p[:, 1], p[:, 1], p[:, 2]], axis=-1).reshape(-1, 2, 2)
 
 
 def _powers(m, count):
@@ -363,9 +366,10 @@ def _powers(m, count):
 _SERIES_BLOCK = 1 << 13
 
 
-def _momentum_series(m, noise, y0, lam, n):
+def _momentum_series(m, p_inf, y0, lam, n):
     """E f(x_k), k = 0..n, of a momentum family at a constant per-mode update
-    m whose blocks all have spectral radius < 1.
+    m whose blocks all have spectral radius < 1, with stationary second
+    moment p_inf.
 
     Per mode P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf, and only the x row r_k
     of M^k is needed.  With a block length B ~ sqrt(n + 1), r_{jB+i} is the x
@@ -378,7 +382,6 @@ def _momentum_series(m, noise, y0, lam, n):
     well inside the step loop's error).
     """
     d = lam.shape[0]
-    p_inf = _stationary_second_moment(m, noise)
     dev = -p_inf
     with np.errstate(over="ignore"):   # as f(x0) in exact_moment_recursion
         dev[:, 1, 1] += y0 * y0
@@ -487,11 +490,12 @@ def exact_moment_recursion(algo, model, x0):
         return out
 
     constant = isinstance(algo.momentum, ConstantMomentum)
+    stationary = _stationary(algo, model) if constant else None
+    if stationary is not None:
+        out[1:] = _momentum_series(*stationary, y0, lam, n)[1:]
+        return out
     m = _mode_update(algo, model, 0)
     noise = _mode_noise(algo, model)
-    if constant and np.all(np.abs(np.linalg.eigvals(m)) < 1.0):
-        out[1:] = _momentum_series(m, noise, y0, lam, n)[1:]
-        return out
     P = np.zeros((model.dim, 2, 2))
     P[:, 1, 1] = y0 * y0
     for k in range(n):
@@ -500,6 +504,34 @@ def exact_moment_recursion(algo, model, x0):
         P = m @ P @ np.swapaxes(m, 1, 2) + noise
         out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     return out
+
+
+def discrete_floor(algo, model):
+    """Stationary E f of the exact second-moment recursion (constant mu).
+
+    Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
+    eigenbasis_scaled), or the solution P_inf of the discrete Lyapunov
+    equation P = M P M^T + N of a momentum family, from the closed form the
+    constant-momentum series uses (one batched 3 x 3 solve over the modes).
+    Raises ValueError when a mode diverges (a >= 1, or M has spectral radius
+    >= 1).
+    """
+    if not supports_exact_moments(algo, model):
+        raise ValueError("no exact stationary value for %s on %s"
+                         % (algo.family, model.kind))
+    lam = model.spec.eigenvalues
+    diverging = ValueError("a mode diverges; no stationary value")
+    if algo.family == SGD:
+        _, a, b = _sgd_factors(model, algo.eta)
+        if np.any(a >= 1.0):
+            raise diverging
+        return float(0.5 * np.sum(lam * (b / (1.0 - a))))
+    if not isinstance(algo.momentum, ConstantMomentum):
+        raise ValueError("stationary floor needs constant momentum")
+    stationary = _stationary(algo, model)
+    if stationary is None:
+        raise diverging
+    return float(0.5 * np.sum(lam * stationary[1][:, 1, 1]))
 
 
 @dataclass(frozen=True)

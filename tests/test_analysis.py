@@ -202,6 +202,18 @@ def test_decay_bound_random_systems_hold():
         rep = decay_bound_check(langevin_system(_spec(lams), mu, 0.1).blocks,
                                 grid)
         assert rep.holds
+        assert math.isfinite(rep.constant)
+
+
+def test_decay_bound_scalar_block_is_perfectly_conditioned():
+    # every direction is an eigenvector of c I, so the basis is orthonormal
+    # and only the sqrt(2 d) factor remains
+    spec = _spec([2.0, 1.0])
+    fam = block_reduce((0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (0.5, 0.0), spec)
+    rep = decay_bound_check(fam, np.linspace(0.0, 50.0, 500))
+    assert rep.holds and not rep.any_defective and rep.eps == 0.0
+    assert rep.rate == 0.5
+    assert rep.constant == math.sqrt(2.0 * spec.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,8 @@ def _defaults(experiment, **changes):
     ("divergence", _defaults("divergence", noise_scale=50.0), 2, "horizon"),
     ("divergence", _defaults("divergence", x0=[0.0, 0.0]), 2, "x0"),
     ("momentum", _defaults("momentum_dynamics", x0=[1e300, 1e300]), 2, "x0"),
+    # one path has no standard error
+    ("momentum", _defaults("momentum_dynamics", n_paths=1), 2, "n_paths"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):

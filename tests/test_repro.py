@@ -91,10 +91,18 @@ def test_json_round_trip():
 
 def test_render_parse_round_trip(tmp_path):
     fit = RateFit(1.0 / 3.0, -2.5e-17, 0.125, (0, 4))
+    # cells go through str, which gives repr(float(v)) for an np.float64 too,
+    # also at the switches to exponent notation (1e16, 1e-5), for subnormals,
+    # -0 and inf
+    edge = [np.float64(v) for v in (1e16, 9999999999999998.0, 1e-5, 5e-324,
+                                    -0.0, math.inf, -math.inf)]
     table = Table("demo", ("a", "b", "c"),
                   ((1, 1.0 / 3.0, "sgd"), (-2, 1e-300, "msgd"),
-                   (3, math.inf, "snag"), (4, np.float64(0.1), "sgd")), fit)
+                   (3, math.inf, "snag"), (4, np.float64(0.1), "sgd"))
+                  + tuple((5, v, "sgd") for v in edge), fit)
     text = render_csv(table, comments=("config,{}", "seed,7"))
+    cells = [line.split(",")[1] for line in text.splitlines()[7:-1]]
+    assert cells == [repr(float(v)) for v in edge]
     path = tmp_path / "demo.csv"
     path.write_text(text)
     back = parse_csv(str(path))
@@ -103,6 +111,7 @@ def test_render_parse_round_trip(tmp_path):
     assert back.rows[1][1] == 1e-300
     assert back.rows[2][1] == math.inf
     assert back.rows[3][1] == 0.1                      # np.float64 as a float
+    assert [row[1] for row in back.rows[4:]] == [float(v) for v in edge]
     assert back.comments == ("config,{}", "seed,7")
     assert back.footer == {"slope": 1.0 / 3.0, "intercept": -2.5e-17,
                            "residual": 0.125}

@@ -55,8 +55,11 @@ def test_nesterov_schedule_values():
     assert_allclose(nesterov_mu(1, 0.1), 10.0)
     assert_allclose(nesterov_mu(28, 0.1), 1.0)
     assert_allclose(nesterov_mu(298, 0.1), 0.1)
-    for k in range(1, 200):
-        assert nesterov_mu(k, 0.1) <= 10.0 + 1e-12
+    # exactly, in floating point, so the schedule needs no clamp
+    for eta in (0.1, 0.3, 1.0 / 3.0, 0.7, 1.0):
+        assert nesterov_mu(1, eta) == 1.0 / eta
+        for k in range(1, 200):
+            assert nesterov_mu(k, eta) <= 1.0 / eta
 
 
 def test_mu_at_conventions():
