@@ -26,6 +26,7 @@ configs produce byte-identical artifacts.
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -80,36 +81,75 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _as_tuple(key, value, kind=float):
-    if value is None:
-        return ()
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise ConfigError("%s: expected an array" % key)
-    try:
-        return tuple(kind(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError("%s: expected an array of numbers" % key)
+def _coerce(key, value, kind):
+    """value as kind, or as a tuple of kind[0] when kind is a 1-tuple (an
+    array field: a non-string iterable, or None for the empty array).  A bool
+    is not a number, an int takes only finite integral numbers, a float any
+    real, and a str only a str."""
+    if isinstance(kind, tuple):
+        if value is None:
+            return ()
+        if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+            raise ConfigError("%s: expected an array" % key)
+        return tuple(_coerce(key, v, kind[0]) for v in value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError("%s: expected a string" % key)
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError("%s: expected a number" % key)
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:   # an int beyond the largest double
+            return math.inf if value > 0 else -math.inf
+    if isinstance(value, numbers.Integral) or float(value).is_integer():
+        return int(value)
+    raise ConfigError("%s: expected an integer" % key)
 
 
-def _as_number(key, value, kind=float):
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError("%s: expected a number" % key)
-    if isinstance(value, bool):
-        raise ConfigError("%s: expected a number" % key)
-    return out
+# key: (kind as for _coerce, range of the value or of each entry, message for
+# one outside it, formatted with that value), in declaration order
+_FIELDS = {
+    "experiment": (str, lambda v: v in EXPERIMENTS,
+                   "unknown experiment {!r} (expected one of %s)"
+                   % ", ".join(EXPERIMENTS)),
+    "dimension": (int, lambda v: v >= 1, "must be a positive integer"),
+    "eigenvalues": ((float,), lambda v: 0 < v < math.inf,
+                    "must be positive and finite"),
+    "kappa": ((float,), lambda v: 1 <= v < math.inf,
+              "condition numbers must be >= 1"),
+    "variant": (str, lambda v: v in (ISOTROPIC_SHIFT, EIGENBASIS_SCALED),
+                "unknown model variant {!r}"),
+    "noise_scale": (float, lambda v: 0 <= v < math.inf,
+                    "must be nonnegative and finite"),
+    "eta_grid": ((float,), lambda v: 0 < v <= 1,
+                 "step sizes must lie in (0, 1]"),
+    "horizon": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "families": ((str,), lambda v: v in (SGD, MSGD, SNAG), "unknown family {!r}"),
+    "mu_values": ((float,), lambda v: 0 < v < math.inf,
+                  "must be positive and finite"),
+    "n_paths": (int, lambda v: v == 0 or v >= 2,
+                "must be 0 (no ensemble) or at least 2, got {}"),
+    # rng keys Philox with the seed's low 64 bits
+    "seed": (int, lambda v: 0 <= v < 2 ** 64, "must be an integer in [0, 2**64)"),
+    "threads": (int, lambda v: 1 <= v <= _MAX_THREADS,
+                "must be an integer in [1, %d]" % _MAX_THREADS),
+    "x0": ((float,), math.isfinite, "coordinates must be finite"),
+    "out_dir": (str, bool, "expected a non-empty path string"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: model, algorithm, ensemble and output parameters.
 
-    Invariants: eta_grid is strictly decreasing, horizon >= max(eta_grid),
-    and the series length horizon / min(eta_grid) is at most
-    _MAX_SERIES_STEPS; times dimension it is at most _MAX_SERIES_CELLS, and
-    times n_paths at most _MAX_PATH_STEPS.  threads is at most _MAX_THREADS.
-    Validation failures raise ConfigError naming the offending key.
+    Invariants: every field has the kind and range that _FIELDS gives it,
+    eta_grid is strictly decreasing, horizon >= max(eta_grid), and the
+    series length horizon / min(eta_grid) is at most _MAX_SERIES_STEPS;
+    times dimension it is at most _MAX_SERIES_CELLS, and times n_paths at
+    most _MAX_PATH_STEPS.  Validation failures raise ConfigError naming the
+    offending key.
     """
 
     experiment: str
@@ -129,101 +169,51 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError("experiment: unknown experiment %r (expected one "
-                              "of %s)" % (self.experiment, ", ".join(EXPERIMENTS)))
-        object.__setattr__(self, "dimension",
-                           _as_number("dimension", self.dimension, int))
-        if self.dimension < 1:
-            raise ConfigError("dimension: must be a positive integer")
-        object.__setattr__(self, "eigenvalues",
-                           _as_tuple("eigenvalues", self.eigenvalues))
-        if self.eigenvalues:
-            if len(self.eigenvalues) != self.dimension:
-                raise ConfigError("eigenvalues: expected %d values to match "
-                                  "dimension" % self.dimension)
-            if any(not (v > 0 and math.isfinite(v)) for v in self.eigenvalues):
-                raise ConfigError("eigenvalues: must be positive and finite")
-            if any(a < b for a, b in zip(self.eigenvalues, self.eigenvalues[1:])):
-                raise ConfigError("eigenvalues: must be in descending order")
-        object.__setattr__(self, "kappa", _as_tuple("kappa", self.kappa))
-        if any(not (v >= 1 and math.isfinite(v)) for v in self.kappa):
-            raise ConfigError("kappa: condition numbers must be >= 1")
-        if self.variant not in (ISOTROPIC_SHIFT, EIGENBASIS_SCALED):
-            raise ConfigError("variant: unknown model variant %r" % (self.variant,))
-        object.__setattr__(self, "noise_scale",
-                           _as_number("noise_scale", self.noise_scale))
-        if not (self.noise_scale >= 0 and math.isfinite(self.noise_scale)):
-            raise ConfigError("noise_scale: must be nonnegative and finite")
-        object.__setattr__(self, "eta_grid", _as_tuple("eta_grid", self.eta_grid))
+        for key, (kind, ok, message) in _FIELDS.items():
+            value = _coerce(key, getattr(self, key), kind)
+            for entry in value if isinstance(kind, tuple) else (value,):
+                if not ok(entry):
+                    raise ConfigError("%s: %s" % (key, message.format(entry)))
+            object.__setattr__(self, key, value)
+        if self.eigenvalues and len(self.eigenvalues) != self.dimension:
+            raise ConfigError("eigenvalues: expected %d values to match "
+                              "dimension" % self.dimension)
+        if self.x0 and len(self.x0) != self.dimension:
+            raise ConfigError("x0: expected %d coordinates to match dimension"
+                              % self.dimension)
+        if any(a < b for a, b in zip(self.eigenvalues, self.eigenvalues[1:])):
+            raise ConfigError("eigenvalues: must be in descending order")
         if not self.eta_grid:
             raise ConfigError("eta_grid: must not be empty")
-        if any(not (0.0 < v <= 1.0) for v in self.eta_grid):
-            raise ConfigError("eta_grid: step sizes must lie in (0, 1]")
         if any(a <= b for a, b in zip(self.eta_grid, self.eta_grid[1:])):
             raise ConfigError("eta_grid: must be strictly decreasing")
-        object.__setattr__(self, "horizon", _as_number("horizon", self.horizon))
-        if not (math.isfinite(self.horizon)
-                and self.horizon >= max(self.eta_grid)):
+        if self.horizon < max(self.eta_grid):
             raise ConfigError("horizon: must be at least the largest step size")
         steps = self.horizon / min(self.eta_grid)
         if steps > _MAX_SERIES_STEPS:
             raise ConfigError("horizon: %.3g steps of eta = %g exceed the limit "
                               "of %d per series" % (steps, min(self.eta_grid),
                                                     _MAX_SERIES_STEPS))
-        if steps * self.dimension > _MAX_SERIES_CELLS:
+        if self.dimension > _MAX_SERIES_CELLS / steps:
             raise ConfigError("horizon: %.3g steps x %d modes exceed the limit of "
                               "%d series cells" % (steps, self.dimension,
                                                    _MAX_SERIES_CELLS))
-        object.__setattr__(self, "families",
-                           tuple(self.families) if not isinstance(self.families, str)
-                           else (self.families,))
+        if self.n_paths > _MAX_PATH_STEPS / steps:
+            raise ConfigError("n_paths: %d paths x %.3g steps exceed the limit "
+                              "of %d path-steps" % (self.n_paths, steps,
+                                                    _MAX_PATH_STEPS))
         if not self.families:
             raise ConfigError("families: must not be empty")
-        for fam in self.families:
-            if fam not in (SGD, MSGD, SNAG):
-                raise ConfigError("families: unknown family %r" % (fam,))
         if len(set(self.families)) != len(self.families):
             raise ConfigError("families: duplicate entries")
-        object.__setattr__(self, "mu_values",
-                           _as_tuple("mu_values", self.mu_values))
-        if any(not (v > 0 and math.isfinite(v)) for v in self.mu_values):
-            raise ConfigError("mu_values: must be positive and finite")
         # the largest step size sets the smallest admissible ceiling 1/eta
         ceiling = 1.0 / max(self.eta_grid)
         if any(v > ceiling for v in self.mu_values):
             raise ConfigError("mu_values: momenta must not exceed 1/eta = %g "
                               "for eta = %g" % (ceiling, max(self.eta_grid)))
-        object.__setattr__(self, "n_paths",
-                           _as_number("n_paths", self.n_paths, int))
-        if self.n_paths < 0 or self.n_paths == 1:
-            raise ConfigError("n_paths: must be 0 (no ensemble) or at least 2, "
-                              "got %d" % self.n_paths)
-        if self.n_paths * steps > _MAX_PATH_STEPS:
-            raise ConfigError("n_paths: %d paths x %.3g steps exceed the limit "
-                              "of %d path-steps" % (self.n_paths, steps,
-                                                    _MAX_PATH_STEPS))
-        object.__setattr__(self, "seed", _as_number("seed", self.seed, int))
-        if self.seed < 0:
-            raise ConfigError("seed: must be nonnegative")
-        object.__setattr__(self, "threads",
-                           _as_number("threads", self.threads, int))
-        if not 1 <= self.threads <= _MAX_THREADS:
-            raise ConfigError("threads: must be an integer in [1, %d]" % _MAX_THREADS)
-        object.__setattr__(self, "x0", _as_tuple("x0", self.x0))
-        if self.x0 and len(self.x0) != self.dimension:
-            raise ConfigError("x0: expected %d coordinates to match dimension"
-                              % self.dimension)
-        if any(not math.isfinite(v) for v in self.x0):
-            raise ConfigError("x0: coordinates must be finite")
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise ConfigError("out_dir: expected a non-empty path string")
 
     def to_json(self, compact=False):
-        data = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            data[field.name] = list(value) if isinstance(value, tuple) else value
+        data = dataclasses.asdict(self)   # json writes each tuple as an array
         if compact:
             return json.dumps(data, sort_keys=True, separators=(",", ":"))
         return json.dumps(data, sort_keys=True, indent=2)
@@ -236,9 +226,8 @@ class ExperimentConfig:
             raise ConfigError("config: invalid JSON (%s)" % exc)
         if not isinstance(obj, dict):
             raise ConfigError("config: expected a JSON object")
-        known = {field.name for field in dataclasses.fields(cls)}
         for key in obj:
-            if key not in known:
+            if key not in _FIELDS:
                 raise ConfigError("%s: unknown field" % key)
         if "experiment" not in obj:
             raise ConfigError("experiment: required field is missing")
@@ -565,19 +554,19 @@ def _resolve(config, experiment, variant=None):
     return config
 
 
-def _model_for(cfg, eigenvalues=None, variant=None):
+def _model_for(cfg, eigenvalues=None):
     lam = tuple(eigenvalues) if eigenvalues is not None else cfg.eigenvalues
     if not lam:
         raise ConfigError("eigenvalues: experiment %r needs an explicit "
                           "spectrum" % cfg.experiment)
-    return from_spectrum(variant or cfg.variant, np.asarray(lam, dtype=float),
+    return from_spectrum(cfg.variant, np.asarray(lam, dtype=float),
                          noise_scale=cfg.noise_scale)
 
 
-def _subsample(n, cap=201):
-    if n + 1 <= cap:
+def _subsample(n):   # at most 201 indices over 0..n, both ends included
+    if n <= 200:
         return np.arange(n + 1)
-    return np.unique(np.round(np.linspace(0, n, cap)).astype(int))
+    return np.unique(np.round(np.linspace(0, n, 201)).astype(int))
 
 
 def windowed_rate(series, lo, hi):
@@ -669,11 +658,11 @@ def _max_relative_deviation(reference, other, lo, hi):
     return float(np.max(np.abs(ref - oth) / np.abs(ref)))
 
 
-def _has_oscillation(series, hi, rel_tol=1e-9):
-    """True when successive differences change sign (above rounding noise)."""
+def _has_oscillation(series, hi):
+    """True when successive differences change sign (above 1e-9 of the max)."""
     values = np.asarray(series, dtype=float)[:hi + 1]
     diffs = np.diff(values)
-    significant = diffs[np.abs(diffs) > rel_tol * np.max(np.abs(values))]
+    significant = diffs[np.abs(diffs) > 1e-9 * np.max(np.abs(values))]
     if significant.size < 2:
         return False
     return bool(np.any(significant[:-1] * significant[1:] < 0))
@@ -759,6 +748,8 @@ def exp_condition_sweep(config=None):
     cfg = _resolve(config, "condition_sweep", ISOTROPIC_SHIFT)
     if not cfg.kappa:
         raise ConfigError("kappa: condition_sweep needs a kappa grid")
+    if cfg.dimension == 1 and any(k != 1 for k in cfg.kappa):
+        raise ConfigError("kappa: dimension 1 admits only kappa = 1")
     eta = cfg.eta_grid[0]
     rows = {family: [] for family in cfg.families}
     for kappa in cfg.kappa:
@@ -1111,9 +1102,4 @@ _EXPERIMENT_RUNNERS = {
 
 def run_experiment(config):
     """Dispatch a config to its experiment function."""
-    try:
-        runner = _EXPERIMENT_RUNNERS[config.experiment]
-    except KeyError:
-        raise ConfigError("experiment: unknown experiment %r"
-                          % (config.experiment,))
-    return runner(config)
+    return _EXPERIMENT_RUNNERS[config.experiment](config)

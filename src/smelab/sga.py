@@ -156,9 +156,9 @@ def step(algo, model, state, stream):
     return IterState(state.k + 1, state.x + eta * v, v)
 
 
-def run_path(algo, model, x0, seed, path=0, observable="f"):
-    """Observable along a single trajectory; returns array of length N+1."""
-    g = models.observable_fn(model, observable)
+def run_path(algo, model, x0, seed, path=0):
+    """Objective f along a single trajectory; returns array of length N+1."""
+    g = models.observable_fn(model, "f")
     state = init_state(algo, x0)
     stream = rng.CounterStream(seed, rng.STREAM_GAMMA, path)
     out = np.empty(algo.n_steps + 1)

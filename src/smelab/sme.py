@@ -246,11 +246,10 @@ def one_step_moments(system, y):
     return first, second, bool(np.isfinite(kbound))
 
 
-def linear_sme_moments(system, y0, h=None):
+def linear_sme_moments(system, y0):
     """Exact one-interval moments of a linear-Gaussian system (isotropic_shift).
 
-    For dY = A Y dt + S dW from the deterministic start y0, over h (default
-    one eta interval):
+    For dY = A Y dt + S dW from the deterministic start y0, over h = eta:
       E[Y_h - y0]            = (e^{hA} - I) y0
       E[(Y_h-y0)(Y_h-y0)^T]  = C(h) + mean mean^T,
       C(h) = int_0^h e^{uA} S S^T e^{uA^T} du = G e^{hA^T},
@@ -260,7 +259,7 @@ def linear_sme_moments(system, y0, h=None):
     """
     from scipy.linalg import expm   # on first use: an import costs more than most calls
     a, s = system.linear_parts()
-    h = system.eta if h is None else float(h)
+    h = system.eta
     y0 = np.asarray(y0, dtype=float)
     n = a.shape[0]
     big = expm(h * np.block([[a, s @ s.T], [np.zeros_like(a), -a.T]]))
@@ -326,12 +325,10 @@ def R_function(t, mu, lam):
     """
     if mu <= 0 or lam <= 0:
         raise ValueError("R_function needs mu > 0, lam > 0")
-    regime = classify_damping(mu, lam)
-    if np.isinf(t):
-        return min(mu / (4.0 * lam), 1.0 / mu)
-    t = float(t)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
+    regime = classify_damping(mu, lam)
+    t = float(t)
     if mu * t > 700.0:
         return min(mu / (4.0 * lam), 1.0 / mu) if regime == UNDERDAMPED \
             else 1.0 / mu

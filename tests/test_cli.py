@@ -1,11 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
+import re
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smelab import cli
-from smelab.repro import default_config, parse_csv
+from smelab.repro import ExperimentConfig, default_config, parse_csv
 
 
 def _files(dirpath):
@@ -236,6 +244,23 @@ def _defaults(experiment, **changes):
     ("momentum", _defaults("momentum_dynamics", x0=[1e300, 1e300]), 2, "x0"),
     # one path has no standard error
     ("momentum", _defaults("momentum_dynamics", n_paths=1), 2, "n_paths"),
+    # one mode has no spread of eigenvalues to condition
+    ("sweep", _defaults("condition_sweep", dimension=1, kappa=[10.0]), 2,
+     "kappa"),
+    # a value of the wrong kind: every field takes one
+    ("momentum", _defaults("momentum_dynamics", families=3), 2, "families"),
+    ("momentum", _defaults("momentum_dynamics", families=None), 2, "families"),
+    ("momentum", _defaults("momentum_dynamics", families="msgd"), 2,
+     "families"),
+    ("weak-error", _defaults("weak_error", dimension=2.7), 2, "dimension"),
+    ("weak-error", _defaults("weak_error", dimension=math.inf), 2, "dimension"),
+    ("momentum", _defaults("momentum_dynamics", n_paths=2.9), 2, "n_paths"),
+    ("weak-error", _defaults("weak_error", seed=math.inf), 2, "seed"),
+    ("weak-error", _defaults("weak_error", seed=2**64), 2, "seed"),
+    ("weak-error", _defaults("weak_error", threads=math.inf), 2, "threads"),
+    ("weak-error", _defaults("weak_error", eigenvalues=[True, 0.1]), 2,
+     "eigenvalues"),
+    ("momentum", _defaults("momentum_dynamics", horizon="40"), 2, "horizon"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -252,3 +277,62 @@ def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
         assert err.startswith("config error: " + key)
         assert len(err.splitlines()) == 1
         assert not out.exists() or _files(out) == []
+
+
+# valid configs that each run in well under a second
+_SMALL_CONFIGS = {
+    "weak-error": {"experiment": "weak_error", "eigenvalues": [1.0, 0.1],
+                   "eta_grid": [0.1, 0.05], "horizon": 0.5},
+    "sweep": {"experiment": "condition_sweep", "dimension": 3,
+              "kappa": [10.0, 30.0], "horizon": 50.0,
+              "families": ["sgd", "msgd"]},
+    "divergence": {"experiment": "divergence", "eigenvalues": [1.0, 0.01],
+                   "variant": "eigenbasis_scaled", "eta_grid": [0.04, 0.005],
+                   "horizon": 2.0},
+    "momentum": {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
+                 "eta_grid": [0.25], "horizon": 6.0, "mu_values": [0.5, 2.0],
+                 "n_paths": 8, "x0": [30.0, 30.0]},
+    "compare-snag": {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
+                     "horizon": 5.0, "mu_values": [0.2]},
+}
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
+# right-kind values, so that some changed configs run, among malformed ones
+_PLAUSIBLE = st.one_of(st.integers(0, 4), st.floats(0.01, 4.0))
+_SCALARS = st.one_of(_PLAUSIBLE, st.none(), st.booleans(), st.text(max_size=3),
+                     st.integers(-3, 2 ** 65), st.floats())
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_PLAUSIBLE, min_size=1, max_size=3),
+    st.lists(st.one_of(_SCALARS, st.lists(st.integers(0, 2), max_size=2)),
+             max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(_SMALL_CONFIGS)),
+       changes=st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES,
+                               max_size=2))
+@example(command="momentum", changes={"families": 3})
+def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
+    config = dict(_SMALL_CONFIGS[command], **changes)
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as cwd, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        old_cwd = os.getcwd()
+        os.chdir(cwd)
+        try:
+            with open("config.json", "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(config))
+            code = cli.main([command, "--config", "config.json", "--out", "out"])
+            assert set(os.listdir(".")) <= {"config.json", "out"}
+        finally:
+            os.chdir(old_cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        # warnings would reach stderr ahead of the message
+        assert caught == []
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        match = re.match(r"config error: (\w+): .", lines[0])
+        assert match and match.group(1) in _FIELD_NAMES, lines[0]

@@ -53,6 +53,42 @@ def test_validation_names_the_offending_key():
     _expect_config_error("horizon", dimension=64, eigenvalues=(), x0=(),
                          horizon=12500.0)
     _expect_config_error("mu_values", mu_values=(-0.5,))
+    _expect_config_error("seed", seed=2**64)
+    # each field takes one kind of value: a bool is not a number, an int
+    # must be finite and integral
+    _expect_config_error("dimension", dimension=2.7)
+    _expect_config_error("dimension", dimension=math.inf)
+    _expect_config_error("dimension", dimension=True)
+    _expect_config_error("n_paths", n_paths=2.9)
+    _expect_config_error("seed", seed=math.nan)
+    _expect_config_error("eigenvalues", eigenvalues=(True, 0.1))
+    _expect_config_error("noise_scale", noise_scale=False)
+    # numbers given as strings, and strings given as anything else
+    _expect_config_error("horizon", horizon="40")
+    _expect_config_error("eta_grid", eta_grid=("0.1",))
+    _expect_config_error("variant", variant=None)
+    # an array field takes a non-string iterable of its entry kind
+    _expect_config_error("families", families="sgd")
+    _expect_config_error("families", families=3)
+    _expect_config_error("families", families=(("sgd",),))
+    _expect_config_error("x0", x0=1.0)
+    _expect_config_error("x0", x0=((1.0,), (1.0,)))
+    # an int beyond the largest double is an infinite float, and an int
+    # dimension that large is over the series-cell budget
+    _expect_config_error("x0", x0=(10**400, 1.0))
+    _expect_config_error("horizon", dimension=10**400, eigenvalues=(), x0=())
+
+
+def test_integral_floats_and_numpy_scalars_are_accepted():
+    base = dataclasses.asdict(default_config("weak_error"))
+    base.update(dimension=2.0, n_paths=np.int64(4), seed=np.float64(7.0),
+                horizon=np.float32(2.0), eigenvalues=np.array([1.0, 0.1]))
+    cfg = ExperimentConfig(**base)
+    assert (cfg.dimension, cfg.n_paths, cfg.seed) == (2, 4, 7)
+    assert all(type(v) is int for v in (cfg.dimension, cfg.n_paths, cfg.seed))
+    assert type(cfg.horizon) is float and cfg.eigenvalues == (1.0, 0.1)
+    # null is the empty array
+    assert dataclasses.replace(cfg, x0=None).x0 == ()
 
 
 def test_from_json_errors():

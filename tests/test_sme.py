@@ -220,8 +220,9 @@ def test_r_function_branches_and_limits():
                     rtol=1e-12)
     with pytest.raises(ValueError):
         R_function(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        R_function(-1.0, 1.0, 1.0)
+    for t in (-1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            R_function(t, 1.0, 1.0)
 
 
 def test_asymptotic_noise_collapses_to_quarter_mu():
