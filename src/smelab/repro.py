@@ -36,8 +36,9 @@ from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _run_ensembles, discrete_floor,
-                  exact_moment_recursion, iteration_count, nesterov_mu)
+                  NesterovSchedule, _momentum_series, _run_ensembles,
+                  _stationary, discrete_floor, exact_moment_recursion,
+                  iteration_count, nesterov_mu)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
 from .analysis import (CRITICAL, RateFit, _ols, _order2_pairs,
@@ -593,13 +594,16 @@ def _descent(algo, model, x0, trim=None):
     k = 0) or x0 (no descent, or f(x0) not finite); a step size with a
     diverging mode, which has no floor, is reported against eta_grid.
     """
-    try:
-        floor = discrete_floor(algo, model)
-    except ValueError:
-        mu = ", mu = %g" % algo.momentum.mu if algo.momentum else ""
-        raise ConfigError("eta_grid: %s at eta = %g%s has a diverging mode on "
-                          "this spectrum; there is no stationary floor"
-                          % (algo.family, algo.eta, mu)) from None
+    if algo.family == SGD:
+        try:
+            floor = discrete_floor(algo, model)
+        except ValueError:
+            raise _diverging(algo) from None
+    else:
+        m, p_inf, floor, stable = _stationary([algo], model)
+        if not stable[0]:
+            raise _diverging(algo)
+        floor = float(floor[0])
     if trim is not None:
         f0 = objective(model, x0)
         if not f0 > 10.0 * floor:
@@ -613,28 +617,41 @@ def _descent(algo, model, x0, trim=None):
             algo = AlgoSpec(algo.family, algo.eta,
                             min(algo.n_steps, n_need) * algo.eta + 1e-9,
                             algo.momentum)
-    series = exact_moment_recursion(algo, model, x0)
+    series = (exact_moment_recursion(algo, model, x0) if algo.family == SGD
+              else next(_momentum_series(m, p_inf, model, x0, algo.n_steps)))
+    return floor, series, _fit(algo, floor, series)
+
+
+def _diverging(algo):   # the ConfigError of a run with no stationary floor
+    mu = ", mu = %g" % algo.momentum.mu if algo.momentum else ""
+    return ConfigError("eta_grid: %s at eta = %g%s has a diverging mode on this "
+                       "spectrum; there is no stationary floor"
+                       % (algo.family, algo.eta, mu))
+
+
+def _fit(algo, floor, series):
+    """descent_rate of a run's E f series (None: a mode diverges), as _descent."""
+    if series is None:
+        raise _diverging(algo)
     bad = np.flatnonzero(~np.isfinite(series))
     if bad.size:
         k = int(bad[0])
         raise ConfigError("%s: no descent rate to fit (E f = %g at k = %d)"
                           % ("x0" if k == 0 else "horizon", series[k], k))
     try:
-        fit = descent_rate(series, algo.eta, floor=floor)
+        return descent_rate(series, algo.eta, floor=floor)
     except ValueError as exc:
         key = "horizon" if len(series) < 8 else "x0"
         raise ConfigError("%s: no descent rate to fit (%s)" % (key, exc)) from None
-    return floor, series, fit
 
 
 def _trajectory(cfg, family, mu, eta, ks, series, method, stderr=None):
     """Dynamics-table rows of one E f series at the indices ks; mu is one
     momentum or one per index, stderr one per step (zero when omitted)."""
-    mus = np.broadcast_to(np.asarray(mu, dtype=float), ks.shape)
-    return [(cfg.experiment, family, float(m), float(eta), int(k),
-             float(k * eta), float(series[k]),
-             0.0 if stderr is None else float(stderr[k]), method)
-            for k, m in zip(ks, mus)]
+    mus = np.broadcast_to(np.asarray(mu, dtype=float), ks.shape).tolist()
+    errs = [0.0] * len(ks) if stderr is None else np.asarray(stderr)[ks].tolist()
+    return [(cfg.experiment, family, m, float(eta), k, float(k * eta), f, e, method)
+            for k, m, f, e in zip(ks.tolist(), mus, np.asarray(series)[ks].tolist(), errs)]
 
 
 def _curve(label, eta, ks, series):
@@ -859,6 +876,9 @@ def exp_momentum_dynamics(config=None):
     model = _model_for(cfg)
     x0 = np.asarray(cfg.x0 or (1.0,) * cfg.dimension, dtype=float)
     eta0 = cfg.eta_grid[0]
+    if _SCAN_MU_GRID[-1] > 1.0 / eta0:
+        raise ConfigError("eta_grid: the momentum scan runs mu up to %g, past 1/eta"
+                          " = %g at eta = %g" % (_SCAN_MU_GRID[-1], 1.0 / eta0, eta0))
 
     rows, metrics, checks, curves = [], [], [], []
     deviations = {}
@@ -933,12 +953,17 @@ def exp_momentum_dynamics(config=None):
                                np.asarray(_SCAN_LAMBDAS, dtype=float),
                                noise_scale=cfg.noise_scale)
     scan_x0 = np.asarray(_SCAN_X0, dtype=float)
-    scan_rows, scan_rates = [], []
-    for mu in _SCAN_MU_GRID:
-        algo = AlgoSpec(MSGD, eta0, _SCAN_HORIZON, ConstantMomentum(mu))
-        rate = _descent(algo, scan_model, scan_x0)[2].slope
-        scan_rates.append(rate)
-        scan_rows.append((cfg.experiment, float(mu), rate, MSGD))
+    # one stationary solve and one batched series; the rows are fitted in grid
+    # order, so the first failing momentum raises what its own _descent would
+    algos = [AlgoSpec(MSGD, eta0, _SCAN_HORIZON, ConstantMomentum(mu))
+             for mu in _SCAN_MU_GRID]
+    m, p_inf, floors, stable = _stationary(algos, scan_model)
+    series = _momentum_series(m[stable], p_inf[stable], scan_model, scan_x0,
+                              algos[0].n_steps)
+    scan_rates = [_fit(algo, floor, next(series) if ok else None).slope
+                  for algo, floor, ok in zip(algos, floors.tolist(), stable)]
+    scan_rows = [(cfg.experiment, mu, rate, MSGD)
+                 for mu, rate in zip(_SCAN_MU_GRID, scan_rates)]
     best = int(np.argmax(scan_rates))
     argmax_mu = _SCAN_MU_GRID[best]
     predicted = optimal_mu(scan_model.spec)

@@ -291,7 +291,9 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
 #     msgd: M = [[1 - mu eta, -eta lam], [eta (1 - mu eta), 1 - eta^2 lam]]
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
-#   so the second moment obeys P' = M P M^T + N, N = ns^2 n n^T.
+#   so the second moment obeys P' = M P M^T + N, N = ns^2 n n^T.  Constant
+#   momenta of one family and eta carry a leading momentum axis G through
+#   _mode_update, the stationary solve and the series, one batch for all.
 # _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
 #   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
 #   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
@@ -299,19 +301,21 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
 # ---------------------------------------------------------------------------
 
 
-def _mode_update(algo, model, k):
-    """Per-mode update M_k of a momentum family, (d, 2, 2)."""
+def _mode_update(algo, model, k, mu=None):
+    """Per-mode update M_k of a momentum family, (d, 2, 2); at momenta mu of
+    shape (G, 1) in place of mu_at(algo, k), (G, d, 2, 2)."""
     lam = model.spec.eigenvalues
     eta = algo.eta
-    mu = mu_at(algo, k)
-    m = np.empty((model.dim, 2, 2))
+    lead = () if mu is None else (len(mu),)
+    mu = mu_at(algo, k) if mu is None else mu
     damp = 1.0 - mu * eta
     if algo.family == SNAG:
         damp = damp * (1.0 - eta * eta * lam)
-    m[:, 0, 0] = damp
-    m[:, 0, 1] = -eta * lam
-    m[:, 1, 0] = eta * damp
-    m[:, 1, 1] = 1.0 - eta * eta * lam
+    m = np.empty(lead + lam.shape + (2, 2))
+    m[..., 0, 0] = damp
+    m[..., 0, 1] = -eta * lam
+    m[..., 1, 0] = eta * damp
+    m[..., 1, 1] = 1.0 - eta * eta * lam
     return m
 
 
@@ -324,38 +328,40 @@ def _mode_noise(algo, model):
     return model.noise_scale ** 2 * nv[:, :, None] * nv[:, None, :]
 
 
-def _stationary(algo, model):
-    """(M, P_inf) of a constant momentum: its per-mode update M and the P_inf
-    solving P = M P M^T + N per mode, each (d, 2, 2); None when a mode's
-    update has spectral radius >= 1 (no stationary state).
+def _stationary(algos, model):
+    """(M, P_inf, floor, stable) of G constant momenta of one family at one
+    eta: per-mode updates M and the P_inf solving P = M P M^T + N per mode,
+    (G, d, 2, 2), and per momentum the stationary E f and whether every mode
+    has spectral radius < 1 (if not, its P_inf and floor are NaN).
 
     The symmetric equation has three unknowns p = (P00, P01, P11), and
     (I - K) p = (N00, N01, N11) with K the action of P -> M P M^T on them;
-    the 3 x 3 systems are solved in one batched call.
+    the 3 x 3 systems of all stable momenta and modes are solved in one call.
     """
-    m = _mode_update(algo, model, 0)
-    if np.any(np.abs(np.linalg.eigvals(m)) >= 1.0):
-        return None
-    noise = _mode_noise(algo, model)
-    a, b = m[:, 0, 0], m[:, 0, 1]
-    c, e = m[:, 1, 0], m[:, 1, 1]
+    m = _mode_update(algos[0], model, 0, np.array([[a.momentum.mu] for a in algos]))
+    stable = ~np.any(np.abs(np.linalg.eigvals(m)) >= 1.0, axis=(1, 2))
+    ms = m[stable]
+    a, b, c, e = ms[..., 0, 0], ms[..., 0, 1], ms[..., 1, 0], ms[..., 1, 1]
     k = np.stack([a * a, 2.0 * a * b, b * b,
                   a * c, a * e + b * c, b * e,
-                  c * c, 2.0 * c * e, e * e], axis=-1).reshape(-1, 3, 3)
-    rhs = np.stack([noise[:, 0, 0], noise[:, 0, 1], noise[:, 1, 1]], axis=-1)
-    p = np.linalg.solve(np.eye(3) - k, rhs[:, :, None])[:, :, 0]
-    return m, np.stack([p[:, 0], p[:, 1], p[:, 1], p[:, 2]], axis=-1).reshape(-1, 2, 2)
+                  c * c, 2.0 * c * e, e * e], axis=-1).reshape(a.shape + (3, 3))
+    rhs = _mode_noise(algos[0], model)[:, [0, 0, 1], [0, 1, 1], None]   # N00, N01, N11
+    p = np.linalg.solve(np.eye(3) - k, rhs)
+    p_inf = np.full(m.shape, np.nan)
+    p_inf[stable] = p[..., [0, 1, 1, 2], 0].reshape(a.shape + (2, 2))
+    floor = 0.5 * np.sum(model.spec.eigenvalues * p_inf[..., 1, 1], axis=-1)
+    return m, p_inf, floor, stable
 
 
 def _powers(m, count):
-    """m^0, ..., m^(count-1) of a stack of 2x2 blocks m (d, 2, 2), by doubling:
-    shape (count, d, 2, 2)."""
-    out = np.empty((count,) + m.shape, dtype=m.dtype)
-    out[0] = np.eye(2)
-    filled, step = 1, m
+    """m^0, ..., m^(count-1) of G stacks of 2x2 blocks m (G, d, 2, 2), by
+    doubling: shape (G, count, d, 2, 2)."""
+    out = np.empty((len(m), count) + m.shape[1:], dtype=m.dtype)
+    out[:, 0] = np.eye(2)
+    filled, step = 1, m[:, None]
     while filled < count:
         take = min(filled, count - filled)
-        out[filled:filled + take] = out[:take] @ step
+        out[:, filled:filled + take] = out[:, :take] @ step
         filled += take
         if filled < count:
             step = step @ step
@@ -364,45 +370,62 @@ def _powers(m, count):
 
 # working-set bound of the constant-momentum series: elements per temporary
 _SERIES_BLOCK = 1 << 13
+# series cells (runs x points) that one slice of _momentum_series holds
+_SERIES_CELLS = 1 << 20
 
 
-def _momentum_series(m, p_inf, y0, lam, n):
-    """E f(x_k), k = 0..n, of a momentum family at a constant per-mode update
-    m whose blocks all have spectral radius < 1, with stationary second
-    moment p_inf.
+def _start(model, x0):
+    """x0 in eigen-coordinates and f(x0) (+inf past the largest double)."""
+    y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
+    with np.errstate(over="ignore"):
+        return y0, 0.5 * float(np.sum(model.spec.eigenvalues * (y0 * y0)))
+
+
+def _momentum_series(m, p_inf, model, x0, n):
+    """Yield E f(x_k), k = 0..n, of each of G momentum runs from x0 at
+    constant per-mode updates m whose blocks all have spectral radius < 1,
+    with stationary second moments p_inf, each (G, d, 2, 2).
 
     Per mode P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf, and only the x row r_k
     of M^k is needed.  With a block length B ~ sqrt(n + 1), r_{jB+i} is the x
     row of M^{jB} times M^i: B small powers, about n/B large powers, and a
     broadcast product, accumulated a few large-power blocks at a time so the
-    working set stays O(sqrt(n) d).  The power tables are built in
+    working set stays O(sqrt(n) d) per run.  The power tables are built in
     np.longdouble: the rounding of M^B would otherwise be raised to the j-th
     power and shift the phase of an oscillating mode (on a platform whose
     longdouble is double the series is then about 10x less accurate, still
-    well inside the step loop's error).
+    well inside the step loop's error).  Slices of runs hold at most
+    _SERIES_CELLS series cells and _SERIES_BLOCK elements per temporary; each
+    run's modes are summed by its own (B, d) @ (d,) products, so its bits do
+    not depend on the slice.
     """
-    d = lam.shape[0]
-    dev = -p_inf
-    with np.errstate(over="ignore"):   # as f(x0) in exact_moment_recursion
-        dev[:, 1, 1] += y0 * y0
+    y0, f0 = _start(model, x0)
+    d = m.shape[1]
     width = math.isqrt(n) + 1
-    mx = m.astype(np.longdouble)
-    small = _powers(mx, width)
-    rows = _powers(small[-1] @ mx, -(-(n + 1) // width))[:, :, 1, :].astype(float)
-    small = small.astype(float)
-    half = 0.5 * lam
-    out = np.empty(rows.shape[0] * width)
-    per = max(1, _SERIES_BLOCK // (width * d))
-    for j in range(0, rows.shape[0], per):
-        # the x row of M^k, k = jB + i, as (blocks, B, d) components
-        r0 = rows[j:j + per, None, :, 0]
-        r1 = rows[j:j + per, None, :, 1]
-        c0 = r0 * small[..., 0, 0] + r1 * small[..., 1, 0]
-        c1 = r0 * small[..., 0, 1] + r1 * small[..., 1, 1]
-        p = c0 * (c0 * dev[:, 0, 0] + 2.0 * c1 * dev[:, 0, 1]) \
-            + c1 * c1 * dev[:, 1, 1] + p_inf[:, 1, 1]
-        out[j * width:(j + c0.shape[0]) * width] = (p @ half).reshape(-1)
-    return out[:n + 1]
+    half = 0.5 * model.spec.eigenvalues
+    size = max(1, min(_SERIES_CELLS // (n + 1), _SERIES_BLOCK // (width * d)))
+    for lo in range(0, len(m), size):
+        stat = p_inf[lo:lo + size, None, None]   # against (G, blocks, B, d)
+        dev = -stat
+        with np.errstate(over="ignore"):   # as f(x0)
+            dev[..., 1, 1] += y0 * y0
+        mx = m[lo:lo + size].astype(np.longdouble)
+        small = _powers(mx, width)
+        rows = _powers(small[:, -1] @ mx, -(-(n + 1) // width))[..., 1, :].astype(float)
+        small = small.astype(float)
+        out = np.empty((len(mx), rows.shape[1] * width))
+        per = max(1, _SERIES_BLOCK // (width * d * len(mx)))
+        for j in range(0, rows.shape[1], per):
+            # the x row of M^k, k = jB + i, as (G, blocks, B, d) components
+            r0 = rows[:, j:j + per, None, :, 0]
+            r1 = rows[:, j:j + per, None, :, 1]
+            c0 = r0 * small[:, None, ..., 0, 0] + r1 * small[:, None, ..., 1, 0]
+            c1 = r0 * small[:, None, ..., 0, 1] + r1 * small[:, None, ..., 1, 1]
+            p = c0 * (c0 * dev[..., 0, 0] + 2.0 * c1 * dev[..., 0, 1]) \
+                + c1 * c1 * dev[..., 1, 1] + stat[..., 1, 1]
+            out[:, j * width:(j + c0.shape[1]) * width] = (p @ half).reshape(len(mx), -1)
+        out[:, 0] = f0
+        yield from out[:, :n + 1]
 
 
 def _sgd_factors(model, eta):
@@ -473,34 +496,31 @@ def exact_moment_recursion(algo, model, x0):
     Routes: sgd never steps; it takes p_k = a^k p_0 + b S_k from blocked
     power tables (_sgd_series).  A constant momentum whose per-mode updates
     all have spectral radius < 1 takes P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf
-    by blocked matrix powers (_momentum_series).  The Nesterov schedule
-    (time-varying M_k) and a constant momentum with a mode of radius >= 1
-    (no stationary P_inf) step the recursion once per iteration.
+    by blocked matrix powers (_momentum_series), the G = 1 case of a batch
+    over a momentum axis (the scan of repro.exp_momentum_dynamics runs G =
+    161 momenta at once).  The Nesterov schedule (time-varying M_k) and a
+    constant momentum with a mode of radius >= 1 (no stationary P_inf) step
+    the recursion once per iteration.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
                          % (algo.family, model.kind))
-    lam = model.spec.eigenvalues
-    y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
     n = algo.n_steps
+    if isinstance(algo.momentum, ConstantMomentum):
+        m, p_inf, _, stable = _stationary([algo], model)
+        if stable[0]:
+            return next(_momentum_series(m, p_inf, model, x0, n))
+    lam = model.spec.eigenvalues
+    y0, f0 = _start(model, x0)
     out = _sgd_series(model, algo.eta, y0, n) if algo.family == SGD else np.empty(n + 1)
-    with np.errstate(over="ignore"):   # f(x0) past the largest double reads +inf
-        out[0] = 0.5 * float(np.sum(lam * (y0 * y0)))
+    out[0] = f0
     if algo.family == SGD:
         return out
-
-    constant = isinstance(algo.momentum, ConstantMomentum)
-    stationary = _stationary(algo, model) if constant else None
-    if stationary is not None:
-        out[1:] = _momentum_series(*stationary, y0, lam, n)[1:]
-        return out
-    m = _mode_update(algo, model, 0)
     noise = _mode_noise(algo, model)
     P = np.zeros((model.dim, 2, 2))
     P[:, 1, 1] = y0 * y0
     for k in range(n):
-        if not constant:
-            m = _mode_update(algo, model, k)
+        m = _mode_update(algo, model, k)
         P = m @ P @ np.swapaxes(m, 1, 2) + noise
         out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     return out
@@ -511,9 +531,9 @@ def discrete_floor(algo, model):
 
     Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
     eigenbasis_scaled), or the solution P_inf of the discrete Lyapunov
-    equation P = M P M^T + N of a momentum family, from the closed form the
-    constant-momentum series uses (one batched 3 x 3 solve over the modes).
-    Raises ValueError when a mode diverges (a >= 1, or M has spectral radius
+    equation P = M P M^T + N of a momentum family, from the stationary solve
+    the constant-momentum series uses (_stationary with G = 1).  Raises
+    ValueError when a mode diverges (a >= 1, or M has spectral radius
     >= 1).
     """
     if not supports_exact_moments(algo, model):
@@ -528,10 +548,10 @@ def discrete_floor(algo, model):
         return float(0.5 * np.sum(lam * (b / (1.0 - a))))
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
-    stationary = _stationary(algo, model)
-    if stationary is None:
+    _, _, floor, stable = _stationary([algo], model)
+    if not stable[0]:
         raise diverging
-    return float(0.5 * np.sum(lam * stationary[1][:, 1, 1]))
+    return float(floor[0])
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,13 @@ def _defaults(experiment, **changes):
     ("weak-error", _defaults("weak_error", eigenvalues=[True, 0.1]), 2,
      "eigenvalues"),
     ("momentum", _defaults("momentum_dynamics", horizon="40"), 2, "horizon"),
+    # the momentum scan runs mu up to 1.9, past 1/eta at eta = 0.9
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
+                  "eta_grid": [0.9], "horizon": 40.0, "mu_values": [1.0],
+                  "x0": [30, 30]}, 2, "eta_grid"),
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
+                  "eta_grid": [0.9], "horizon": 40.0, "mu_values": [1.0],
+                  "n_paths": 0, "x0": [30, 30]}, 2, "eta_grid"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -311,6 +318,7 @@ _VALUES = st.one_of(
        changes=st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES,
                                max_size=2))
 @example(command="momentum", changes={"families": 3})
+@example(command="momentum", changes={"eta_grid": [0.6], "mu_values": [0.5]})
 def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
     config = dict(_SMALL_CONFIGS[command], **changes)
     stderr = io.StringIO()

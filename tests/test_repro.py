@@ -251,6 +251,28 @@ def test_discrete_floor_matches_lyapunov_solver():
         assert_allclose(discrete_floor(algo, model), oracle, rtol=1e-13)
 
 
+def test_scan_reports_its_first_diverging_momentum(monkeypatch):
+    # on lam_1 = 385 at eta = 0.1, msgd diverges from mu = 0.75 on; the
+    # batched scan raises what a _descent call per momentum, in grid order,
+    # raises first
+    from smelab import repro
+    monkeypatch.setattr(repro, "_SCAN_LAMBDAS", (385.0, 0.225625))
+    cfg = ExperimentConfig("momentum_dynamics", eigenvalues=(1.0, 0.25),
+                           eta_grid=(0.1,), horizon=4.0, mu_values=(0.5, 2.0),
+                           x0=(30.0, 30.0))
+    model = from_spectrum(ISOTROPIC_SHIFT, [385.0, 0.225625], noise_scale=1.0)
+    with pytest.raises(ConfigError) as loop:
+        for mu in repro._SCAN_MU_GRID:
+            repro._descent(AlgoSpec(MSGD, 0.1, repro._SCAN_HORIZON,
+                                    ConstantMomentum(mu)),
+                           model, np.asarray(repro._SCAN_X0))
+    with pytest.raises(ConfigError) as scan:
+        exp_momentum_dynamics(cfg)
+    assert str(scan.value) == str(loop.value) == (
+        "eta_grid: msgd at eta = 0.1, mu = 0.75 has a diverging mode on this "
+        "spectrum; there is no stationary floor")
+
+
 def test_series_longer_than_the_limit_is_rejected():
     _expect_config_error("horizon", horizon=1e12,
                          eta_grid=(0.1, 0.05))

@@ -413,6 +413,81 @@ def test_constant_momentum_series_memory_stays_small():
     assert peak < 1 << 20
 
 
+def _batch(algos, model, x0):
+    """(floor, series) of each run from one batched stationary solve and one
+    batched series; (None, None) for a run with a diverging mode."""
+    m, p_inf, floors, stable = sga._stationary(algos, model)
+    rows = sga._momentum_series(m[stable], p_inf[stable], model, x0,
+                                algos[0].n_steps)
+    return [(floor, next(rows)) if ok else (None, None)
+            for floor, ok in zip(floors.tolist(), stable)]
+
+
+def _assert_batch_is_single_calls(algos, model, x0):
+    for algo, (floor, series) in zip(algos, _batch(algos, model, x0)):
+        if series is None:
+            with pytest.raises(ValueError, match="diverges"):
+                sga.discrete_floor(algo, model)
+            continue
+        assert floor == sga.discrete_floor(algo, model)
+        assert np.array_equal(series, exact_moment_recursion(algo, model, x0))
+
+
+_SCAN_GRID = [i / 100.0 for i in range(30, 191)]
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+@pytest.mark.parametrize("eta", [0.1, 0.05, 0.5])
+def test_scan_batch_rows_equal_single_calls(family, eta):
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 0.225625], noise_scale=1.0)
+    algos = [AlgoSpec(family, eta, 40.0, ConstantMomentum(mu)) for mu in _SCAN_GRID]
+    _assert_batch_is_single_calls(algos, model, np.array([1.0e6, 1.0e6]))
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 8, 16])
+def test_random_batch_rows_equal_single_calls(family, d):
+    gen = np.random.default_rng(1000 + d)
+    for eta, horizon in ((0.1, 40.0), (0.3, 9.0), (0.02, 60.0)):
+        lams = np.sort(gen.uniform(0.01, 2.0, d))[::-1]
+        model = from_spectrum(ISOTROPIC_SHIFT, lams, noise_scale=0.7)
+        algos = [AlgoSpec(family, eta, horizon, ConstantMomentum(float(mu)))
+                 for mu in gen.uniform(0.02, 1.0 / eta, 9)]
+        _assert_batch_is_single_calls(algos, model, gen.normal(0.0, 1e3, d))
+
+
+@pytest.mark.parametrize("family, lam, mus", [
+    # at eta = 0.5 msgd diverges for large momenta, snag for small ones
+    (MSGD, 12.0, (0.5, 1.5, 0.8)),
+    (SNAG, 6.0, (1.5, 0.5, 1.8)),
+])
+def test_batch_reports_its_diverging_member(family, lam, mus):
+    model = from_spectrum(ISOTROPIC_SHIFT, [lam, 0.5], noise_scale=1.0)
+    algos = [AlgoSpec(family, 0.5, 6.0, ConstantMomentum(mu)) for mu in mus]
+    _, p_inf, floors, stable = sga._stationary(algos, model)
+    assert stable.tolist() == [True, False, True]
+    assert np.isnan(floors[1]) and np.isnan(p_inf[1]).all()
+    assert np.isfinite(floors[[0, 2]]).all()
+    _assert_batch_is_single_calls(algos, model, np.array([1.0, 1.0]))
+
+
+def test_sliced_batch_equals_unsliced(monkeypatch):
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 0.225625], noise_scale=1.0)
+    algos = [AlgoSpec(MSGD, 0.1, 40.0, ConstantMomentum(mu)) for mu in _SCAN_GRID]
+    x0 = np.array([1.0e6, 1.0e6])
+    whole = _batch(algos, model, x0)
+    tables = []
+    powers = sga._powers
+    monkeypatch.setattr(sga, "_powers", lambda m, count: tables.append(len(m))
+                        or powers(m, count))
+    monkeypatch.setattr(sga, "_SERIES_CELLS", 7 * 401)   # 7 runs of n = 400
+    sliced = _batch(algos, model, x0)
+    assert tables == [7, 7] * 23
+    for (floor, series), (floor_s, series_s) in zip(whole, sliced):
+        assert floor == floor_s
+        assert np.array_equal(series, series_s)
+
+
 def _sweep_case():
     model = from_spectrum(ISOTROPIC_SHIFT, condition_spectrum(6, 1000.0),
                           noise_scale=1.0)
