@@ -36,9 +36,9 @@ from .matkit import condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _momentum_series, _run_ensembles,
-                  _stationary, discrete_floor, exact_moment_recursion,
-                  iteration_count, nesterov_mu)
+                  NesterovSchedule, _run_ensembles, constant_momentum_runs,
+                  discrete_floor, exact_moment_recursion, iteration_count,
+                  nesterov_mu)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
 from .analysis import (CRITICAL, RateFit, _ols, _order2_pairs,
@@ -594,16 +594,10 @@ def _descent(algo, model, x0, trim=None):
     k = 0) or x0 (no descent, or f(x0) not finite); a step size with a
     diverging mode, which has no floor, is reported against eta_grid.
     """
-    if algo.family == SGD:
-        try:
-            floor = discrete_floor(algo, model)
-        except ValueError:
-            raise _diverging(algo) from None
-    else:
-        m, p_inf, floor, stable = _stationary([algo], model)
-        if not stable[0]:
-            raise _diverging(algo)
-        floor = float(floor[0])
+    try:
+        floor = discrete_floor(algo, model)
+    except ValueError:
+        raise _diverging(algo) from None
     if trim is not None:
         f0 = objective(model, x0)
         if not f0 > 10.0 * floor:
@@ -617,8 +611,7 @@ def _descent(algo, model, x0, trim=None):
             algo = AlgoSpec(algo.family, algo.eta,
                             min(algo.n_steps, n_need) * algo.eta + 1e-9,
                             algo.momentum)
-    series = (exact_moment_recursion(algo, model, x0) if algo.family == SGD
-              else next(_momentum_series(m, p_inf, model, x0, algo.n_steps)))
+    series = exact_moment_recursion(algo, model, x0)
     return floor, series, _fit(algo, floor, series)
 
 
@@ -953,15 +946,12 @@ def exp_momentum_dynamics(config=None):
                                np.asarray(_SCAN_LAMBDAS, dtype=float),
                                noise_scale=cfg.noise_scale)
     scan_x0 = np.asarray(_SCAN_X0, dtype=float)
-    # one stationary solve and one batched series; the rows are fitted in grid
-    # order, so the first failing momentum raises what its own _descent would
+    # one batch; the rows are fitted in grid order, so the first failing
+    # momentum raises what its own _descent would
     algos = [AlgoSpec(MSGD, eta0, _SCAN_HORIZON, ConstantMomentum(mu))
              for mu in _SCAN_MU_GRID]
-    m, p_inf, floors, stable = _stationary(algos, scan_model)
-    series = _momentum_series(m[stable], p_inf[stable], scan_model, scan_x0,
-                              algos[0].n_steps)
-    scan_rates = [_fit(algo, floor, next(series) if ok else None).slope
-                  for algo, floor, ok in zip(algos, floors.tolist(), stable)]
+    scan_rates = [_fit(algo, *run).slope for algo, run in
+                  zip(algos, constant_momentum_runs(algos, scan_model, scan_x0))]
     scan_rows = [(cfg.experiment, mu, rate, MSGD)
                  for mu, rate in zip(_SCAN_MU_GRID, scan_rates)]
     best = int(np.argmax(scan_rates))

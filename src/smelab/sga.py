@@ -293,7 +293,7 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
 #   so the second moment obeys P' = M P M^T + N, N = ns^2 n n^T.  Constant
 #   momenta of one family and eta carry a leading momentum axis G through
-#   _mode_update, the stationary solve and the series, one batch for all.
+#   _mode_update, the stationary solve and the series (constant_momentum_runs).
 # _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
 #   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
 #   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
@@ -307,8 +307,7 @@ def _mode_update(algo, model, k, mu=None):
     lam = model.spec.eigenvalues
     eta = algo.eta
     lead = () if mu is None else (len(mu),)
-    mu = mu_at(algo, k) if mu is None else mu
-    damp = 1.0 - mu * eta
+    damp = 1.0 - (mu_at(algo, k) if mu is None else mu) * eta
     if algo.family == SNAG:
         damp = damp * (1.0 - eta * eta * lam)
     m = np.empty(lead + lam.shape + (2, 2))
@@ -370,8 +369,7 @@ def _powers(m, count):
 
 # working-set bound of the constant-momentum series: elements per temporary
 _SERIES_BLOCK = 1 << 13
-# series cells (runs x points) that one slice of _momentum_series holds
-_SERIES_CELLS = 1 << 20
+_SERIES_CELLS = 1 << 20   # series cells (runs x points) per slice of runs
 
 
 def _start(model, x0):
@@ -394,10 +392,9 @@ def _momentum_series(m, p_inf, model, x0, n):
     np.longdouble: the rounding of M^B would otherwise be raised to the j-th
     power and shift the phase of an oscillating mode (on a platform whose
     longdouble is double the series is then about 10x less accurate, still
-    well inside the step loop's error).  Slices of runs hold at most
-    _SERIES_CELLS series cells and _SERIES_BLOCK elements per temporary; each
-    run's modes are summed by its own (B, d) @ (d,) products, so its bits do
-    not depend on the slice.
+    well inside the step loop's error).  A slice of runs holds at most
+    _SERIES_CELLS cells; each run's modes are summed by its own (B, d) @ (d,)
+    products, so its bits do not depend on the slice.
     """
     y0, f0 = _start(model, x0)
     d = m.shape[1]
@@ -426,6 +423,22 @@ def _momentum_series(m, p_inf, model, x0, n):
             out[:, j * width:(j + c0.shape[1]) * width] = (p @ half).reshape(len(mx), -1)
         out[:, 0] = f0
         yield from out[:, :n + 1]
+
+
+def constant_momentum_runs(algos, model, x0):
+    """Iterator of (discrete_floor, exact_moment_recursion) of G constant
+    momenta of one family, eta and step count from x0 on isotropic_shift, in
+    order: one stationary solve at the call, one batched series a slice at a
+    time as the items are reached; (nan, None) for a run with a diverging mode.
+    """
+    one = {(a.family, a.eta, a.n_steps, type(a.momentum)) for a in algos}
+    if len(one) != 1 or not isinstance(algos[0].momentum, ConstantMomentum) \
+            or model.kind != models.ISOTROPIC_SHIFT:
+        raise ValueError("need constant momenta of one family, eta and step count")
+    m, p_inf, floors, stable = _stationary(algos, model)
+    series = _momentum_series(m[stable], p_inf[stable], model, x0, algos[0].n_steps)
+    return ((floor, next(series) if ok else None)
+            for floor, ok in zip(floors.tolist(), stable.tolist()))
 
 
 def _sgd_factors(model, eta):
@@ -496,31 +509,33 @@ def exact_moment_recursion(algo, model, x0):
     Routes: sgd never steps; it takes p_k = a^k p_0 + b S_k from blocked
     power tables (_sgd_series).  A constant momentum whose per-mode updates
     all have spectral radius < 1 takes P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf
-    by blocked matrix powers (_momentum_series), the G = 1 case of a batch
-    over a momentum axis (the scan of repro.exp_momentum_dynamics runs G =
-    161 momenta at once).  The Nesterov schedule (time-varying M_k) and a
+    by blocked matrix powers (constant_momentum_runs, which runs G momenta
+    at once, with G = 1).  The Nesterov schedule (time-varying M_k) and a
     constant momentum with a mode of radius >= 1 (no stationary P_inf) step
     the recursion once per iteration.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
                          % (algo.family, model.kind))
-    n = algo.n_steps
-    if isinstance(algo.momentum, ConstantMomentum):
-        m, p_inf, _, stable = _stationary([algo], model)
-        if stable[0]:
-            return next(_momentum_series(m, p_inf, model, x0, n))
+    constant = isinstance(algo.momentum, ConstantMomentum)
+    if constant:
+        series = next(constant_momentum_runs([algo], model, x0))[1]
+        if series is not None:
+            return series
     lam = model.spec.eigenvalues
     y0, f0 = _start(model, x0)
+    n = algo.n_steps
     out = _sgd_series(model, algo.eta, y0, n) if algo.family == SGD else np.empty(n + 1)
     out[0] = f0
     if algo.family == SGD:
         return out
+    m = _mode_update(algo, model, 0)
     noise = _mode_noise(algo, model)
     P = np.zeros((model.dim, 2, 2))
     P[:, 1, 1] = y0 * y0
     for k in range(n):
-        m = _mode_update(algo, model, k)
+        if not constant:
+            m = _mode_update(algo, model, k)
         P = m @ P @ np.swapaxes(m, 1, 2) + noise
         out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     return out

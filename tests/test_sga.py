@@ -414,18 +414,15 @@ def test_constant_momentum_series_memory_stays_small():
 
 
 def _batch(algos, model, x0):
-    """(floor, series) of each run from one batched stationary solve and one
-    batched series; (None, None) for a run with a diverging mode."""
-    m, p_inf, floors, stable = sga._stationary(algos, model)
-    rows = sga._momentum_series(m[stable], p_inf[stable], model, x0,
-                                algos[0].n_steps)
-    return [(floor, next(rows)) if ok else (None, None)
-            for floor, ok in zip(floors.tolist(), stable)]
+    return list(sga.constant_momentum_runs(algos, model, x0))
 
 
 def _assert_batch_is_single_calls(algos, model, x0):
-    for algo, (floor, series) in zip(algos, _batch(algos, model, x0)):
+    runs = _batch(algos, model, x0)
+    assert len(runs) == len(algos)
+    for algo, (floor, series) in zip(algos, runs):
         if series is None:
+            assert np.isnan(floor)
             with pytest.raises(ValueError, match="diverges"):
                 sga.discrete_floor(algo, model)
             continue
@@ -464,11 +461,27 @@ def test_random_batch_rows_equal_single_calls(family, d):
 def test_batch_reports_its_diverging_member(family, lam, mus):
     model = from_spectrum(ISOTROPIC_SHIFT, [lam, 0.5], noise_scale=1.0)
     algos = [AlgoSpec(family, 0.5, 6.0, ConstantMomentum(mu)) for mu in mus]
-    _, p_inf, floors, stable = sga._stationary(algos, model)
-    assert stable.tolist() == [True, False, True]
-    assert np.isnan(floors[1]) and np.isnan(p_inf[1]).all()
-    assert np.isfinite(floors[[0, 2]]).all()
+    runs = _batch(algos, model, np.array([1.0, 1.0]))
+    assert [series is None for _, series in runs] == [False, True, False]
+    assert np.isfinite([runs[0][0], runs[2][0]]).all()
     _assert_batch_is_single_calls(algos, model, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("algos, kind", [
+    ([AlgoSpec(MSGD, 0.1, 4.0, ConstantMomentum(1.0)),
+      AlgoSpec(SNAG, 0.1, 4.0, ConstantMomentum(1.0))], ISOTROPIC_SHIFT),
+    ([AlgoSpec(MSGD, 0.1, 4.0, ConstantMomentum(1.0)),
+      AlgoSpec(MSGD, 0.05, 4.0, ConstantMomentum(1.0))], ISOTROPIC_SHIFT),
+    ([AlgoSpec(MSGD, 0.1, 4.0, ConstantMomentum(1.0)),
+      AlgoSpec(MSGD, 0.1, 8.0, ConstantMomentum(1.0))], ISOTROPIC_SHIFT),
+    ([AlgoSpec(MSGD, 0.1, 4.0, NesterovSchedule())], ISOTROPIC_SHIFT),
+    ([AlgoSpec(SGD, 0.1, 4.0)], ISOTROPIC_SHIFT),
+    ([AlgoSpec(MSGD, 0.1, 4.0, ConstantMomentum(1.0))], EIGENBASIS_SCALED),
+])
+def test_batch_needs_constant_momenta_of_one_family_eta_and_step_count(algos, kind):
+    model = from_spectrum(kind, [1.0, 0.5], noise_scale=1.0)
+    with pytest.raises(ValueError, match="one family, eta and step count"):
+        sga.constant_momentum_runs(algos, model, np.array([1.0, 1.0]))
 
 
 def test_sliced_batch_equals_unsliced(monkeypatch):
