@@ -172,7 +172,8 @@ def sigma_mc(model, x, n_draws, seed):
         m = min(chunk, n_draws - done)
         paths = np.arange(done, done + m, dtype=np.uint64)
         z = rng.normals(seed, rng.STREAM_MC, paths, 0, 0, d)
-        g = _batch_gradient(model, np.broadcast_to(x, (m, d)), model.noise_scale * z)
+        g = _batch_gradient(model, np.broadcast_to(x, (m, d)), model.noise_scale * z,
+                            None, _Rows(model, (m, d)))
         mean += g.sum(axis=0)
         cross += g.T @ g
         done += m
@@ -195,11 +196,9 @@ class _Rows:
         self.b = np.empty(shape)
 
 
-def _batch_gradient(model, X, gammas, out=None, rows=None):
-    """Rows of grad f_gamma(x) for row-stacked points X and draws gammas,
-    written into out and rows (a _Rows of X's shape; X may be rows.a)."""
-    if rows is None:
-        rows = _Rows(model, X.shape)
+def _batch_gradient(model, X, gammas, out, rows):
+    """Rows of grad f_gamma(x) for row-stacked points X (which may be rows.a)
+    and draws gammas, into out (or a new array) and rows, a _Rows of X's shape."""
     q = model.spec.basis
     if model.kind == ISOTROPIC_SHIFT:
         c = np.matmul(np.subtract(X, gammas, out=rows.a), q, out=rows.b)
@@ -210,9 +209,9 @@ def _batch_gradient(model, X, gammas, out=None, rows=None):
     return np.matmul(c, rows.basis_t, out=out)
 
 
-def _batch_objective(model, X, out=None, rows=None):
+def _batch_objective(model, X, out, rows):
     """f of each row of X: 0.5 * np.sum(lam * y * y, axis=-1), y = X @ basis,
-    written into out and rows (a _Rows of X's shape) when rows is given.
+    written into out (or a new array) and rows (a _Rows of X's shape).
 
     numpy sums fewer than eight terms left to right, and up to 128 in eight
     accumulators r_j of the terms j, j + 8, ... of the whole eights, then
@@ -220,12 +219,8 @@ def _batch_objective(model, X, out=None, rows=None):
     For d <= 128 the columns are added in that order (in t), which gives the
     same bits without the per-row cost of a short reduction.
     """
-    if rows is None:   # a few rows, as in run_path: scratch would cost more
-        y = X @ model.spec.basis
-        t = model.spec.eigenvalues * y
-    else:
-        y = np.matmul(X, model.spec.basis, out=rows.a)
-        t = np.multiply(rows.lam, y, out=rows.b)
+    y = np.matmul(X, model.spec.basis, out=rows.a)
+    t = np.multiply(rows.lam, y, out=rows.b)
     t *= y
     d = t.shape[-1]
     if d > 128:
@@ -266,7 +261,7 @@ def observable_fn(model, observable):
     the monomial prod_j x_j^{e_j}.
     """
     if observable == "f":
-        return lambda X: _batch_objective(model, X)
+        return lambda X: _batch_objective(model, X, None, _Rows(model, X.shape))
     exps = np.asarray(observable, dtype=float)
     if exps.shape != (model.dim,):
         raise ValueError("monomial exponents must have length %d" % model.dim)

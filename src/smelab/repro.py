@@ -122,8 +122,9 @@ _FIELDS = {
               "condition numbers must be >= 1"),
     "variant": (str, lambda v: v in (ISOTROPIC_SHIFT, EIGENBASIS_SCALED),
                 "unknown model variant {!r}"),
-    "noise_scale": (float, lambda v: 0 <= v < math.inf,
-                    "must be nonnegative and finite"),
+    # the experiments square it as a Python float, which raises past ~1.3e154
+    "noise_scale": (float, lambda v: 0 <= v and math.isfinite(v * v),
+                    "must be nonnegative with a finite square"),
     "eta_grid": ((float,), lambda v: 0 < v <= 1,
                  "step sizes must lie in (0, 1]"),
     "horizon": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),

@@ -184,8 +184,8 @@ def uniforms(seed, stream, path, step, draw, n, out=None):
     """
     w = raw_words(seed, stream, path, step, draw, n)
     if out is None:
-        return ((w >> _S11).astype(np.float64) + 0.5) * _INV53
-    if out.shape != w.shape:
+        out = np.empty(w.shape)
+    elif out.shape != w.shape:
         raise ValueError("out has shape %s, the draws %s" % (out.shape, w.shape))
     np.copyto(out, w >> _S11)          # exact: the shifted words are below 2**53
     out += 0.5

@@ -6,6 +6,7 @@ Three families, all driven by one fresh noise draw gamma_k per iteration:
 * msgd:  v' = v - mu eta v - eta grad f_gamma(x);          x' = x + eta v'
 * snag:  v' = v - mu eta v - eta grad f_gamma(x + eta (1 - mu eta) v)
          x' = x + eta v'   (the lookahead gradient reuses the SAME gamma)
+written once (_update) for step, run_path and the ensembles alike.
 
 The rescaling from textbook variables (step hat_eta, momentum hat_mu) is
 eta = sqrt(hat_eta), v = hat_v / sqrt(hat_eta), mu = (1 - hat_mu)/sqrt(hat_eta),
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,33 +141,47 @@ def init_state(algo, x0):
     return IterState(0, x0, v0)
 
 
-def step(algo, model, state, stream):
-    """One iteration; consumes exactly one gamma draw from the stream."""
+def _update(algo, model, k, X, V, G, gamma, rows):
+    """The one update of the three families: rows of X (and V, unused by sgd)
+    from iterate k to k + 1 in place under draws gamma (times noise_scale),
+    with G and rows (a models._Rows) as scratch of X's shape."""
     eta = algo.eta
     if algo.family == SGD:
-        draw = models.grad_sample(model, state.x, stream)
-        return IterState(state.k + 1, state.x - eta * draw.gradient, None)
-    mu = mu_at(algo, state.k)
-    if algo.family == MSGD:
-        draw = models.grad_sample(model, state.x, stream)
-    else:
-        gamma = models.draw_gamma(model, stream)
-        look = state.x + eta * (1.0 - mu * eta) * state.v
-        draw = models.GradientDraw(gamma, models.gradient_given_gamma(model, look, gamma))
-    v = state.v - mu * eta * state.v - eta * draw.gradient
-    return IterState(state.k + 1, state.x + eta * v, v)
+        grad = models._batch_gradient(model, X, gamma, G, rows)
+        grad *= eta
+        np.subtract(X, grad, out=X)
+        return
+    c = 1.0 - mu_at(algo, k) * eta
+    at = X
+    if algo.family == SNAG:   # the look-ahead x + eta (1 - mu eta) v
+        at = np.multiply(V, eta * c, out=rows.a)
+        at += X
+    grad = models._batch_gradient(model, at, gamma, G, rows)
+    grad *= eta
+    np.multiply(V, c, out=V)
+    np.subtract(V, grad, out=V)
+    np.add(X, np.multiply(V, eta, out=G), out=X)
+
+
+def step(algo, model, state, stream):
+    """One iteration; consumes exactly one gamma draw from the stream."""
+    X = models._as_point(model, state.x)[None, :].copy()
+    V = None if algo.family == SGD else state.v[None, :].copy()
+    _update(algo, model, state.k, X, V, np.empty_like(X),
+            models.draw_gamma(model, stream), models._Rows(model, X.shape))
+    return IterState(state.k + 1, X[0], None if V is None else V[0])
 
 
 def run_path(algo, model, x0, seed, path=0):
-    """Objective f along a single trajectory; returns array of length N+1."""
-    g = models.observable_fn(model, "f")
-    state = init_state(algo, x0)
-    stream = rng.CounterStream(seed, rng.STREAM_GAMMA, path)
+    """Objective f along a single trajectory; returns array of length N+1:
+    path `path` of run_ensemble at the seed, one row of its chunk kernel."""
+    advance, (f,) = _chunk([algo], model, models._as_point(model, x0), seed,
+                           models._observer(model, "f"), np.array([path], dtype=np.uint64))
     out = np.empty(algo.n_steps + 1)
-    out[0] = g(state.x[None, :])[0]
+    out[0] = f()[0]
     for k in range(algo.n_steps):
-        state = step(algo, model, state, stream)
-        out[k + 1] = g(state.x[None, :])[0]
+        advance(k)
+        out[k + 1] = f()[0]
     return out
 
 
@@ -233,48 +249,34 @@ def run_ensemble(algo, model, x0, n_paths, seed, observable="f", threads=1):
     return _run_ensembles([algo], model, x0, n_paths, seed, observable, threads)[0]
 
 
-def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
-    """run_ensemble of algorithms with one step count on one model, start and
-    seed, as a list of EnsembleStats.  Each chunk makes its buffers once, draws
+def _chunk(algos, model, x0, seed, bind, paths):
+    """_ensemble's start for algorithms from x0 and paths (a uint64 array),
+    with bind from models._observer.  The chunk makes its buffers once, draws
     a step's normals once and steps every algorithm's x (and v) from them in
     place, with the operations of a single run: each keeps its own bits."""
+    m, d = len(paths), model.dim
+    Z = np.empty((m, d))
+    rows = models._Rows(model, (m, d))   # scratch, used by one algorithm at a time
+    states = [(algo, np.tile(x0, (m, 1)), np.zeros((m, d)), np.empty((m, d)))
+              for algo in algos]          # algo, x, v (unused by sgd), gradient
+
+    def advance(k):
+        gamma = rng.normals(seed, rng.STREAM_GAMMA, paths, k, 0, d, out=Z)
+        gamma *= model.noise_scale
+        for algo, X, V, G in states:
+            _update(algo, model, k, X, V, G, gamma, rows)
+
+    return advance, [bind(X, rows) for _, X, _, _ in states]
+
+
+def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
+    """run_ensemble of algorithms with one step count on one model, start and
+    seed, as a list of EnsembleStats, from one draw per path and step (_chunk)."""
     n = algos[0].n_steps
     if any(algo.n_steps != n for algo in algos):
         raise ValueError("a batch needs one step count, got %s" % [a.n_steps for a in algos])
-    x0 = np.asarray(x0, dtype=float)
-    bind = models._observer(model, observable)
-    d, ns = model.dim, model.noise_scale
-
-    def start(paths):
-        m = len(paths)
-        Z = np.empty((m, d))
-        rows = models._Rows(model, (m, d))   # scratch, used by one algorithm at a time
-        states = [(algo, np.tile(x0, (m, 1)), np.zeros((m, d)), np.empty((m, d)))
-                  for algo in algos]          # algo, x, v (unused by sgd), gradient
-
-        def advance(k):
-            gamma = rng.normals(seed, rng.STREAM_GAMMA, paths, k, 0, d, out=Z)
-            gamma *= ns
-            for algo, X, V, G in states:
-                eta = algo.eta
-                if algo.family == SGD:
-                    grad = models._batch_gradient(model, X, gamma, G, rows)
-                    grad *= eta
-                    np.subtract(X, grad, out=X)
-                    continue
-                c = 1.0 - mu_at(algo, k) * eta
-                at = X
-                if algo.family == SNAG:   # the look-ahead x + eta (1 - mu eta) v
-                    at = np.multiply(V, eta * c, out=rows.a)
-                    at += X
-                grad = models._batch_gradient(model, at, gamma, G, rows)
-                grad *= eta
-                np.multiply(V, c, out=V)
-                np.subtract(V, grad, out=V)
-                np.add(X, np.multiply(V, eta, out=G), out=X)
-
-        return advance, [bind(X, rows) for _, X, _, _ in states]
-
+    start = partial(_chunk, algos, model, np.asarray(x0, dtype=float), seed,
+                    models._observer(model, observable))
     return [EnsembleStats(algo.eta * np.arange(n + 1), mean, stderr, n_paths, observable)
             for algo, (mean, stderr) in zip(algos, _ensemble(n_paths, n, start, threads))]
 

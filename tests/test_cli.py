@@ -261,6 +261,10 @@ def _defaults(experiment, **changes):
     ("weak-error", _defaults("weak_error", eigenvalues=[True, 0.1]), 2,
      "eigenvalues"),
     ("momentum", _defaults("momentum_dynamics", horizon="40"), 2, "horizon"),
+    # noise_scale ** 2 would overflow a Python float
+    ("momentum", _defaults("momentum_dynamics", noise_scale=1e200), 2, "noise_scale"),
+    ("weak-error", _defaults("weak_error", noise_scale=1e200), 2, "noise_scale"),
+    ("divergence", _defaults("divergence", noise_scale=1e200), 2, "noise_scale"),
     # the momentum scan runs mu up to 1.9, past 1/eta at eta = 0.9
     ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
                   "eta_grid": [0.9], "horizon": 40.0, "mu_values": [1.0],
@@ -319,6 +323,7 @@ _VALUES = st.one_of(
                                max_size=2))
 @example(command="momentum", changes={"families": 3})
 @example(command="momentum", changes={"eta_grid": [0.6], "mu_values": [0.5]})
+@example(command="momentum", changes={"noise_scale": 1e200})
 def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
     config = dict(_SMALL_CONFIGS[command], **changes)
     stderr = io.StringIO()

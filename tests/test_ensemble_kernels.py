@@ -241,7 +241,8 @@ def test_batch_objective_equals_numpy_sum(d):
     X = gen.standard_normal((1000, d)) * 10.0 ** gen.uniform(-8, 8, (1000, d))
     y = X @ model.spec.basis
     want = 0.5 * np.sum(model.spec.eigenvalues * y * y, axis=-1)
-    assert np.array_equal(models._batch_objective(model, X), want)
+    assert np.array_equal(models._batch_objective(model, X, None,
+                                                  models._Rows(model, X.shape)), want)
     out = np.empty(1000)
     assert models._batch_objective(model, X, out, models._Rows(model, X.shape)) is out
     assert np.array_equal(out, want)

@@ -680,3 +680,22 @@ def test_run_ensemble_matches_run_path():
     paths = np.stack([run_path(algo, model, [1.0, 1.0], seed=13, path=p)
                       for p in range(16)])
     assert_allclose(stats.mean, paths.mean(axis=0), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("family, momentum", [
+    (SGD, None), (MSGD, ConstantMomentum(1.2)), (SNAG, ConstantMomentum(0.9)),
+    (MSGD, NesterovSchedule()), (SNAG, NesterovSchedule())],
+    ids=["sgd", "msgd.const", "snag.const", "msgd.sched", "snag.sched"])
+@pytest.mark.parametrize("kind", [ISOTROPIC_SHIFT, EIGENBASIS_SCALED])
+def test_mean_of_run_paths_is_the_ensemble_mean(kind, family, momentum):
+    # path p of run_ensemble is run_path(..., path=p): one update rule, one draw
+    model = from_spectrum(kind, [1.5, 0.6, 0.2], basis=haar_orthogonal(3, seed=4),
+                          noise_scale=0.7)
+    algo = AlgoSpec(family, 0.1, 3.0, momentum)
+    x0 = [1.0, -2.0, 0.5]
+    n_paths = 12
+    stats = run_ensemble(algo, model, x0, n_paths, seed=21)
+    paths = np.stack([run_path(algo, model, x0, seed=21, path=p)
+                      for p in range(n_paths)])
+    err = np.abs(paths.mean(axis=0) - stats.mean) / np.abs(stats.mean)
+    assert np.max(err) <= 1e-13

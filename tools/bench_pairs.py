@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --out BENCH_N.json \\
         [--seeds 101-110] [--workloads figures exact montecarlo] \\
         [--confirm-seeds 131-140] [--traced-seed 111] [--seconds 25] \\
-        [--rss-seeds 121-124 --rss-seconds 3] [--what TEXT]
+        [--rss-seeds 121-124 --rss-seconds 0] [--what TEXT]
 
 Run from the root of a smelab checkout.  The parent tree comes from
 ``git archive REV``; the change is a copy of the working tree's tracked and
@@ -15,8 +15,12 @@ For every workload and seed, one pair runs
 the root of each copy, and the side that runs first alternates by pair (the
 parent first on the first seed).  ``--confirm-seeds`` repeats the pairs on
 figures alone with other seeds; ``--traced-seed`` adds one ``--trace 1`` run
-per side and workload; ``--rss-seeds`` adds short figures pairs, whose few
-passes let the two sides' peak RSS be compared at equal pass counts.
+per side and workload; ``--rss-seeds`` adds short pairs on every workload.
+bench/run.py keeps the outputs of every timed pass, so a faster side that
+fits more passes in its budget also reads a higher peak RSS; at the default
+``--rss-seconds 0`` each run makes bench/run.py's least number of timed
+passes, so the short pairs compare the two sides' peak RSS at equal pass
+counts, and ``equal_passes`` says whether every pair did.
 
 The JSON written has, per workload and per end-to-end metric: both sides'
 median, quartiles and range, the change/parent median ratio, the number of
@@ -162,7 +166,7 @@ def main(argv=None):
     parser.add_argument("--traced-seed", type=int, default=None)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--rss-seeds", type=seed_range, default=[])
-    parser.add_argument("--rss-seconds", type=float, default=3.0)
+    parser.add_argument("--rss-seconds", type=float, default=0.0)
     parser.add_argument("--what", default="", help="one line on what is compared")
     args = parser.parse_args(argv)
 
@@ -191,8 +195,14 @@ def main(argv=None):
             runs = run_pairs(trees, "figures", args.confirm_seeds, args.seconds, log)
             result["figures_confirm"] = digest(runs)
         if args.rss_seeds:
-            runs = run_pairs(trees, "figures", args.rss_seeds, args.rss_seconds, log)
-            result["figures_rss_short_runs"] = digest(runs)
+            result["rss_short_runs"] = {}
+            for workload in args.workloads:
+                block = digest(run_pairs(trees, workload, args.rss_seeds,
+                                         args.rss_seconds, log))
+                block["equal_passes"] = all(
+                    len(set(sides.values())) == 1
+                    for sides in block["timed_passes_per_seed"].values())
+                result["rss_short_runs"][workload] = block
         if args.traced_seed is not None:
             result["traced"] = {}
             for workload in args.workloads:
