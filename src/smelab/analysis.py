@@ -25,10 +25,13 @@ CRITICAL = "critical"
 
 def _eigenvalues_of(spec_or_lambdas):
     if isinstance(spec_or_lambdas, SpectralDecomp):
-        return spec_or_lambdas.eigenvalues
-    lam = np.asarray(spec_or_lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("expected a SpectralDecomp or a 1-d eigenvalue array")
+        lam = spec_or_lambdas.eigenvalues
+    else:
+        lam = np.asarray(spec_or_lambdas, dtype=float)
+        if lam.ndim != 1 or lam.size == 0:
+            raise ValueError("expected a SpectralDecomp or a 1-d eigenvalue array")
+    if np.any(lam <= 0):
+        raise ValueError("eigenvalues must be positive")
     return lam
 
 
@@ -59,8 +62,6 @@ def momentum_eigs(mu, spec_or_lambdas):
     if mu <= 0:
         raise ValueError("mu must be positive")
     lam = _eigenvalues_of(spec_or_lambdas)
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
     pairs = _pairs_2x2(-_drift_blocks("msgd", 1, lam, 0.0, mu)[0])
     cls = tuple(classify_damping(mu, l) for l in lam)
     return EigenReport(pairs, float(np.min(pairs.real)), cls,
@@ -70,10 +71,7 @@ def momentum_eigs(mu, spec_or_lambdas):
 def optimal_mu(spec_or_lambdas):
     """The rate-optimal constant momentum 2 sqrt(lam_min) (critical damping of
     the slowest mode)."""
-    lam = _eigenvalues_of(spec_or_lambdas)
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
-    return 2.0 * math.sqrt(float(np.min(lam)))
+    return 2.0 * math.sqrt(float(np.min(_eigenvalues_of(spec_or_lambdas))))
 
 
 def _drift_blocks(family, order, lam, eta, mu=None, t=0.0):
@@ -313,10 +311,7 @@ def descent_rate(series, eta, floor=None):
 def divergence_threshold(spec_or_lambdas):
     """SME prediction for the critical step size of the multiplicative-noise
     model at unit noise scale: eta* = 2 lam_min."""
-    lam = _eigenvalues_of(spec_or_lambdas)
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
-    return 2.0 * float(np.min(lam))
+    return 2.0 * float(np.min(_eigenvalues_of(spec_or_lambdas)))
 
 
 def discrete_divergence_threshold(lam, noise_scale=1.0):

@@ -87,14 +87,13 @@ def _as_point(model, x):
 
 def objective(model, x):
     """f(x) = (1/2) x^T H x, identical for both model kinds."""
-    y = model.spec.to_eigen(_as_point(model, x))
-    return 0.5 * float(np.sum(model.spec.eigenvalues * y * y))
+    x = _as_point(model, x)[None, :]
+    return float(_batch_objective(model, x, None, _Rows(model, x.shape))[0])
 
 
 def grad_full(model, x):
     """The full (noise-free) gradient H x."""
-    x = _as_point(model, x)
-    return model.spec.from_eigen(model.spec.eigenvalues * model.spec.to_eigen(x))
+    return gradient_given_gamma(model, x, 0.0)
 
 
 def sampled_objective(model, x, gamma):
@@ -112,13 +111,9 @@ def sampled_objective(model, x, gamma):
 
 def gradient_given_gamma(model, x, gamma):
     """grad f_gamma(x) for a concrete draw (used to reuse one draw at two points)."""
-    x = _as_point(model, x)
-    gamma = np.asarray(gamma, dtype=float)
-    if model.kind == ISOTROPIC_SHIFT:
-        z = model.spec.to_eigen(x - gamma)
-        return model.spec.from_eigen(model.spec.eigenvalues * z)
-    y = model.spec.to_eigen(x)
-    return model.spec.from_eigen((model.spec.eigenvalues + gamma) * y)
+    x = _as_point(model, x)[None, :]
+    return _batch_gradient(model, x, np.asarray(gamma, dtype=float), None,
+                           _Rows(model, x.shape))[0]
 
 
 def draw_gamma(model, stream):
@@ -132,26 +127,24 @@ def grad_sample(model, x, stream):
     return GradientDraw(gamma, gradient_given_gamma(model, x, gamma))
 
 
+def _noise_weight(model, x):
+    """w in Sigma^{1/2}(x) = ns Q diag(w) Q^T: lam, or |Q^T x| on eigenbasis_scaled."""
+    x = _as_point(model, x)
+    if model.kind == ISOTROPIC_SHIFT:
+        return model.spec.eigenvalues
+    return np.abs(model.spec.basis.T @ x)
+
+
 def sigma(model, x):
     """Gradient-noise covariance Sigma(x) = Cov[grad f_gamma(x)]."""
-    x = _as_point(model, x)
-    ns2 = model.noise_scale ** 2
     q = model.spec.basis
-    lam = model.spec.eigenvalues
-    if model.kind == ISOTROPIC_SHIFT:
-        return ns2 * (q * lam ** 2) @ q.T
-    y = q.T @ x
-    return ns2 * (q * y ** 2) @ q.T
+    return model.noise_scale ** 2 * (q * _noise_weight(model, x) ** 2) @ q.T
 
 
 def sigma_sqrt(model, x):
     """The positive-semidefinite square root of sigma(model, x)."""
-    x = _as_point(model, x)
     q = model.spec.basis
-    if model.kind == ISOTROPIC_SHIFT:
-        return model.noise_scale * (q * model.spec.eigenvalues) @ q.T
-    y = q.T @ x
-    return model.noise_scale * (q * np.abs(y)) @ q.T
+    return model.noise_scale * (q * _noise_weight(model, x)) @ q.T
 
 
 def sigma_mc(model, x, n_draws, seed):

@@ -873,6 +873,10 @@ def exp_momentum_dynamics(config=None):
     if _SCAN_MU_GRID[-1] > 1.0 / eta0:
         raise ConfigError("eta_grid: the momentum scan runs mu up to %g, past 1/eta"
                           " = %g at eta = %g" % (_SCAN_MU_GRID[-1], 1.0 / eta0, eta0))
+    if _SCAN_HORIZON / eta0 > _MAX_SERIES_STEPS:
+        raise ConfigError("eta_grid: the momentum scan's %.3g steps of eta = %g exceed"
+                          " the limit of %d per series"
+                          % (_SCAN_HORIZON / eta0, eta0, _MAX_SERIES_STEPS))
 
     rows, metrics, checks, curves = [], [], [], []
     deviations = {}
@@ -1007,6 +1011,9 @@ def exp_msgd_vs_snag(config=None):
     cfg = _resolve(config, "msgd_vs_snag", ISOTROPIC_SHIFT)
     if not cfg.mu_values:
         raise ConfigError("mu_values: msgd_vs_snag needs a constant momentum")
+    if cfg.x0 and cfg.dimension != 2:
+        raise ConfigError("x0: part (a) runs on 2-mode models (1, lam_d), so an "
+                          "explicit x0 needs dimension 2")
     eta = cfg.eta_grid[0]
     mu_const = cfg.mu_values[0]
 

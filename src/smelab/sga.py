@@ -519,8 +519,7 @@ def exact_moment_recursion(algo, model, x0):
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
                          % (algo.family, model.kind))
-    constant = isinstance(algo.momentum, ConstantMomentum)
-    if constant:
+    if isinstance(algo.momentum, ConstantMomentum):
         series = next(constant_momentum_runs([algo], model, x0))[1]
         if series is not None:
             return series
@@ -531,13 +530,11 @@ def exact_moment_recursion(algo, model, x0):
     out[0] = f0
     if algo.family == SGD:
         return out
-    m = _mode_update(algo, model, 0)
     noise = _mode_noise(algo, model)
     P = np.zeros((model.dim, 2, 2))
     P[:, 1, 1] = y0 * y0
     for k in range(n):
-        if not constant:
-            m = _mode_update(algo, model, k)
+        m = _mode_update(algo, model, k)
         P = m @ P @ np.swapaxes(m, 1, 2) + noise
         out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
     return out

@@ -94,19 +94,23 @@ class SmeSystem:
         return _drift_blocks(self.family, self.order, self.model.spec.eigenvalues,
                              self.eta, self.mu, t)
 
-    def _map(self, blocks, y):
+    def _drift_matrix(self, t=0.0):
+        """The drift b0 + eta b1 at time t as a matrix on the state."""
+        b0, b1 = self._blocks(t)
+        return _assemble(self.model.spec, b0 + self.eta * b1)
+
+    def _map(self, a, y):
         self.split_state(y)
-        return _assemble(self.model.spec, blocks) @ np.asarray(y, dtype=float)
+        return a @ np.asarray(y, dtype=float)
 
     def drift_b0(self, y, t=0.0):
-        return self._map(self._blocks(t)[0], y)
+        return self._map(_assemble(self.model.spec, self._blocks(t)[0]), y)
 
     def drift_b1(self, y, t=0.0):
-        return self._map(self._blocks(t)[1], y)
+        return self._map(_assemble(self.model.spec, self._blocks(t)[1]), y)
 
     def drift(self, y, t=0.0):
-        b0, b1 = self._blocks(t)
-        return self._map(b0 + self.eta * b1, y)
+        return self._map(self._drift_matrix(t), y)
 
     def noise_factor(self, y, t=0.0):
         """Full diffusion factor multiplying dW: sqrt(eta) [Sigma^{1/2}; 0]."""
@@ -125,8 +129,7 @@ class SmeSystem:
             raise ValueError("the %s model has state-dependent noise" % self.model.kind)
         if self.family == SNAG_VARYING:
             raise ValueError("the varying-coefficient system is not autonomous")
-        b0, b1 = self._blocks()
-        a = _assemble(self.model.spec, b0 + self.eta * b1)
+        a = self._drift_matrix()
         s = np.zeros((self.state_dim, self.dim_x))
         s[:self.dim_x] = math.sqrt(self.eta) * self.model.noise_scale * self.model.hessian
         return a, s
@@ -140,8 +143,7 @@ def build_sme(model, family, order, eta, mu=None, t0=None):
 
 
 def _batch_drift(system, Y, t, out=None):
-    b0, b1 = system._blocks(t)
-    return np.matmul(Y, _assemble(system.model.spec, b0 + system.eta * b1).T, out=out)
+    return np.matmul(Y, system._drift_matrix(t).T, out=out)
 
 
 def _batch_noise(system, Y, Z, out, rows):
@@ -191,9 +193,7 @@ def em_integrate_ensemble(system, start, T, n_paths, seed, substeps=16,
     d = system.dim_x
     varying = system.family == SNAG_VARYING
     if not varying:   # C-ordered: numpy multiplies by a transposed view slower
-        b0, b1 = system._blocks()
-        drift_t = np.ascontiguousarray(_assemble(system.model.spec,
-                                                 b0 + system.eta * b1).T)
+        drift_t = np.ascontiguousarray(system._drift_matrix().T)
 
     def chunk(paths):
         m = len(paths)
@@ -272,11 +272,20 @@ def linear_sme_moments(system, y0):
 # ---------------------------------------------------------------------------
 
 
-def _decay_rates(spec, eta, order):
+def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
+    """E f(X_t) of the sgd modified equation whose per-mode second moment
+    obeys p' = (growth - 2 m_i) p + source_i from y0_i^2 (source None: no
+    source term), with m_i as in ou_expected_f."""
     lam = spec.eigenvalues
-    if order == 2:
-        return lam * (1.0 + 0.5 * eta * lam)
-    return lam.copy()
+    y0 = spec.to_eigen(np.asarray(x0, dtype=float))
+    m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
+    t = np.asarray(t, dtype=float)
+    decay = np.exp((growth - 2.0 * m) * t[..., None])
+    ey2 = decay * y0 ** 2
+    if source is not None:
+        ey2 = ey2 + source * (1.0 - decay) / (2.0 * m - growth)
+    out = 0.5 * np.sum(lam * ey2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def ou_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
@@ -287,14 +296,8 @@ def ou_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
       E y_i(t)^2 = e^{-2 m_i t} y0_i^2 + eta ns^2 lam_i^2 (1 - e^{-2 m_i t})/(2 m_i).
     t may be a scalar or an array.
     """
-    lam = spec.eigenvalues
-    y0 = spec.to_eigen(np.asarray(x0, dtype=float))
-    m = _decay_rates(spec, eta, order)
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(-2.0 * m * t[..., None])
-    ey2 = decay * y0 ** 2 + eta * noise_scale ** 2 * lam ** 2 * (1.0 - decay) / (2.0 * m)
-    out = 0.5 * np.sum(lam * ey2, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _sgd_expected_f(spec, x0, eta, t, order, 0.0,
+                           eta * noise_scale ** 2 * spec.eigenvalues ** 2)
 
 
 def bs_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
@@ -304,13 +307,7 @@ def bs_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
       E y_i(t)^2 = y0_i^2 exp((eta ns^2 - 2 m_i) t),
     with m_i as in ou_expected_f.  The mode diverges iff eta ns^2 > 2 m_i.
     """
-    lam = spec.eigenvalues
-    y0 = spec.to_eigen(np.asarray(x0, dtype=float))
-    m = _decay_rates(spec, eta, order)
-    t = np.asarray(t, dtype=float)
-    ey2 = y0 ** 2 * np.exp((eta * noise_scale ** 2 - 2.0 * m) * t[..., None])
-    out = 0.5 * np.sum(lam * ey2, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _sgd_expected_f(spec, x0, eta, t, order, eta * noise_scale ** 2)
 
 
 def R_function(t, mu, lam):

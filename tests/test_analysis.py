@@ -133,6 +133,18 @@ def test_order2_eigs_limits_and_gap():
         order2_eigs("msgd", -1.0, eta, spec)
 
 
+@pytest.mark.parametrize("lams", [[1.0, 0.0], [1.0, -0.5]])
+@pytest.mark.parametrize("spectral", [
+    lambda lams: momentum_eigs(0.5, lams),
+    optimal_mu,
+    divergence_threshold,
+    lambda lams: order2_eigs("snag", 0.5, 0.1, lams),
+], ids=["momentum_eigs", "optimal_mu", "divergence_threshold", "order2_eigs"])
+def test_spectral_functions_reject_nonpositive_eigenvalues(spectral, lams):
+    with pytest.raises(ValueError, match="eigenvalues must be positive"):
+        spectral(lams)
+
+
 def test_varying_momentum_eigs_limits():
     spec = _spec([1.0, 0.25])
     t0 = 2.0

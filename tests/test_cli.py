@@ -272,6 +272,20 @@ def _defaults(experiment, **changes):
     ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
                   "eta_grid": [0.9], "horizon": 40.0, "mu_values": [1.0],
                   "n_paths": 0, "x0": [30, 30]}, 2, "eta_grid"),
+    # the config's own series have 50,000 steps, but the momentum scan runs
+    # 40/eta = 2,000,000, past the per-series limit
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 0.25],
+                  "eta_grid": [2e-5], "horizon": 1.0, "mu_values": [0.5, 2.0],
+                  "n_paths": 0, "x0": [30, 30]}, 2, "eta_grid"),
+    # part (a) runs on fixed 2-mode models, which an x0 of another length
+    # does not fit
+    ("compare-snag", {"experiment": "msgd_vs_snag", "dimension": 1,
+                      "eigenvalues": [1.0], "eta_grid": [0.1], "horizon": 400.0,
+                      "mu_values": [0.2], "x0": [1000.0]}, 2, "x0"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "dimension": 3,
+                      "eigenvalues": [1.0, 0.5, 0.25], "eta_grid": [0.1],
+                      "horizon": 400.0, "mu_values": [0.2],
+                      "x0": [1000.0, 1000.0, 1000.0]}, 2, "x0"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -324,6 +338,9 @@ _VALUES = st.one_of(
 @example(command="momentum", changes={"families": 3})
 @example(command="momentum", changes={"eta_grid": [0.6], "mu_values": [0.5]})
 @example(command="momentum", changes={"noise_scale": 1e200})
+@example(command="momentum", changes={"eta_grid": [2e-5], "horizon": 1.0})
+@example(command="compare-snag", changes={"dimension": 1, "eigenvalues": [1.0],
+                                          "x0": [1000.0]})
 def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
     config = dict(_SMALL_CONFIGS[command], **changes)
     stderr = io.StringIO()
