@@ -176,14 +176,15 @@ def sigma_mc(model, x, n_draws, seed):
 
 class _Rows:
     """Scratch for points of a model stacked in rows, of the given shape:
-    two buffers a and b, the eigenvalues repeated in every row (numpy runs a
-    product with a (d,) vector broadcast over the rows row by row, several
-    times slower at small d) and a C-ordered copy of basis.T (numpy
-    multiplies by the transposed view several times slower).  An ensemble
-    chunk makes one and reuses it at every step."""
+    two buffers a and b, the eigenvalues (repeated in every row of a batch:
+    numpy runs a product with a (d,) vector broadcast over the rows row by
+    row, several times slower at small d) and a C-ordered copy of basis.T
+    (numpy multiplies by the transposed view several times slower).  An
+    ensemble chunk makes one and reuses it at every step."""
 
     def __init__(self, model, shape):
-        self.lam = np.broadcast_to(model.spec.eigenvalues, shape).copy()
+        lam = model.spec.eigenvalues
+        self.lam = lam if shape[0] == 1 else np.broadcast_to(lam, shape).copy()
         self.basis_t = np.ascontiguousarray(model.spec.basis.T)
         self.a = np.empty(shape)
         self.b = np.empty(shape)
@@ -209,15 +210,15 @@ def _batch_objective(model, X, out, rows):
     numpy sums fewer than eight terms left to right, and up to 128 in eight
     accumulators r_j of the terms j, j + 8, ... of the whole eights, then
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the rest in turn.
-    For d <= 128 the columns are added in that order (in t), which gives the
-    same bits without the per-row cost of a short reduction.
+    For d <= 128 and several rows the columns are added in that order (in t):
+    the same bits without the per-row cost of a short reduction.
     """
     y = np.matmul(X, model.spec.basis, out=rows.a)
     t = np.multiply(rows.lam, y, out=rows.b)
     t *= y
     d = t.shape[-1]
-    if d > 128:
-        out = np.sum(t, axis=-1, out=out)
+    if d > 128 or t.shape[0] == 1:
+        out = np.add.reduce(t, axis=-1, out=out)
     else:
         rest = 1 if d < 8 else d - d % 8   # the first column added in turn
         if d >= 8:

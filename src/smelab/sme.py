@@ -327,8 +327,7 @@ def R_function(t, mu, lam):
     regime = classify_damping(mu, lam)
     t = float(t)
     if mu * t > 700.0:
-        return min(mu / (4.0 * lam), 1.0 / mu) if regime == UNDERDAMPED \
-            else 1.0 / mu
+        return min(mu / (4.0 * lam), 1.0 / mu) if regime == UNDERDAMPED else 1.0 / mu
     if regime == UNDERDAMPED:
         om = math.sqrt(4.0 * lam - mu * mu)
         return (mu + om * math.exp(-mu * t) * math.sin(om * t)
@@ -350,10 +349,6 @@ class LangevinBlockSystem:
     noise_scale: float
     variant: str
     blocks: Block2x2Family
-
-
-# e_v e_v^T: the noise enters the v slot of the (v, x) state
-_EV_EV = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
 def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
@@ -380,9 +375,12 @@ def langevin_expected_f_exact(system, x0, t):
     variant and damping regime: E is the closed-form 2x2 exponential,
     evaluated over every finite t and mode in one broadcast call, and at
     t = inf only C_inf is used (the system must be asymptotically stable).
-    Where t ||a_i||_1 < 0.5 the difference cancels (relative error ~ eps/t^3),
-    so C_i(t) = E G instead, G the upper-right block of Van Loan's
-    expm(t [[a, e_v e_v^T], [0, -a^T]]), which overflows at large t ||a||.
+    Where theta = t ||a_i||_1 < 0.5 the difference cancels (relative error
+    ~ eps/t^3), so C_i(t) = sum_n (-1)^n t^(n+1)/(n+1)! L^n(e_v e_v^T) with
+    L(X) = a X + X a^T instead.  The xx entry of term n is at most b_n t^3
+    a_xv^2, b_n = (2 theta)^(n-2) n (n-1)/(n+1)!, later terms add below b_n/2,
+    and C_xx >= (2 - e^theta)^2 t^3 a_xv^2/3: each (t, mode) pair stops at the
+    first n >= 3 with 5 b_n <= 2^-53 (2 - e^theta)^2 (3 to 21 terms).
     t may be a scalar, math.inf or an array; a scalar returns a float.
     """
     t = np.asarray(t, dtype=float)
@@ -406,16 +404,21 @@ def langevin_expected_f_exact(system, x0, t):
     e = system.blocks.block_exp(-np.where(finite, ts, 0.0))
     e[~finite] = 0.0
     cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
-    small = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1) < 0.5
-    if small.any():
-        from scipy.linalg import expm
-        k, i = np.nonzero(small)
-        tk = ts[k, None, None]
-        m = np.zeros((k.size, 4, 4))
-        m[:, :2, :2] = tk * a[i]
-        m[:, :2, 2:] = tk * _EV_EV
-        m[:, 2:, 2:] = -tk * np.swapaxes(a[i], -1, -2)
-        cov[k, i] = e[k, i] @ expm(m)[:, :2, 2:]
+    theta = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1)
+    k, i = np.nonzero(theta < 0.5)
+    if k.size:
+        ta, theta = ts[k, None, None] * a[i], theta[k, i, None, None]
+        floor = 2.0 ** -53 * (2.0 - np.exp(theta)) ** 2 / 5.0
+        # term n of C/t, (-t L)^n (e_v e_v^T)/(n+1)!: the noise enters the v slot
+        y = np.broadcast_to(np.array([[1.0, 0.0], [0.0, 0.0]]), ta.shape)
+        total, b, n = y.copy(), 1.0 / 3.0, 1     # b is b_n from n = 2 on
+        while np.any(b > floor):
+            p = ta @ y
+            y = (p + np.swapaxes(p, -1, -2)) / -(n + 1.0)
+            total += np.where(b > floor, y, 0.0)
+            n += 1
+            b = b * 2.0 * theta * n / ((n - 2) * (n + 1)) if n > 2 else b
+        cov[k, i] = ts[k, None, None] * total
     x = e[..., 1, 1] * y0
     noise = system.eta * system.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
     out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
@@ -424,8 +427,8 @@ def langevin_expected_f_exact(system, x0, t):
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on first use: only the quadrature
-    oracle integrates, and importing scipy.integrate costs an import of this
-    package about as much time and memory as scipy.linalg does."""
+    oracle integrates, and like scipy.linalg, which only the oracles import,
+    scipy.integrate would cost every import of this package time and memory."""
     from scipy.integrate import quad as integrate
     return integrate(*args, **kwargs)
 
@@ -515,12 +518,8 @@ def asymptotic_noise_msgd(spec, mu, eta, noise_scale=1.0):
         if regime == CRITICAL:
             raise ValueError("degenerate damping at lam=%g: |mu^2-4lam| below tolerance" % lam)
         disc = mu * mu - 4.0 * lam
-        if regime == OVERDAMPED:
-            root = math.sqrt(disc)
-            re_p = 0.5 * (mu + root)
-            re_m = 0.5 * (mu - root)
-        else:
-            re_p = re_m = 0.5 * mu
+        root = math.sqrt(disc) if regime == OVERDAMPED else 0.0
+        re_p, re_m = 0.5 * (mu + root), 0.5 * (mu - root)
         bracket = (1.0 / (2.0 * re_p) + 1.0 / (2.0 * re_m)
                    - 2.0 * min(mu / (4.0 * lam), 1.0 / mu))
         total += 0.5 * eta * noise_scale ** 2 * lam ** 3 * bracket / abs(disc)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -366,3 +368,23 @@ def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
         assert len(lines) == 1, lines
         match = re.match(r"config error: (\w+): .", lines[0])
         assert match and match.group(1) in _FIELD_NAMES, lines[0]
+
+
+def test_figures_imports_scipy_special_but_not_scipy_linalg(tmp_path):
+    # scipy.linalg serves only the oracles (mat_exp_dense, linear_sme_moments,
+    # the quadrature), and ndtri from scipy.special defines every normal draw
+    code = ("import contextlib, io, sys\n"
+            "from smelab import cli\n"
+            "for threads in ('1', '2'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(['figures', '--out', sys.argv[1] + threads,\n"
+            "                         '--threads', threads])\n"
+            "    print(code)\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "threads")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["0", "0", "False", "True"]

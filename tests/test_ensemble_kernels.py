@@ -248,6 +248,45 @@ def test_batch_objective_equals_numpy_sum(d):
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 17, 64, 130])
+def test_single_point_calls_equal_the_reference_on_one_row(kind, d):
+    # objective, gradient_given_gamma and step run the batch kernels on one
+    # row, whose scratch takes the (d,) eigenvalues and whose f is one
+    # np.add.reduce: the bits of the allocating reference on that row (with
+    # the kernels' C-ordered basis.T, which one-row products tell apart)
+    model = _model(kind, d) if d <= 64 else from_spectrum(
+        kind, np.linspace(1.0, 0.2, d), noise_scale=0.5)
+    q, lam = model.spec.basis, model.spec.eigenvalues
+    q_t = np.ascontiguousarray(q.T)
+
+    def grad(x, gamma):
+        if kind == ISOTROPIC_SHIFT:
+            return ((x - gamma) @ q * lam) @ q_t
+        return ((x @ q) * (lam + gamma)) @ q_t
+
+    gen = np.random.default_rng(200 + d)
+    for j in range(8):
+        x = gen.standard_normal((1, d)) * 10.0 ** gen.uniform(-4, 4, (1, d))
+        v = gen.standard_normal((1, d))
+        gamma = model.noise_scale * rng.CounterStream(5, rng.STREAM_GAMMA, j).normals(d)
+        assert models.objective(model, x[0]) == _ref_observable(model, "f")(x)[0]
+        assert np.array_equal(models.gradient_given_gamma(model, x[0], gamma),
+                              grad(x, gamma)[0])
+        for algo in (AlgoSpec(SGD, 0.1, 1.0), AlgoSpec(MSGD, 0.1, 1.0, ConstantMomentum(2.0)),
+                     AlgoSpec(SNAG, 0.1, 1.0, NesterovSchedule())):
+            state = sga.IterState(3, x[0], None if algo.family == SGD else v[0])
+            after = sga.step(algo, model, state, rng.CounterStream(5, rng.STREAM_GAMMA, j))
+            if algo.family == SGD:
+                assert np.array_equal(after.x, (x - 0.1 * grad(x, gamma))[0])
+                continue
+            c = 1.0 - mu_at(algo, 3) * 0.1
+            at = x if algo.family == MSGD else x + 0.1 * c * v
+            v_next = v * c - 0.1 * grad(at, gamma)
+            assert np.array_equal(after.v, v_next[0])
+            assert np.array_equal(after.x, (x + 0.1 * v_next)[0])
+
+
 # Sums over thousands of paths absorb a last-bit change in a few of them, so
 # the same comparison runs on many two-path ensembles as well.
 SEEDS = range(16)

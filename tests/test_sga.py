@@ -374,26 +374,26 @@ def test_constant_momentum_series_against_mpmath(family):
     # loop in double precision is off by up to 1.4e-10 (msgd) and 3.7e-10
     # (snag) here, where an oscillating mode passes near zero
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    eta, mu, n = 0.1, 0.2, 1200
-    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 1.0], noise_scale=1.0)
-    x0 = np.array([5.0e4, 1.0e6])
-    algo = AlgoSpec(family, eta, n * eta + 1e-9, ConstantMomentum(mu))
-    series = exact_moment_recursion(algo, model, x0)
-    modes = []
-    for lam, y in zip(model.spec.eigenvalues, model.spec.to_eigen(x0)):
-        m, noise = _mode_matrices(family, lam, eta, mu, 1.0)
-        modes.append((mp.mpf(lam), mp.matrix(m.tolist()), mp.matrix(noise.tolist()),
-                      mp.matrix([[0, 0], [0, mp.mpf(y) ** 2]])))
-    worst = 0.0
-    for k in range(n + 1):
-        ref = sum(lam / 2 * p[1, 1] for lam, _, _, p in modes)
-        worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
-        modes = [(lam, m, noise, m * p * m.T + noise) for lam, m, noise, p in modes]
-    # the power tables are built in extended precision where the platform
-    # has it; with a double-only longdouble the bound is 10x wider
-    extended = np.finfo(np.longdouble).eps < 1e-18
-    assert worst < (5e-12 if extended else 5e-11)
+    with mp.workdps(40):
+        eta, mu, n = 0.1, 0.2, 1200
+        model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 1.0], noise_scale=1.0)
+        x0 = np.array([5.0e4, 1.0e6])
+        algo = AlgoSpec(family, eta, n * eta + 1e-9, ConstantMomentum(mu))
+        series = exact_moment_recursion(algo, model, x0)
+        modes = []
+        for lam, y in zip(model.spec.eigenvalues, model.spec.to_eigen(x0)):
+            m, noise = _mode_matrices(family, lam, eta, mu, 1.0)
+            modes.append((mp.mpf(lam), mp.matrix(m.tolist()), mp.matrix(noise.tolist()),
+                          mp.matrix([[0, 0], [0, mp.mpf(y) ** 2]])))
+        worst = 0.0
+        for k in range(n + 1):
+            ref = sum(lam / 2 * p[1, 1] for lam, _, _, p in modes)
+            worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
+            modes = [(lam, m, noise, m * p * m.T + noise) for lam, m, noise, p in modes]
+        # the power tables are built in extended precision where the platform
+        # has it; with a double-only longdouble the bound is 10x wider
+        extended = np.finfo(np.longdouble).eps < 1e-18
+        assert worst < (5e-12 if extended else 5e-11)
 
 
 def test_constant_momentum_series_memory_stays_small():
@@ -532,24 +532,24 @@ def test_sgd_series_against_mpmath(case):
     # p_k = a^k p_0 + b S_k per mode in 40 digits on the same a, b doubles,
     # with S_k = k at a == 1 and (1 - a^k) / (1 - a) otherwise
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    model, eta, x0, n = _SGD_SERIES_CASES[case]()
-    algo = AlgoSpec(SGD, eta, n * eta + 1e-9)
-    assert algo.n_steps == n
-    series = exact_moment_recursion(algo, model, x0)
-    assert series.shape == (n + 1,)
-    _, a, b = sga._sgd_factors(model, eta)
-    assert case != "a-is-one" or a[0] == 1.0
-    modes = [(mp.mpf(lam) / 2, mp.mpf(ai), mp.mpf(bi), mp.mpf(y) ** 2)
-             for lam, ai, bi, y in zip(model.spec.eigenvalues, a, b,
-                                       model.spec.to_eigen(x0))]
-    worst = 0.0
-    for k in sorted(set(range(0, n + 1, 300 if n > 10000 else 1)) | {n}):
-        ref = mp.fsum(half * (ai ** k * p0 + bi * (k if ai == 1 else
-                                                   (1 - ai ** k) / (1 - ai)))
-                      for half, ai, bi, p0 in modes)
-        worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
-    assert worst < 1e-15
+    with mp.workdps(40):
+        model, eta, x0, n = _SGD_SERIES_CASES[case]()
+        algo = AlgoSpec(SGD, eta, n * eta + 1e-9)
+        assert algo.n_steps == n
+        series = exact_moment_recursion(algo, model, x0)
+        assert series.shape == (n + 1,)
+        _, a, b = sga._sgd_factors(model, eta)
+        assert case != "a-is-one" or a[0] == 1.0
+        modes = [(mp.mpf(lam) / 2, mp.mpf(ai), mp.mpf(bi), mp.mpf(y) ** 2)
+                 for lam, ai, bi, y in zip(model.spec.eigenvalues, a, b,
+                                           model.spec.to_eigen(x0))]
+        worst = 0.0
+        for k in sorted(set(range(0, n + 1, 300 if n > 10000 else 1)) | {n}):
+            ref = mp.fsum(half * (ai ** k * p0 + bi * (k if ai == 1 else
+                                                       (1 - ai ** k) / (1 - ai)))
+                          for half, ai, bi, p0 in modes)
+            worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
+        assert worst < 1e-15
 
 
 def test_sgd_series_memory_stays_small():

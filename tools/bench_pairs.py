@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --out BENCH_N.json \\
         [--seeds 101-110] [--workloads figures exact montecarlo] \\
         [--confirm-seeds 131-140] [--traced-seed 111] [--seconds 25] \\
-        [--rss-seeds 121-124 --rss-seconds 0] [--what TEXT]
+        [--rss-seeds 121-124 --rss-seconds 0] [--cold-pairs 20] [--what TEXT]
 
 Run from the root of a smelab checkout.  The parent tree comes from
 ``git archive REV``; the change is a copy of the working tree's tracked and
@@ -22,6 +22,14 @@ fits more passes in its budget also reads a higher peak RSS; at the default
 passes, so the short pairs compare the two sides' peak RSS at equal pass
 counts, and ``equal_passes`` says whether every pair did.
 
+``--cold-pairs N`` adds N pairs of fresh processes of
+``python -m smelab figures --out DIR`` (DIR a new temporary directory, the
+tree's ``src`` on PYTHONPATH), alternating the side that runs first as
+above.  They see what an in-process pass cannot: the imports of a cold
+start.  Each run records its wall time (perf_counter around the process)
+and its peak RSS (``ru_maxrss`` from ``os.wait4``).  ``--workloads`` with
+no names runs the cold pairs alone.
+
 The JSON written has, per workload and per end-to-end metric: both sides'
 median, quartiles and range, the change/parent median ratio, the number of
 pairs in which the change is lower, the parent's IQR/median and the value of
@@ -33,6 +41,7 @@ the first report.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -121,6 +130,49 @@ def run_pairs(trees, workload, seeds, seconds, log):
     return runs
 
 
+def run_cold(tree, dest):
+    """(wall_s, peak RSS in MiB) of one fresh `python -m smelab figures` process."""
+    out_dir = tempfile.mkdtemp(dir=dest)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    with tempfile.TemporaryFile(dir=dest) as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "smelab", "figures", "--out", out_dir],
+                                cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise RuntimeError("figures failed in %s (exit %d): %s" % (
+                tree, proc.returncode, err.read()[-2000:].decode(errors="replace")))
+    shutil.rmtree(out_dir)
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return wall, usage.ru_maxrss / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+
+
+def run_cold_pairs(trees, n_pairs, dest, log):
+    """[{side: {"wall_s", "peak_rss_mib"}}] of n_pairs alternating cold pairs."""
+    runs = []
+    for i in range(n_pairs):
+        runs.append({})
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            wall, rss = run_cold(trees[side], dest)
+            runs[-1][side] = {"wall_s": wall, "peak_rss_mib": rss}
+        log("cold pair %d: wall %.3f / %.3f s, peak RSS %.1f / %.1f MiB (parent / change)"
+            % (i, runs[-1]["parent"]["wall_s"], runs[-1]["change"]["wall_s"],
+               runs[-1]["parent"]["peak_rss_mib"], runs[-1]["change"]["peak_rss_mib"]))
+    out = {"pairs": n_pairs, "per_pair": runs}
+    for metric, unit in (("wall_s", "s"), ("peak_rss_mib", "MiB")):
+        parent = [r["parent"][metric] for r in runs]
+        change = [r["change"][metric] for r in runs]
+        ps, cs = summary(parent), summary(change)
+        out[metric] = {"unit": unit, "parent": ps, "change": cs,
+                       "change_over_parent_median": cs["median"] / ps["median"],
+                       "change_minus_parent_median": cs["median"] - ps["median"],
+                       "pairs_change_lower": sum(c < p for c, p in zip(change, parent))}
+    return out
+
+
 def digest(runs):
     """The per-workload block of the output from {seed: {side: (report, result)}}."""
     seeds = sorted(runs)
@@ -160,13 +212,14 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("101-110"))
-    parser.add_argument("--workloads", nargs="+",
+    parser.add_argument("--workloads", nargs="*",
                         default=["figures", "exact", "montecarlo"])
     parser.add_argument("--confirm-seeds", type=seed_range, default=[])
     parser.add_argument("--traced-seed", type=int, default=None)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--rss-seeds", type=seed_range, default=[])
     parser.add_argument("--rss-seconds", type=float, default=0.0)
+    parser.add_argument("--cold-pairs", type=int, default=0)
     parser.add_argument("--what", default="", help="one line on what is compared")
     args = parser.parse_args(argv)
 
@@ -203,6 +256,13 @@ def main(argv=None):
                     len(set(sides.values())) == 1
                     for sides in block["timed_passes_per_seed"].values())
                 result["rss_short_runs"][workload] = block
+        if args.cold_pairs:
+            result["cold_figures"] = run_cold_pairs(trees, args.cold_pairs, dest, log)
+            result["cold_figures"]["method"] = (
+                "python -m smelab figures --out DIR from the root of each tree, "
+                "PYTHONPATH=src, one fresh process per run and a new DIR each time; "
+                "wall time by perf_counter around the process, peak RSS from "
+                "os.wait4's ru_maxrss; the side that runs first alternates by pair")
         if args.traced_seed is not None:
             result["traced"] = {}
             for workload in args.workloads:
