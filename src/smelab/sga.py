@@ -22,6 +22,7 @@ artifacts such as 2/0.1 = 19.999999999999996.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -286,16 +287,16 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
 #
 # Both models are diagonal in the eigenbasis of H, so each family is one
 # small linear map per mode.  The three functions below are the only place
-# that writes it; the closed-form series (sgd, constant momentum), the
-# schedule's step loop, the moment state and the stationary floor read them.
+# that writes it; the closed-form series (sgd, constant momentum), the one
+# momentum step loop (_moment_steps) and the stationary floor read them.
 #
 # _mode_update, _mode_noise (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
 #     msgd: M = [[1 - mu eta, -eta lam], [eta (1 - mu eta), 1 - eta^2 lam]]
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
-#   so the second moment obeys P' = M P M^T + N, N = ns^2 n n^T.  Constant
-#   momenta of one family and eta carry a leading momentum axis G through
-#   _mode_update, the stationary solve and the series (constant_momentum_runs).
+#   so mean' = M mean and cov' = M cov M^T + N, N = ns^2 n n^T.  Momenta (of
+#   one family and eta, or a schedule's steps) carry a leading axis G through
+#   _mode_update, the stationary solve, the series and the step loop.
 # _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
 #   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
 #   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
@@ -372,6 +373,22 @@ def _powers(m, count):
 # working-set bound of the constant-momentum series: elements per temporary
 _SERIES_BLOCK = 1 << 13
 _SERIES_CELLS = 1 << 20   # series cells (runs x points) per slice of runs
+
+
+def _moment_steps(algo, model, y0, n):
+    """Yield each mode's mean (d, 2) and covariance (d, 2, 2) of (v, y) at
+    k = 0..n from y0 (v = 0): mean' = M_k mean, cov' = M_k cov M_k^T + N,
+    with M_k from one _mode_update call per _SERIES_BLOCK elements."""
+    mean = np.zeros((model.dim, 2, 1))   # a column per mode
+    mean[:, 1, 0] = y0
+    cov, noise = np.zeros((model.dim, 2, 2)), _mode_noise(algo, model)
+    yield mean[..., 0], cov
+    size = max(1, _SERIES_BLOCK // (4 * model.dim))
+    for lo in range(0, n, size):
+        mus = np.array([[mu_at(algo, k)] for k in range(lo, min(lo + size, n))])
+        for m in _mode_update(algo, model, 0, mus):
+            mean, cov = m @ mean, m @ cov @ np.swapaxes(m, 1, 2) + noise
+            yield mean[..., 0], cov
 
 
 def _start(model, x0):
@@ -514,7 +531,8 @@ def exact_moment_recursion(algo, model, x0):
     by blocked matrix powers (constant_momentum_runs, which runs G momenta
     at once, with G = 1).  The Nesterov schedule (time-varying M_k) and a
     constant momentum with a mode of radius >= 1 (no stationary P_inf) step
-    the recursion once per iteration.
+    each mode's mean and covariance (_moment_steps); a second moment stepped
+    as one would cancel where a mean crosses zero.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
@@ -523,20 +541,14 @@ def exact_moment_recursion(algo, model, x0):
         series = next(constant_momentum_runs([algo], model, x0))[1]
         if series is not None:
             return series
-    lam = model.spec.eigenvalues
     y0, f0 = _start(model, x0)
-    n = algo.n_steps
-    out = _sgd_series(model, algo.eta, y0, n) if algo.family == SGD else np.empty(n + 1)
-    out[0] = f0
     if algo.family == SGD:
-        return out
-    noise = _mode_noise(algo, model)
-    P = np.zeros((model.dim, 2, 2))
-    P[:, 1, 1] = y0 * y0
-    for k in range(n):
-        m = _mode_update(algo, model, k)
-        P = m @ P @ np.swapaxes(m, 1, 2) + noise
-        out[k + 1] = 0.5 * float(np.sum(lam * P[:, 1, 1]))
+        out = _sgd_series(model, algo.eta, y0, algo.n_steps)
+    else:
+        half = 0.5 * model.spec.eigenvalues
+        out = np.fromiter((half @ (mean[:, 1] ** 2 + cov[:, 1, 1]) for mean, cov
+                           in _moment_steps(algo, model, y0, algo.n_steps)), float)
+    out[0] = f0
     return out
 
 
@@ -587,7 +599,7 @@ def exact_moment_state(algo, model, x0, k_target):
     Cross-mode second moments from a deterministic start factor into products
     of the means (the cross covariances satisfy the same homogeneous linear
     recursion with zero initial condition), so only per-mode means and second
-    moments are evolved.
+    moments are evolved (a momentum family's by _moment_steps).
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s" % (algo.family, model.kind))
@@ -605,15 +617,8 @@ def exact_moment_state(algo, model, x0, k_target):
             p = a * p + b
         mean, P = mean[:, None], p[:, None, None]
     else:
-        mean = np.zeros((d, 2))
-        mean[:, 1] = y0
-        P = np.zeros((d, 2, 2))
-        P[:, 1, 1] = y0 * y0
-        noise = _mode_noise(algo, model)
-        for k in range(k_target):
-            m = _mode_update(algo, model, k)
-            P = m @ P @ np.swapaxes(m, 1, 2) + noise
-            mean = np.einsum("dij,dj->di", m, mean)
+        mean, cov = deque(_moment_steps(algo, model, y0, k_target), maxlen=1).pop()
+        P = cov + mean[:, :, None] * mean[:, None, :]
     s = mean.shape[1]
     second = np.empty((s * d, s * d))
     for i in range(s):

@@ -5,7 +5,8 @@ verdicts are visible in live output) and then asserts.  The criteria pin the
 quantitative claims of the package: weak-approximation orders, condition
 scaling, the divergence threshold, optimal momentum, the Langevin oracle
 triangle, one-step moment matching, the SNAG-vs-MSGD gap, decay-bound
-certificates, schedule sub-linearity, and bytewise determinism.
+certificates, schedule sub-linearity, bytewise determinism, and the weak
+orders of the momentum SMEs.
 """
 
 import math
@@ -374,3 +375,36 @@ def test_criterion_12_determinism(tmp_path):
           "numerically identical: %s" % (len(csvs), identical, same_numbers))
     assert identical
     assert same_numbers
+
+
+def test_criterion_13_weak_order_momentum():
+    # every momentum SME against the exact recursion it approximates: the
+    # order-1 Langevin system for msgd and snag, msgd2 and snag2 at order 2
+    t0 = time.monotonic()
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 0.25], noise_scale=1.0)
+    x0 = np.array([1.0, 1.0])
+    etas = (0.1, 0.05, 0.025, 0.0125)
+    slopes = {}
+    for family, variant2 in ((MSGD, "msgd2"), (SNAG, "snag2")):
+        for mu in (0.5, 1.0, 3.0):
+            errors = {1: [], 2: []}
+            for eta in etas:
+                algo = AlgoSpec(family, eta, 4.0, ConstantMomentum(mu))
+                discrete = exact_moment_recursion(algo, model, x0)
+                t_grid = eta * np.arange(algo.n_steps + 1)
+                for order, variant in ((1, "order1"), (2, variant2)):
+                    continuous = langevin_expected_f_exact(
+                        langevin_system(model.spec, mu, eta, 1.0, variant), x0, t_grid)
+                    errors[order].append(float(np.max(np.abs(discrete - continuous))))
+            for order, errs in errors.items():
+                slopes[family, mu, order] = fit_loglog_slope(etas, errs).slope
+    elapsed = time.monotonic() - t0
+    bands = {1: (0.85, 1.15), 2: (1.8, 2.2)}
+    outside = ["%s mu=%g order%d %.4f" % (*key, slope) for key, slope in slopes.items()
+               if not bands[key[2]][0] <= slope <= bands[key[2]][1]]
+    by_order = {order: [v for k, v in slopes.items() if k[2] == order] for order in bands}
+    _line(13, "weak-order-momentum", not outside,
+          "order1 slopes %.4f..%.4f in [0.85,1.15], order2 slopes %.4f..%.4f in "
+          "[1.8,2.2], %.2fs" % (min(by_order[1]), max(by_order[1]),
+                                min(by_order[2]), max(by_order[2]), elapsed))
+    assert not outside, "slopes outside their bands: %s" % ", ".join(outside)

@@ -368,32 +368,49 @@ def test_unstable_constant_momentum_steps_the_recursion():
     assert series[-1] > 1e6 * series[0]
 
 
-@pytest.mark.parametrize("family", [MSGD, SNAG])
-def test_constant_momentum_series_against_mpmath(family):
-    # a 40-digit recursion on the same per-mode M and N doubles; the step
-    # loop in double precision is off by up to 1.4e-10 (msgd) and 3.7e-10
-    # (snag) here, where an oscillating mode passes near zero
+def _worst_against_mpmath(algo, model, x0):
+    """(worst relative error, its k) of exact_moment_recursion against a
+    40-digit recursion on the same per-mode M_k and N doubles."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        eta, mu, n = 0.1, 0.2, 1200
-        model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 1.0], noise_scale=1.0)
-        x0 = np.array([5.0e4, 1.0e6])
-        algo = AlgoSpec(family, eta, n * eta + 1e-9, ConstantMomentum(mu))
         series = exact_moment_recursion(algo, model, x0)
-        modes = []
-        for lam, y in zip(model.spec.eigenvalues, model.spec.to_eigen(x0)):
-            m, noise = _mode_matrices(family, lam, eta, mu, 1.0)
-            modes.append((mp.mpf(lam), mp.matrix(m.tolist()), mp.matrix(noise.tolist()),
-                          mp.matrix([[0, 0], [0, mp.mpf(y) ** 2]])))
-        worst = 0.0
-        for k in range(n + 1):
-            ref = sum(lam / 2 * p[1, 1] for lam, _, _, p in modes)
-            worst = max(worst, float(abs((mp.mpf(series[k]) - ref) / ref)))
-            modes = [(lam, m, noise, m * p * m.T + noise) for lam, m, noise, p in modes]
-        # the power tables are built in extended precision where the platform
-        # has it; with a double-only longdouble the bound is 10x wider
-        extended = np.finfo(np.longdouble).eps < 1e-18
-        assert worst < (5e-12 if extended else 5e-11)
+        lam = model.spec.eigenvalues
+        ps = [mp.matrix([[0, 0], [0, mp.mpf(y) ** 2]]) for y in model.spec.to_eigen(x0)]
+        worst = (0.0, 0)
+        for k in range(algo.n_steps + 1):
+            ref = sum(mp.mpf(v) / 2 * p[1, 1] for v, p in zip(lam, ps))
+            worst = max(worst, (float(abs((mp.mpf(series[k]) - ref) / ref)), k))
+            for i, v in enumerate(lam):
+                m, noise = _mode_matrices(algo.family, v, algo.eta, mu_at(algo, k),
+                                          model.noise_scale)
+                m = mp.matrix(m.tolist())
+                ps[i] = m * ps[i] * m.T + mp.matrix(noise.tolist())
+        return worst
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+def test_constant_momentum_series_against_mpmath(family):
+    # the step loop in double precision was off by up to 1.4e-10 (msgd) and
+    # 3.7e-10 (snag) here, where an oscillating mode passes near zero
+    model = from_spectrum(ISOTROPIC_SHIFT, [1.0, 1.0], noise_scale=1.0)
+    algo = AlgoSpec(family, 0.1, 1200 * 0.1 + 1e-9, ConstantMomentum(0.2))
+    worst, _ = _worst_against_mpmath(algo, model, np.array([5.0e4, 1.0e6]))
+    # the power tables are built in extended precision where the platform
+    # has it; with a double-only longdouble the bound is 10x wider
+    extended = np.finfo(np.longdouble).eps < 1e-18
+    assert worst < (5e-12 if extended else 5e-11)
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+@pytest.mark.parametrize("lams,x0", [([1.0, 1.0], [5.0e4, 1.0e6]),
+                                     ([1.0, 0.225625], [1.0e6, 1.0e6])])
+def test_nesterov_schedule_series_against_mpmath(family, lams, x0):
+    # the schedule's only oracle outside sga; stepping the second moment as
+    # one in double precision was off by up to 4.0e-10 here (msgd, lams (1, 1))
+    model = from_spectrum(ISOTROPIC_SHIFT, lams, noise_scale=1.0)
+    algo = AlgoSpec(family, 0.1, 1200 * 0.1 + 1e-9, NesterovSchedule())
+    worst, k = _worst_against_mpmath(algo, model, np.array(x0))
+    assert worst <= 1e-12, "worst relative error %.3g at k = %d" % (worst, k)
 
 
 def test_constant_momentum_series_memory_stays_small():
