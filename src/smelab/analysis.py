@@ -295,12 +295,20 @@ def descent_rate(series, eta, floor=None):
     if not s[k_b] >= thresh or k_b <= k_a + 2:
         raise ValueError("descent window is empty: trajectory starts within "
                          "10x of its floor (floor=%g)" % floor)
-    window = s[k_a:k_b + 1]
+    return windowed_rate(s, k_a, k_b)
+
+
+def windowed_rate(series, lo, hi):
+    """OLS decay rate of -log(series) against k on the index window [lo, hi]."""
+    values = np.asarray(series, dtype=float)
+    if not (0 <= lo < hi < values.size):
+        raise ValueError("window [%d, %d] out of range for %d values"
+                         % (lo, hi, values.size))
+    window = values[lo:hi + 1]
     if np.any(window <= 0):
         raise ValueError("trajectory is not positive on the fit window")
     y = np.log(window)
-    slope, intercept, resid = _ols(range(k_a, k_b + 1), np.negative(y, out=y))
-    return RateFit(slope, intercept, resid, (k_a, k_b))
+    return RateFit(*_ols(range(lo, hi + 1), np.negative(y, out=y)), (lo, hi))
 
 
 # ---------------------------------------------------------------------------

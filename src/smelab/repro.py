@@ -38,14 +38,14 @@ from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                   NesterovSchedule, _run_ensembles, constant_momentum_runs,
                   discrete_floor, exact_moment_recursion, iteration_count,
-                  nesterov_mu)
+                  mu_at)
 from .sme import (asymptotic_noise_msgd, bs_expected_f,
                   langevin_expected_f_exact, langevin_system, ou_expected_f)
-from .analysis import (CRITICAL, RateFit, _ols, _order2_pairs,
+from .analysis import (CRITICAL, RateFit, _order2_pairs,
                        classify_damping, descent_rate,
                        discrete_divergence_threshold,
                        discrete_growth_factors, divergence_threshold,
-                       fit_loglog_slope, optimal_mu, order2_eigs)
+                       fit_loglog_slope, optimal_mu, order2_eigs, windowed_rate)
 
 EXPERIMENTS = ("weak_error", "condition_sweep", "divergence",
                "momentum_dynamics", "msgd_vs_snag")
@@ -571,18 +571,6 @@ def _subsample(n):   # at most 201 indices over 0..n, both ends included
     return np.unique(np.round(np.linspace(0, n, 201)).astype(int))
 
 
-def windowed_rate(series, lo, hi):
-    """OLS decay rate of -log(series) against k on the index window [lo, hi]."""
-    values = np.asarray(series, dtype=float)
-    if not (0 <= lo < hi < values.size):
-        raise ValueError("window [%d, %d] out of range for %d values"
-                         % (lo, hi, values.size))
-    segment = values[lo:hi + 1]
-    if np.any(segment <= 0):
-        raise ValueError("series must be positive on the window")
-    return RateFit(*_ols(range(lo, hi + 1), -np.log(segment)), (lo, hi))
-
-
 def _descent(algo, model, x0, trim=None):
     """(floor, series, fit): the stationary floor, the exact E f series and
     its fitted descent rate of one run.
@@ -600,7 +588,10 @@ def _descent(algo, model, x0, trim=None):
     except ValueError:
         raise _diverging(algo) from None
     if trim is not None:
-        f0 = objective(model, x0)
+        with np.errstate(over="ignore"):   # f(x0) past the largest double is +inf
+            f0 = objective(model, x0)
+        if not math.isfinite(f0):
+            raise ConfigError("x0: f(x0) is not finite; there is no descent to fit")
         if not f0 > 10.0 * floor:
             raise ConfigError("x0: f(x0) = %g starts within 10x of the stationary "
                               "floor %g; there is no descent to fit" % (f0, floor))
@@ -704,11 +695,11 @@ def exp_weak_error(config=None):
     closed_form = ou_expected_f if cfg.variant == ISOTROPIC_SHIFT else bs_expected_f
 
     tables, metrics, checks, curves = [], [], [], []
+    algos = [AlgoSpec(SGD, eta, cfg.horizon) for eta in cfg.eta_grid]
+    exact = [exact_moment_recursion(algo, model, x0) for algo in algos]   # at both orders
     for order in (1, 2):
         rows, errors = [], []
-        for eta in cfg.eta_grid:
-            algo = AlgoSpec(SGD, eta, cfg.horizon)
-            discrete = exact_moment_recursion(algo, model, x0)
+        for eta, algo, discrete in zip(cfg.eta_grid, algos, exact):
             t_grid = eta * np.arange(algo.n_steps + 1)
             continuous = closed_form(model.spec, x0, eta, t_grid,
                                      cfg.noise_scale, order)
@@ -1104,9 +1095,8 @@ def exp_msgd_vs_snag(config=None):
         "schedule floor %.4g vs tuned msgd floor %.4g"
         % (floor_sched, msgd_tuned_floor)))
     ks = _subsample(n)
-    mu_k = [nesterov_mu(max(int(k), 1), eta) for k in ks]
     tables.append(Table("compare_snag_schedule", _DYNAMICS_HEADER, tuple(
-        _trajectory(cfg, SNAG, mu_k, eta, ks, series_s, "exact"))))
+        _trajectory(cfg, SNAG, mu_at(algo_s, ks), eta, ks, series_s, "exact"))))
     panels.append(Panel("compare_snag_schedule",
                         "snag under the Nesterov schedule", "t", "E f",
                         (_curve("schedule", eta, ks, series_s),), logy=True))

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from . import models, rng
+from . import matkit, models, rng
 from .analysis import discrete_growth_factors
 
 SGD = "sgd"
@@ -109,8 +109,8 @@ def rescale_inverse(eta, mu):
 
 
 def nesterov_mu_hat(k):
-    """Unscaled Nesterov momentum factor (k-1)/(k+2) for iterate index k >= 1."""
-    if k < 1:
+    """Unscaled Nesterov momentum factor (k-1)/(k+2), elementwise, for k >= 1."""
+    if np.any(np.less(k, 1)):
         raise ValueError("Nesterov schedule is indexed from k = 1")
     return (k - 1.0) / (k + 2.0)
 
@@ -121,12 +121,13 @@ def nesterov_mu(k, eta):
 
 
 def mu_at(algo, k):
-    """Momentum coefficient used by iteration k -> k+1."""
+    """Momentum coefficient used by iteration k -> k+1, elementwise over an
+    integer array of k; a constant momentum stays one scalar."""
     if algo.family == SGD:
         raise ValueError("sgd has no momentum coefficient")
     if isinstance(algo.momentum, ConstantMomentum):
         return algo.momentum.mu
-    return nesterov_mu(max(int(k), 1), algo.eta)
+    return nesterov_mu(np.maximum(k, 1), algo.eta)
 
 
 @dataclass(frozen=True)
@@ -294,9 +295,9 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
 #     msgd: M = [[1 - mu eta, -eta lam], [eta (1 - mu eta), 1 - eta^2 lam]]
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
-#   so mean' = M mean and cov' = M cov M^T + N, N = ns^2 n n^T.  Momenta (of
-#   one family and eta, or a schedule's steps) carry a leading axis G through
-#   _mode_update, the stationary solve, the series and the step loop.
+#   so mean' = M mean and cov' = M cov M^T + N, N = ns^2 n n^T.  _mode_update
+#   takes a (G, 1) array of momenta: G constant ones of one family and eta
+#   (the stationary solve, the series) or mu_at of a block of steps (the loop).
 # _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
 #   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
 #   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
@@ -304,16 +305,14 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
 # ---------------------------------------------------------------------------
 
 
-def _mode_update(algo, model, k, mu=None):
-    """Per-mode update M_k of a momentum family, (d, 2, 2); at momenta mu of
-    shape (G, 1) in place of mu_at(algo, k), (G, d, 2, 2)."""
+def _mode_update(algo, model, mu):
+    """Per-mode updates M, (G, d, 2, 2), of a momentum family at momenta mu (G, 1)."""
     lam = model.spec.eigenvalues
     eta = algo.eta
-    lead = () if mu is None else (len(mu),)
-    damp = 1.0 - (mu_at(algo, k) if mu is None else mu) * eta
+    damp = 1.0 - mu * eta
     if algo.family == SNAG:
         damp = damp * (1.0 - eta * eta * lam)
-    m = np.empty(lead + lam.shape + (2, 2))
+    m = np.empty((len(mu),) + lam.shape + (2, 2))
     m[..., 0, 0] = damp
     m[..., 0, 1] = -eta * lam
     m[..., 1, 0] = eta * damp
@@ -340,7 +339,7 @@ def _stationary(algos, model):
     (I - K) p = (N00, N01, N11) with K the action of P -> M P M^T on them;
     the 3 x 3 systems of all stable momenta and modes are solved in one call.
     """
-    m = _mode_update(algos[0], model, 0, np.array([[a.momentum.mu] for a in algos]))
+    m = _mode_update(algos[0], model, np.array([[a.momentum.mu] for a in algos]))
     stable = ~np.any(np.abs(np.linalg.eigvals(m)) >= 1.0, axis=(1, 2))
     ms = m[stable]
     a, b, c, e = ms[..., 0, 0], ms[..., 0, 1], ms[..., 1, 0], ms[..., 1, 1]
@@ -378,15 +377,15 @@ _SERIES_CELLS = 1 << 20   # series cells (runs x points) per slice of runs
 def _moment_steps(algo, model, y0, n):
     """Yield each mode's mean (d, 2) and covariance (d, 2, 2) of (v, y) at
     k = 0..n from y0 (v = 0): mean' = M_k mean, cov' = M_k cov M_k^T + N,
-    with M_k from one _mode_update call per _SERIES_BLOCK elements."""
+    with M_k from one mu_at and _mode_update call per _SERIES_BLOCK elements."""
     mean = np.zeros((model.dim, 2, 1))   # a column per mode
     mean[:, 1, 0] = y0
     cov, noise = np.zeros((model.dim, 2, 2)), _mode_noise(algo, model)
     yield mean[..., 0], cov
     size = max(1, _SERIES_BLOCK // (4 * model.dim))
     for lo in range(0, n, size):
-        mus = np.array([[mu_at(algo, k)] for k in range(lo, min(lo + size, n))])
-        for m in _mode_update(algo, model, 0, mus):
+        ks = np.arange(lo, min(lo + size, n))[:, None]
+        for m in _mode_update(algo, model, np.broadcast_to(mu_at(algo, ks), ks.shape)):
             mean, cov = m @ mean, m @ cov @ np.swapaxes(m, 1, 2) + noise
             yield mean[..., 0], cov
 
@@ -546,8 +545,9 @@ def exact_moment_recursion(algo, model, x0):
         out = _sgd_series(model, algo.eta, y0, algo.n_steps)
     else:
         half = 0.5 * model.spec.eigenvalues
-        out = np.fromiter((half @ (mean[:, 1] ** 2 + cov[:, 1, 1]) for mean, cov
-                           in _moment_steps(algo, model, y0, algo.n_steps)), float)
+        with np.errstate(over="ignore"):   # +inf is the overflowed E f
+            out = np.fromiter((half @ (mean[:, 1] ** 2 + cov[:, 1, 1]) for mean, cov
+                               in _moment_steps(algo, model, y0, algo.n_steps)), float)
     out[0] = f0
     return out
 
@@ -598,16 +598,15 @@ def exact_moment_state(algo, model, x0, k_target):
 
     Cross-mode second moments from a deterministic start factor into products
     of the means (the cross covariances satisfy the same homogeneous linear
-    recursion with zero initial condition), so only per-mode means and second
-    moments are evolved (a momentum family's by _moment_steps).
+    recursion with zero initial condition): the second moment is the outer
+    product of the mean plus the per-mode covariances (matkit._assemble), which
+    sgd's scalar loop, the reference for _sgd_series, or _moment_steps evolves.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s" % (algo.family, model.kind))
     if not (0 <= k_target <= algo.n_steps):
         raise ValueError("k must lie in [0, N]")
-    q = model.spec.basis
     y0 = model.spec.to_eigen(np.asarray(x0, dtype=float))
-    d = model.dim
 
     if algo.family == SGD:
         factor, a, b = _sgd_factors(model, algo.eta)
@@ -615,15 +614,8 @@ def exact_moment_state(algo, model, x0, k_target):
         for _ in range(k_target):
             mean = factor * mean
             p = a * p + b
-        mean, P = mean[:, None], p[:, None, None]
+        mean, cov = mean[:, None], (p - mean * mean)[:, None, None]
     else:
         mean, cov = deque(_moment_steps(algo, model, y0, k_target), maxlen=1).pop()
-        P = cov + mean[:, :, None] * mean[:, None, :]
-    s = mean.shape[1]
-    second = np.empty((s * d, s * d))
-    for i in range(s):
-        for j in range(s):
-            cross = np.outer(mean[:, i], mean[:, j])
-            np.fill_diagonal(cross, P[:, i, j])
-            second[i * d:(i + 1) * d, j * d:(j + 1) * d] = q @ cross @ q.T
-    return MomentState(k_target, (q @ mean).T.reshape(-1), second)
+    m = (model.spec.basis @ mean).T.reshape(-1)
+    return MomentState(k_target, m, np.outer(m, m) + matkit._assemble(model.spec, cov))

@@ -288,6 +288,13 @@ def _defaults(experiment, **changes):
                       "eigenvalues": [1.0, 0.5, 0.25], "eta_grid": [0.1],
                       "horizon": 400.0, "mu_values": [0.2],
                       "x0": [1000.0, 1000.0, 1000.0]}, 2, "x0"),
+    # f(x0) overflows to +inf, so part (b) has no descent to trim or fit
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
+                      "horizon": 20.0, "eta_grid": [0.1], "mu_values": [0.2],
+                      "x0": [1e200, 1e200]}, 2, "x0"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
+                      "horizon": 20.0, "eta_grid": [0.1], "mu_values": [0.2],
+                      "x0": [1e160, 1e160]}, 2, "x0"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):

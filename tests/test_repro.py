@@ -244,7 +244,7 @@ def test_discrete_floor_matches_lyapunov_solver():
     cases += [(stiff, AlgoSpec(SNAG, 0.3, 1.0, ConstantMomentum(0.5))),
               (stiff, AlgoSpec(MSGD, 0.6, 1.0, ConstantMomentum(0.02)))]
     for model, algo in cases:
-        mats = _mode_update(algo, model, 0)
+        mats = _mode_update(algo, model, np.array([[algo.momentum.mu]]))[0]
         noise = _mode_noise(algo, model)
         oracle = sum(0.5 * lam * solve_discrete_lyapunov(m, n)[1, 1]
                      for lam, m, n in zip(model.spec.eigenvalues, mats, noise))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -71,6 +73,22 @@ def test_mu_at_conventions():
     assert mu_at(const, 0) == mu_at(const, 123) == 0.7
     with pytest.raises(ValueError):
         mu_at(AlgoSpec(SGD, 0.1, 5.0), 0)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.37, 0.1, 0.05, 0.003])
+def test_mu_at_over_an_array_equals_the_scalar_rule(eta):
+    ks = np.arange(5000)
+    sched = AlgoSpec(SNAG, eta, 5000 * eta, NesterovSchedule())
+    got = mu_at(sched, ks)
+    assert got.shape == ks.shape
+    # bit for bit, against each index alone and against Python float arithmetic
+    assert got.tolist() == [mu_at(sched, int(k)) for k in ks]
+    assert got.tolist() == [(1.0 - (k - 1.0) / (k + 2.0)) / eta
+                            for k in [1] + list(range(1, 5000))]
+    const = AlgoSpec(MSGD, eta, 5000 * eta, ConstantMomentum(0.5 / eta))
+    assert mu_at(const, ks) == 0.5 / eta   # one scalar, whatever the shape of k
+    with pytest.raises(ValueError):
+        nesterov_mu_hat(np.arange(3))      # holds a 0
 
 
 def test_algo_spec_validation():
@@ -644,6 +662,19 @@ def test_sgd_series_overflow_reads_inf_not_nan(case):
     assert np.array_equal(np.isinf(series), np.isinf(ref))
     finite = np.isfinite(ref)
     assert_allclose(series[finite], ref[finite], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family, momentum, lam", [
+    (SNAG, NesterovSchedule(), [1.0, 0.25]),       # the schedule's step route
+    (MSGD, ConstantMomentum(0.5), [5.0, 0.25]),    # a mode of spectral radius >= 1
+])
+def test_step_route_overflow_reads_inf_without_a_warning(family, momentum, lam):
+    model = from_spectrum(ISOTROPIC_SHIFT, lam, noise_scale=1.0)
+    algo = AlgoSpec(family, 1.0, 20.0, momentum)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = exact_moment_recursion(algo, model, [1e200, 1e200])
+    assert series.shape == (21,) and np.all(np.isposinf(series))
 
 
 # ---------------------------------------------------------------------------
