@@ -225,8 +225,7 @@ def _selftest_langevin():
     """Closed-form Langevin E f vs quadrature vs a small EM ensemble."""
     from .sga import MSGD, iteration_count
     from .sme import (build_sme, em_integrate_ensemble,
-                      langevin_expected_f_exact, langevin_expected_f_quadrature,
-                      langevin_system)
+                      langevin_expected_f_exact, langevin_expected_f_quadrature)
     gen = np.random.default_rng(7)
     for trial in range(3):
         lam = np.sort(gen.uniform(0.2, 2.0, 2))[::-1]
@@ -236,14 +235,13 @@ def _selftest_langevin():
         n = int(gen.integers(10, 30))
         t = n * eta
         x0 = gen.uniform(0.5, 2.0, 2)
-        system = langevin_system(model.spec, mu, eta, 0.5)
+        system = build_sme(model, MSGD, 1, eta, mu)
         exact = langevin_expected_f_exact(system, x0, t)
         quad = langevin_expected_f_quadrature(system, x0, t)
         if abs(exact - quad) > 1e-8 * abs(quad):
             raise AssertionError("exact vs quadrature rel %.3e at trial %d"
                                  % (abs(exact - quad) / abs(quad), trial))
-        sme = build_sme(model, MSGD, 1, eta, mu)
-        stats = em_integrate_ensemble(sme, x0, t, 4096, seed=90 + trial,
+        stats = em_integrate_ensemble(system, x0, t, 4096, seed=90 + trial,
                                       substeps=20)
         k = iteration_count(t, eta)
         tol = 4.0 * stats.stderr[k] + 2.0 * (eta / 20.0) * abs(exact)

@@ -52,10 +52,6 @@ class QuadraticModel:
     def dim(self):
         return self.spec.dim
 
-    @property
-    def hessian(self):
-        return self.spec.matrix()
-
 
 def from_matrix(kind, H, noise_scale=1.0):
     """Build a model from a dense SPD matrix (eigendecomposed internally)."""
@@ -160,7 +156,7 @@ def sigma_mc(model, x, n_draws, seed):
     mean = np.zeros(d)
     cross = np.zeros((d, d))
     done = 0
-    chunk = 4096   # draws at a time: bounds the memory, not the result's bits
+    chunk = 4096   # draws at a time: bounds the memory; part of the result's bits
     while done < n_draws:
         m = min(chunk, n_draws - done)
         paths = np.arange(done, done + m, dtype=np.uint64)

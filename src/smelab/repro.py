@@ -39,8 +39,8 @@ from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                   NesterovSchedule, _run_ensembles, constant_momentum_runs,
                   discrete_floor, exact_moment_recursion, iteration_count,
                   mu_at)
-from .sme import (asymptotic_noise_msgd, bs_expected_f,
-                  langevin_expected_f_exact, langevin_system, ou_expected_f)
+from .sme import (asymptotic_noise_msgd, bs_expected_f, build_sme,
+                  langevin_expected_f_exact, ou_expected_f)
 from .analysis import (CRITICAL, RateFit, _order2_pairs,
                        classify_damping, descent_rate,
                        discrete_divergence_threshold,
@@ -875,8 +875,8 @@ def exp_momentum_dynamics(config=None):
     series_eta0 = {}
     mc_slots = []   # (row index, algo, ks) of each Monte Carlo trajectory
     for mu in cfg.mu_values:
-        lsys = langevin_system(model.spec, mu, eta0, cfg.noise_scale)
-        exact_floors[mu] = langevin_expected_f_exact(lsys, np.zeros_like(x0),
+        systems = {eta: build_sme(model, MSGD, 1, eta, mu) for eta in cfg.eta_grid}
+        exact_floors[mu] = langevin_expected_f_exact(systems[eta0], np.zeros_like(x0),
                                                      math.inf)
         if all(classify_damping(mu, lam) != CRITICAL
                for lam in model.spec.eigenvalues):
@@ -888,9 +888,8 @@ def exp_momentum_dynamics(config=None):
             algo = AlgoSpec(MSGD, eta, cfg.horizon, ConstantMomentum(mu))
             n = algo.n_steps
             _, exact, fit = _descent(algo, model, x0)
-            system = langevin_system(model.spec, mu, eta, cfg.noise_scale)
             t_grid = eta * np.arange(n + 1)
-            closed = langevin_expected_f_exact(system, x0, t_grid)
+            closed = langevin_expected_f_exact(systems[eta], x0, t_grid)
             lo, hi = fit.window
             deviation = _max_relative_deviation(exact, closed, lo, hi)
             deviations[(mu, eta)] = (deviation, hi)

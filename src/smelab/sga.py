@@ -545,9 +545,10 @@ def exact_moment_recursion(algo, model, x0):
         out = _sgd_series(model, algo.eta, y0, algo.n_steps)
     else:
         half = 0.5 * model.spec.eigenvalues
-        with np.errstate(over="ignore"):   # +inf is the overflowed E f
+        with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
             out = np.fromiter((half @ (mean[:, 1] ** 2 + cov[:, 1, 1]) for mean, cov
                                in _moment_steps(algo, model, y0, algo.n_steps)), float)
+        out[np.isnan(out)] = np.inf   # inf - inf in a mode whose moments overflowed
     out[0] = f0
     return out
 

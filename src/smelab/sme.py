@@ -17,7 +17,8 @@ the step-size dependence is kept in the drift:
   on [t0, T], matching the Nesterov schedule mu_k ~ 3/(k eta + 2 eta).
 
 State ordering for momentum systems is (v, x).  Drift and diffusion callables
-take (y, t); autonomous systems ignore t.
+take (y, t); autonomous systems ignore t.  SmeSystem is the one SME class;
+the closed forms, their quadrature oracle and the decay bound read its blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import models, rng, sga
 from .analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED, _drift_blocks,
                        classify_damping)
-from .matkit import Block2x2Family, SpectralDecomp, _assemble, mat_exp_dense
+from .matkit import Block2x2Family, _assemble, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -42,7 +43,9 @@ _CHUNK = sga._CHUNK  # bench/tracing.py asserts it at import
 
 @dataclass(frozen=True)
 class SmeSystem:
-    """One stochastic modified equation, with its drift split b = b0 + eta b1."""
+    """One stochastic modified equation, with its drift split b = b0 + eta b1.
+
+    Any finite mu > 0 is valid; build_sme adds the discrete ceiling mu <= 1/eta."""
 
     family: str
     order: int
@@ -67,8 +70,8 @@ class SmeSystem:
             if self.mu is not None:
                 raise ValueError("snag_varying has no constant mu")
         elif self.family in (sga.MSGD, sga.SNAG):
-            if self.mu is None or not (0.0 < self.mu <= 1.0 / self.eta):
-                raise ValueError("momentum systems need mu in (0, 1/eta]")
+            if self.mu is None or not (0.0 < self.mu < math.inf):
+                raise ValueError("momentum systems need a finite mu > 0")
         elif self.mu is not None:
             raise ValueError("sgd takes no mu")
 
@@ -88,6 +91,16 @@ class SmeSystem:
         if self.family == sga.SGD:
             return None, y
         return y[:self.dim_x], y[self.dim_x:]
+
+    @property
+    def blocks(self):
+        """The Block2x2Family of -(b0 + eta b1), for msgd and snag on
+        isotropic_shift only: per-mode Langevin equations with additive noise."""
+        kind = self.model.kind
+        if self.family not in (sga.MSGD, sga.SNAG) or kind != models.ISOTROPIC_SHIFT:
+            raise ValueError("%s on %s has no 2x2 Langevin blocks" % (self.family, kind))
+        b0, b1 = self._blocks()
+        return Block2x2Family(-(b0 + self.eta * b1), self.model.spec)
 
     def _blocks(self, t=0.0):
         """Per-mode drift blocks (b0, b1) at time t; see _drift_blocks."""
@@ -129,17 +142,18 @@ class SmeSystem:
             raise ValueError("the %s model has state-dependent noise" % self.model.kind)
         if self.family == SNAG_VARYING:
             raise ValueError("the varying-coefficient system is not autonomous")
-        a = self._drift_matrix()
-        s = np.zeros((self.state_dim, self.dim_x))
-        s[:self.dim_x] = math.sqrt(self.eta) * self.model.noise_scale * self.model.hessian
-        return a, s
+        return self._drift_matrix(), self.noise_factor(np.zeros(self.state_dim))
 
 
 def build_sme(model, family, order, eta, mu=None, t0=None):
-    """Construct the modified equation for a discrete family at weak order 1 or 2."""
+    """Construct the modified equation for a discrete family at weak order 1 or 2,
+    with a momentum family's mu in its discrete range (0, 1/eta]."""
     if family == SNAG_VARYING:
         return SmeSystem(family, order, model, eta, None, 0.1 if t0 is None else float(t0))
-    return SmeSystem(family, order, model, eta, mu, 0.0)
+    system = SmeSystem(family, order, model, eta, mu, 0.0)
+    if family in (sga.MSGD, sga.SNAG) and not mu <= 1.0 / eta:
+        raise ValueError("momentum systems need mu in (0, 1/eta]")
+    return system
 
 
 def _batch_drift(system, Y, t, out=None):
@@ -335,37 +349,22 @@ def R_function(t, mu, lam):
     return (1.0 - math.exp(-mu * t)) / mu
 
 
-@dataclass(frozen=True)
-class LangevinBlockSystem:
-    """Per-eigenmode 2x2 reduction dz = -a_i z dt + sqrt(eta) ns lam_i e_v dW.
+def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
+    """The momentum SME on isotropic_shift(spec, noise_scale) for any finite mu > 0.
 
     variant "order1" is the order-1 momentum system; "msgd2"/"snag2" use the
     order-2 drift blocks (the diffusion is unchanged at this order).
     """
-
-    spec: SpectralDecomp
-    mu: float
-    eta: float
-    noise_scale: float
-    variant: str
-    blocks: Block2x2Family
-
-
-def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
     if variant not in ("order1", "msgd2", "snag2"):
         raise ValueError("variant must be order1, msgd2 or snag2")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
     family, order = {"order1": (sga.MSGD, 1), "msgd2": (sga.MSGD, 2),
                      "snag2": (sga.SNAG, 2)}[variant]
-    b0, b1 = _drift_blocks(family, order, spec.eigenvalues, eta, mu)
-    fam = Block2x2Family(-(b0 + eta * b1), spec)
-    return LangevinBlockSystem(spec, float(mu), float(eta), float(noise_scale),
-                               variant, fam)
+    model = models.QuadraticModel(models.ISOTROPIC_SHIFT, spec, float(noise_scale))
+    return SmeSystem(family, order, model, float(eta), float(mu))
 
 
 def langevin_expected_f_exact(system, x0, t):
-    """E f(X_t) for the block-reduced momentum SDE, start (v, x) = (0, x0).
+    """E f(X_t) for a momentum SmeSystem with blocks, start (v, x) = (0, x0).
 
     Every mode is the linear Langevin equation dz = -a_i z dt + sqrt(eta) ns
     lam_i e_v dW, so with E = e^{-t a_i}
@@ -384,12 +383,13 @@ def langevin_expected_f_exact(system, x0, t):
     t = np.asarray(t, dtype=float)
     if np.any(np.isnan(t)) or np.any(t < 0):
         raise ValueError("t must be >= 0 (math.inf for the stationary value)")
-    spec = system.spec
+    fam = system.blocks
+    spec = system.model.spec
     lam = spec.eigenvalues
-    a = system.blocks.blocks
+    a = fam.blocks
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     ts = t.reshape(-1)
-    if np.isinf(ts).any() and float(np.min(system.blocks.block_eigenvalues().real)) <= 0:
+    if np.isinf(ts).any() and float(np.min(fam.block_eigenvalues().real)) <= 0:
         raise ValueError("system is not asymptotically stable; E f diverges")
     # Cramer's rule on the three unknowns of the symmetric Lyapunov equation
     tr = a[:, 0, 0] + a[:, 1, 1]
@@ -399,7 +399,7 @@ def langevin_expected_f_exact(system, x0, t):
     c_inf[:, 1, 1] = a[:, 1, 0] ** 2
     c_inf /= (2.0 * tr * np.linalg.det(a))[:, None, None]
     finite = np.isfinite(ts)
-    e = system.blocks.block_exp(-np.where(finite, ts, 0.0))
+    e = fam.block_exp(-np.where(finite, ts, 0.0))
     e[~finite] = 0.0
     cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
     theta = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1)
@@ -415,7 +415,7 @@ def langevin_expected_f_exact(system, x0, t):
             total += y
         cov[k, i] = ts[k, None, None] * total
     x = e[..., 1, 1] * y0
-    noise = system.eta * system.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
+    noise = system.eta * system.model.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
     out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
@@ -478,21 +478,22 @@ def _mode_quad_integral(block, t):
 def langevin_expected_f_quadrature(system, x0, t):
     """Same expectation via an independent route: dense matrix exponential for
     the transient and adaptive quadrature for every noise integral."""
-    spec = system.spec
+    fam = system.blocks
+    spec = system.model.spec
     lam = spec.eigenvalues
     y0full = np.concatenate([np.zeros(spec.dim), np.asarray(x0, dtype=float)])
-    a = system.blocks.assemble()
+    a = fam.assemble()
     if np.isinf(t):
         transient = 0.0
     else:
         z = mat_exp_dense(a, -float(t)) @ y0full
         x = z[spec.dim:]
         transient = 0.5 * float(x @ spec.matrix() @ x)
-    ns2 = system.noise_scale ** 2
+    ns2 = system.model.noise_scale ** 2
     noise = 0.0
     for i in range(spec.dim):
         noise += 0.5 * system.eta * ns2 * lam[i] ** 3 \
-            * _mode_quad_integral(system.blocks.blocks[i], t)
+            * _mode_quad_integral(fam.blocks[i], t)
     return transient + noise
 
 

@@ -677,6 +677,26 @@ def test_step_route_overflow_reads_inf_without_a_warning(family, momentum, lam):
     assert series.shape == (21,) and np.all(np.isposinf(series))
 
 
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+def test_step_route_divergence_reads_inf_not_nan(family):
+    # a mode of spectral radius >= 1 from x0 = (1, 1): its mean overflows
+    # within the 1,000 steps, and inf - inf in the per-mode products made NaN
+    model = from_spectrum(ISOTROPIC_SHIFT, [5.0, 0.25], noise_scale=1.0)
+    x0 = np.ones(2)
+    algo = AlgoSpec(family, 1.0, 1000.0, ConstantMomentum(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = exact_moment_recursion(algo, model, x0)
+    k = int(np.argmin(np.isfinite(series)))
+    assert 0 < k < algo.n_steps and np.all(np.isposinf(series[k:]))
+    # the finite prefix is the whole of a run stopped before the overflow
+    short = AlgoSpec(family, 1.0, k - 1.0, ConstantMomentum(0.5))
+    prefix = exact_moment_recursion(short, model, x0)
+    assert np.array_equal(series[:k], prefix)
+    loop = _loop_series(family, [5.0, 0.25], 1.0, 0.5, 1.0, x0, short.n_steps)
+    assert_allclose(prefix, loop, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # ensembles: layout, determinism, thread invariance
 # ---------------------------------------------------------------------------

@@ -58,6 +58,64 @@ def test_system_validation():
         build_sme(model, SGD, 1, 0.1).split_state(np.zeros(3))
 
 
+def test_the_sde_takes_any_positive_mu():
+    # the ceiling mu <= 1/eta is the discrete family's, held by build_sme
+    model = _iso([1.0, 0.25])
+    with pytest.raises(ValueError):
+        SmeSystem(MSGD, 1, model, 0.1, None)
+    assert SmeSystem(MSGD, 1, model, 0.1, 100.0).mu == 100.0
+    with pytest.raises(ValueError):
+        build_sme(model, MSGD, 1, 0.1, mu=10.5)
+
+
+def test_langevin_system_is_an_sme_system():
+    spec = _iso([1.0, 0.25]).spec
+    for variant, family, order in (("order1", MSGD, 1), ("msgd2", MSGD, 2),
+                                   ("snag2", SNAG, 2)):
+        system = langevin_system(spec, 0.7, 0.1, 0.9, variant)
+        assert isinstance(system, SmeSystem)
+        assert (system.family, system.order, system.mu, system.eta) \
+            == (family, order, 0.7, 0.1)
+        assert system.model.kind == ISOTROPIC_SHIFT
+        assert system.model.spec is spec and system.model.noise_scale == 0.9
+    # eta and noise_scale are checked as for any SME and model
+    for eta in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            langevin_system(spec, 0.7, eta)
+    with pytest.raises(ValueError):
+        langevin_system(spec, 0.7, 0.1, noise_scale=-0.1)
+
+
+@pytest.mark.parametrize("variant, family, order", [
+    ("order1", MSGD, 1), ("msgd2", MSGD, 2), ("snag2", SNAG, 2)])
+def test_closed_forms_read_any_momentum_sme(variant, family, order):
+    model = _iso([1.0, 0.25], ns=0.9)
+    x0 = np.array([1.5, -0.5])
+    built = build_sme(model, family, order, 0.1, 0.7)
+    named = langevin_system(model.spec, 0.7, 0.1, 0.9, variant)
+    assert np.array_equal(built.blocks.blocks, named.blocks.blocks)
+    for t in (0.0, 0.3, 2.0, math.inf):
+        assert langevin_expected_f_exact(built, x0, t) \
+            == langevin_expected_f_exact(named, x0, t)
+        assert langevin_expected_f_quadrature(built, x0, t) \
+            == langevin_expected_f_quadrature(named, x0, t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: build_sme(m, SGD, 1, 0.1),
+    lambda m: build_sme(m, SNAG_VARYING, 1, 0.1, t0=1.0),
+    lambda m: build_sme(from_spectrum(EIGENBASIS_SCALED, [1.0, 0.25]), MSGD, 1, 0.1, 0.7),
+], ids=["sgd", "snag_varying", "eigenbasis_scaled"])
+def test_systems_without_langevin_blocks_are_rejected(make):
+    system = make(_iso([1.0, 0.25]))
+    with pytest.raises(ValueError):
+        system.blocks
+    with pytest.raises(ValueError):
+        langevin_expected_f_exact(system, np.ones(2), 1.0)
+    with pytest.raises(ValueError):
+        langevin_expected_f_quadrature(system, np.ones(2), 1.0)
+
+
 def test_drift_closed_forms():
     model = _iso([1.5, 0.5], ns=0.8)
     h = model.spec.matrix()

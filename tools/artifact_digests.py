@@ -1,0 +1,95 @@
+"""SHA-256 digests of what `smelab figures` and `smelab selftest` write and print.
+
+    python3 tools/artifact_digests.py [--parent REV]
+
+Run from the root of a smelab checkout.  ``smelab figures`` runs at
+``--threads 1`` and ``--threads 2``, each into a new temporary directory,
+and ``smelab selftest`` runs once, all with the tree's ``src`` on
+PYTHONPATH.  The script prints one line ``<sha256>  <label>`` per artifact
+(label ``figures-t<N>/<file>``) and one per stdout with its ``wrote <path>``
+lines dropped (``figures-t<N>/stdout``, ``selftest/stdout``).
+
+With ``--parent REV`` it makes the same runs on ``git archive REV``,
+unpacked into a temporary directory, and then lists every label whose
+digest differs between the two trees or that only one of them has.  The
+exit status is 1 if any label is listed, and 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+THREADS = (1, 2)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def smelab(tree, *args):
+    """stdout of `python -m smelab ARGS` run on tree's src; raises on failure."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-m", "smelab", *args], cwd=tree, env=env,
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise RuntimeError("smelab %s failed in %s (exit %d): %s" % (
+            " ".join(args), tree, proc.returncode,
+            proc.stderr[-2000:].decode(errors="replace")))
+    return proc.stdout
+
+
+def digests(tree, scratch):
+    """{label: sha256} of every figures artifact and of the stdouts."""
+    out = {}
+    for threads in THREADS:
+        label = "figures-t%d" % threads
+        target = tempfile.mkdtemp(prefix=label + "-", dir=scratch)
+        stdout = smelab(tree, "figures", "--out", target, "--threads", str(threads))
+        for name in sorted(os.listdir(target)):
+            with open(os.path.join(target, name), "rb") as f:
+                out["%s/%s" % (label, name)] = sha256(f.read())
+        kept = [line for line in stdout.splitlines(keepends=True)
+                if not line.startswith(b"wrote ")]
+        out[label + "/stdout"] = sha256(b"".join(kept))
+    out["selftest/stdout"] = sha256(smelab(tree, "selftest"))
+    return out
+
+
+def parent_tree(rev, scratch):
+    """git archive rev, unpacked under scratch; returns its path."""
+    archive = os.path.join(scratch, "parent.tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev], check=True)
+    tree = os.path.join(scratch, "parent")
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", metavar="REV",
+                        help="compare against the tree of this git revision")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        change = digests(os.getcwd(), scratch)
+        for label, value in change.items():
+            print("%s  %s" % (value, label))
+        if args.parent is None:
+            return 0
+        parent = digests(parent_tree(args.parent, scratch), scratch)
+    differ = sorted(label for label in set(change) | set(parent)
+                    if change.get(label) != parent.get(label))
+    for label in differ:
+        print("differs from %s: %s (%s -> %s)" % (
+            args.parent, label, parent.get(label, "missing"), change.get(label, "missing")))
+    print("%d of %d labels differ from %s" % (len(differ), len(set(change) | set(parent)),
+                                              args.parent))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
