@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import Block2x2Family, SpectralDecomp, _pairs_2x2
+from .matkit import Block2x2Family, SpectralDecomp, _pairs_2x2, _trace_det
 
 _DEGENERATE_TOL = 1e-9
 
@@ -45,12 +45,26 @@ class EigenReport:
     diagonalizable: bool
 
 
+def _regimes(tr, det):
+    """The one near-critical rule: the regime of each 2x2 block (trace tr,
+    determinant det) is critical where |tr^2 - 4 det| <= _DEGENERATE_TOL
+    max(1, 4 det), and otherwise set by the sign of tr^2 - 4 det."""
+    disc = tr * tr - 4.0 * det
+    critical = np.abs(disc) <= _DEGENERATE_TOL * np.maximum(1.0, 4.0 * det)
+    return np.where(critical, CRITICAL, np.where(disc > 0.0, OVERDAMPED, UNDERDAMPED))
+
+
+def _eigen_report(blocks):
+    """Eigenvalue pairs, least real part and regimes of blocks (d, 2, 2)."""
+    pairs = _pairs_2x2(blocks)
+    cls = tuple(_regimes(*_trace_det(blocks)).tolist())
+    return EigenReport(pairs, float(np.min(pairs.real)), cls, CRITICAL not in cls)
+
+
 def classify_damping(mu, lam):
-    """Damping regime of one momentum mode: mu^2 vs 4 lam with relative tolerance."""
-    disc = mu * mu - 4.0 * lam
-    if abs(disc) <= _DEGENERATE_TOL * max(1.0, 4.0 * lam):
-        return CRITICAL
-    return OVERDAMPED if disc > 0 else UNDERDAMPED
+    """Damping regime of one momentum mode, the block [[mu, lam], [-1, 0]]
+    (trace mu, determinant lam) under _regimes' rule: mu^2 vs 4 lam."""
+    return str(_regimes(mu, lam))
 
 
 def momentum_eigs(mu, spec_or_lambdas):
@@ -62,10 +76,7 @@ def momentum_eigs(mu, spec_or_lambdas):
     if mu <= 0:
         raise ValueError("mu must be positive")
     lam = _eigenvalues_of(spec_or_lambdas)
-    pairs = _pairs_2x2(-_drift_blocks("msgd", 1, lam, 0.0, mu)[0])
-    cls = tuple(classify_damping(mu, l) for l in lam)
-    return EigenReport(pairs, float(np.min(pairs.real)), cls,
-                       CRITICAL not in cls)
+    return _eigen_report(-_drift_blocks("msgd", 1, lam, 0.0, mu)[0])
 
 
 def optimal_mu(spec_or_lambdas):
@@ -129,17 +140,8 @@ def order2_eigs(family, mu, eta, spec_or_lambdas):
         raise ValueError("family must be msgd or snag")
     if mu <= 0 or eta <= 0:
         raise ValueError("mu and eta must be positive")
-    pairs = _order2_pairs(family, mu, eta, _eigenvalues_of(spec_or_lambdas))
-    cls = []
-    for row in pairs:
-        if abs(row[0] - row[1]) <= _DEGENERATE_TOL * max(1.0, abs(row[0]) + abs(row[1])):
-            cls.append(CRITICAL)
-        elif abs(row[0].imag) > 0:
-            cls.append(UNDERDAMPED)
-        else:
-            cls.append(OVERDAMPED)
-    return EigenReport(pairs, float(np.min(pairs.real)), tuple(cls),
-                       CRITICAL not in cls)
+    b0, b1 = _drift_blocks(family, 2, _eigenvalues_of(spec_or_lambdas), eta, mu)
+    return _eigen_report(-(b0 + eta * b1))
 
 
 def varying_momentum_eigs(t, t0, spec_or_lambdas):
@@ -171,11 +173,11 @@ def decay_bound_check(family: Block2x2Family, t_grid):
 
     rate is the spectral abscissa min_i Re eig(A_i).  For each diagonalizable
     block the constant picks up its eigenvector conditioning; a defective
-    block forces the eps-branch (eps = rate/10) with the explicit constant
-    sup_t (1 + t ||N||) e^{-eps t} for its nilpotent part N.  The overall
-    constant includes the dimension factor sqrt(2d).  holds reports whether
-    the bound was satisfied at every grid time (up to 1e-9 relative slack for
-    rounding at equality cases).
+    block (critical under _regimes, with nilpotent part N != 0) forces the
+    eps-branch (eps = rate/10) with the explicit constant sup_t (1 + t ||N||)
+    e^{-eps t}.  The overall constant includes the dimension factor sqrt(2d).
+    holds reports whether the bound was satisfied at every grid time (up to
+    1e-9 relative slack for rounding at equality cases).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
@@ -184,11 +186,10 @@ def decay_bound_check(family: Block2x2Family, t_grid):
     d = family.dim
     eigs = family.block_eigenvalues()
     rate = float(np.min(eigs.real))
-    tr = blocks[:, 0, 0] + blocks[:, 1, 1]
-    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    tr, det = _trace_det(blocks)
     disc = tr * tr - 4.0 * det
     nil = blocks - 0.5 * tr[:, None, None] * np.eye(2)
-    defective = ((np.abs(disc) <= _DEGENERATE_TOL * np.maximum(1.0, tr * tr))
+    defective = ((_regimes(tr, det) == CRITICAL)
                  & (np.max(np.abs(nil), axis=(1, 2)) > 1e-14))
     any_def = bool(np.any(defective))
     eps = 0.0

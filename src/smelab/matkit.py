@@ -92,28 +92,25 @@ def _exp_2x2(a, t):
     against a's batch shape.
 
     Writes a = (tr/2) I + K with K^2 = (Delta/4) I, Delta = tr^2 - 4 det, and
-    picks per block on the sign of Delta (cosh/sinh, cos/sin, or the defective
-    I + tK branch when |Delta| <= 1e-12 * max(1, tr^2)).  In the cosh/sinh
-    branch e^{|om t|} is folded into the exponent, so the result stays finite
-    wherever exp(t a) is, even when cosh(om t) alone would overflow.
+    picks per block on the sign of Delta: cosh/sinh and cos/sin, both accurate
+    as Delta -> 0, and the defective I + tK only where Delta == 0.  In the
+    cosh/sinh branch e^{|om t|} is folded into the exponent, so the result
+    stays finite wherever exp(t a) is, even when cosh(om t) alone would overflow.
     """
-    tr = a[..., 0, 0] + a[..., 1, 1]
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    tr, det = _trace_det(a)
     delta = tr * tr - 4.0 * det
     half = 0.5 * tr
-    defective = np.abs(delta) <= 1e-12 * np.maximum(1.0, tr * tr)
-    over = (delta > 0.0) & ~defective
-    under = (delta < 0.0) & ~defective
+    over = delta > 0.0
+    under = delta < 0.0
     om = 0.5 * np.sqrt(np.abs(delta))
-    om_over = np.where(over, om, 1.0)
-    om_under = np.where(under, om, 1.0)
+    om_nz = np.where(delta == 0.0, 1.0, om)   # a divisor that is never 0
     # cosh(om t) = e^s (1 + e^{-2s}) / 2, sinh(om t) = sign(t) e^s (1 - e^{-2s}) / 2
     s = np.where(over, np.abs(om * t), 0.0)
     g = np.exp(half * t + s)
     c0 = np.where(over, 0.5 * g * (1.0 + np.exp(-2.0 * s)),
-                  np.where(under, g * np.cos(om_under * t), g))
-    c1 = np.where(over, 0.5 * g * np.copysign(-np.expm1(-2.0 * s) / om_over, t),
-                  np.where(under, g * np.sin(om_under * t) / om_under, g * t))
+                  np.where(under, g * np.cos(om_nz * t), g))
+    c1 = np.where(over, 0.5 * g * np.copysign(-np.expm1(-2.0 * s) / om_nz, t),
+                  np.where(under, g * np.sin(om_nz * t) / om_nz, g * t))
     k = a - half[..., None, None] * np.eye(2)
     return c0[..., None, None] * np.eye(2) + c1[..., None, None] * k
 
@@ -213,11 +210,16 @@ class Block2x2Family:
         return _pairs_2x2(self.blocks)
 
 
+def _trace_det(a):
+    """(trace, determinant) of 2x2 blocks a (..., 2, 2)."""
+    return (a[..., 0, 0] + a[..., 1, 1],
+            a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
+
+
 def _pairs_2x2(a):
     """Complex eigenvalue pairs (tr +- sqrt(tr^2 - 4 det)) / 2 of 2x2 blocks
     a (..., 2, 2): shape (..., 2)."""
-    tr = a[..., 0, 0] + a[..., 1, 1]
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    tr, det = _trace_det(a)
     root = np.sqrt(np.asarray(tr * tr - 4.0 * det, dtype=complex))
     return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=-1)
 

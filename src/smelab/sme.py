@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, rng, sga
-from .analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED, _drift_blocks,
-                       classify_damping)
-from .matkit import Block2x2Family, _assemble, mat_exp_dense
+from .analysis import CRITICAL, _drift_blocks, classify_damping
+from .matkit import Block2x2Family, _assemble, _trace_det, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -293,11 +292,10 @@ def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
     lam = spec.eigenvalues
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
-    t = np.asarray(t, dtype=float)
-    decay = np.exp((growth - 2.0 * m) * t[..., None])
-    ey2 = decay * y0 ** 2
-    if source is not None:
-        ey2 = ey2 + source * (1.0 - decay) / (2.0 * m - growth)
+    rate = (growth - 2.0 * m) * np.asarray(t, dtype=float)[..., None]
+    ey2 = np.exp(rate) * y0 ** 2
+    if source is not None:   # 1 - e^rate through expm1: no cancellation as t -> 0
+        ey2 = ey2 + source * -np.expm1(rate) / (2.0 * m - growth)
     out = 0.5 * np.sum(lam * ey2, axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -327,26 +325,26 @@ def bs_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
 def R_function(t, mu, lam):
     """The damping-regime kernel appearing in the momentum noise integral.
 
-    Underdamped (mu^2 < 4 lam, om = sqrt(4 lam - mu^2)):
-      R = [mu + om e^{-mu t} sin(om t) - mu e^{-mu t} cos(om t)] / (4 lam)
-    Overdamped and critical:
-      R = (1 - e^{-mu t}) / mu
-    R(0) = 0 and R(inf) = min(mu/(4 lam), 1/mu); the two branches agree at
-    mu^2 = 4 lam.
+    Underdamped (4 lam - mu^2 > 0, om = sqrt(4 lam - mu^2)):
+      R = [mu (1 - e^{-mu t} cos(om t)) + om e^{-mu t} sin(om t)] / (4 lam)
+    Overdamped and critical (4 lam - mu^2 <= 0):  R = (1 - e^{-mu t}) / mu
+    The branch is the sign of 4 lam - mu^2, where the formulas meet.  Neither
+    cancels as t -> 0: 1 - e^{-x} cos y = -expm1(-x) + 2 e^{-x} sin^2(y/2).
+    R(0) = 0, and R(inf) = mu/(4 lam) underdamped, 1/mu otherwise.
     """
     if mu <= 0 or lam <= 0:
         raise ValueError("R_function needs mu > 0, lam > 0")
     if not t >= 0:
         raise ValueError("t must be >= 0")
-    regime = classify_damping(mu, lam)
-    t = float(t)
-    if mu * t > 700.0:
-        return min(mu / (4.0 * lam), 1.0 / mu) if regime == UNDERDAMPED else 1.0 / mu
-    if regime == UNDERDAMPED:
-        om = math.sqrt(4.0 * lam - mu * mu)
-        return (mu + om * math.exp(-mu * t) * math.sin(om * t)
-                - mu * math.exp(-mu * t) * math.cos(om * t)) / (4.0 * lam)
-    return (1.0 - math.exp(-mu * t)) / mu
+    om2 = 4.0 * lam - mu * mu
+    if om2 <= 0.0:
+        return -math.expm1(-mu * t) / mu
+    if t == math.inf:   # the one special case: sin(om t) has no limit
+        return mu / (4.0 * lam)
+    om = math.sqrt(om2)
+    decay = math.exp(-mu * t)
+    one_minus_cos = 2.0 * decay * math.sin(0.5 * om * t) ** 2 - math.expm1(-mu * t)
+    return (mu * one_minus_cos + om * decay * math.sin(om * t)) / (4.0 * lam)
 
 
 def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
@@ -430,12 +428,12 @@ def quad(*args, **kwargs):
 
 def _decay_entry(block):
     """u -> the [1, 0] entry of exp(-u block) for u >= 0, c1(-u) block[1, 0]
-    with c1 as in matkit._exp_2x2, in scalar math (branch picked once)."""
+    with c1 and its branches as in matkit._exp_2x2, picked once, in scalar math."""
     a00, a01, a10, a11 = (float(v) for v in np.ravel(block))
     tr = a00 + a11
     delta = tr * tr - 4.0 * (a00 * a11 - a01 * a10)
     half, om = 0.5 * tr, 0.5 * math.sqrt(abs(delta))
-    if abs(delta) <= 1e-12 * max(1.0, tr * tr):
+    if delta == 0.0:
         return lambda u: -a10 * u * math.exp(-half * u)
     if delta < 0.0:
         return lambda u: -a10 * math.exp(-half * u) * math.sin(om * u) / om
@@ -445,8 +443,7 @@ def _decay_entry(block):
 
 
 def _mode_quad_integral(block, t):
-    tr = block[0, 0] + block[1, 1]
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+    tr, det = _trace_det(block)
     disc = tr * tr - 4.0 * det
     min_re = 0.5 * (tr - math.sqrt(disc)) if disc > 0 else 0.5 * tr
     max_re = tr - min_re
@@ -501,7 +498,7 @@ def asymptotic_noise_msgd(spec, mu, eta, noise_scale=1.0):
     """The stationary value of E f for the order-1 momentum system.
 
     (eta/2) sum_i lam_i^3 / |mu^2 - 4 lam_i| * [1/(2 Re Lam_+) + 1/(2 Re Lam_-)
-    - 2 min(mu/(4 lam_i), 1/mu)], with Lam_+- the continuous-time momentum
+    - 2 R_function(inf, mu, lam_i)], with Lam_+- the continuous-time momentum
     eigenvalues.  Degenerate modes (|mu^2 - 4 lam_i| under tolerance) raise.
     In both damping regimes the bracket sum equals (eta/4mu) ns^2 sum lam_i^2,
     the Gibbs value of the Langevin SME.
@@ -510,13 +507,12 @@ def asymptotic_noise_msgd(spec, mu, eta, noise_scale=1.0):
         raise ValueError("mu must be positive")
     total = 0.0
     for lam in spec.eigenvalues:
-        regime = classify_damping(mu, lam)
-        if regime == CRITICAL:
+        if classify_damping(mu, lam) == CRITICAL:
             raise ValueError("degenerate damping at lam=%g: |mu^2-4lam| below tolerance" % lam)
         disc = mu * mu - 4.0 * lam
-        root = math.sqrt(disc) if regime == OVERDAMPED else 0.0
+        root = math.sqrt(disc) if disc > 0.0 else 0.0
         re_p, re_m = 0.5 * (mu + root), 0.5 * (mu - root)
         bracket = (1.0 / (2.0 * re_p) + 1.0 / (2.0 * re_m)
-                   - 2.0 * min(mu / (4.0 * lam), 1.0 / mu))
+                   - 2.0 * R_function(math.inf, mu, lam))
         total += 0.5 * eta * noise_scale ** 2 * lam ** 3 * bracket / abs(disc)
     return total

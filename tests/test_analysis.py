@@ -34,6 +34,26 @@ def test_classify_damping_regimes_and_tolerance():
     assert classify_damping(2.0 + 1e-4, 1.0) == OVERDAMPED
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_one_classification_rule_near_critical(lam):
+    # momentum_eigs, order2_eigs at a vanishing eta and decay_bound_check's
+    # defective mask read one discriminant test, so they agree on both sides
+    # of mu = 2 sqrt(lam); |mu^2 - 4 lam| ~ 8 lam 10^-k is inside the
+    # 1e-9 max(1, 4 lam) band from k = 10 on
+    spec = _spec([lam])
+    grid = np.linspace(0.0, 50.0, 51)
+    for k in range(4, 16):
+        for sign in (1.0, -1.0):
+            mu = 2.0 * math.sqrt(lam) * (1.0 + sign * 10.0 ** -k)
+            [regime] = momentum_eigs(mu, spec).classification
+            assert regime == (CRITICAL if k >= 10 else
+                              OVERDAMPED if sign > 0 else UNDERDAMPED), (k, sign)
+            assert order2_eigs("msgd", mu, 1e-12, spec).classification == (regime,), (k, sign)
+            defective = decay_bound_check(langevin_system(spec, mu, 0.1).blocks,
+                                          grid).any_defective
+            assert defective == (regime == CRITICAL), (k, sign)
+
+
 def test_momentum_eigs_root_identities():
     rep = momentum_eigs(0.9, _spec([1.0, 0.25]))
     assert rep.eigenvalues.shape == (2, 2)

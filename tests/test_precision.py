@@ -1,0 +1,146 @@
+"""Precision ledger: exact routes against 80-digit mpmath oracles at the
+numerical edges (critical damping, t -> 0, long horizons).
+
+Each test sweeps one route over its edge grid, compares every point with an
+oracle evaluated in mpmath on the same float inputs, and asserts a documented
+bound on the worst relative error; the assertion message names the worst
+error and its case.  A route over its bound is a finding, not a bound to
+widen.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+
+from smelab.matkit import SpectralDecomp, _exp_2x2
+from smelab.sme import R_function, _decay_entry, ou_expected_f
+
+DPS = 80
+
+# Momentum blocks [[mu, lam], [-1, 0]] around critical damping: mu^2 - 4 lam
+# is about 4 lam f 1e-12, so f in (0, 1) lies inside the tolerance band that
+# used to select the defective branch, f > 1 just outside it, f = -0.5 on the
+# underdamped side and f = 0 at the float nearest to critical.
+BLOCK_LAMS = (1.0, 0.25, 4.0, 0.01)
+BLOCK_FS = (0.0, 1e-4, 0.3, 0.999, 1.001, 3.0, 100.0, -0.5)
+BLOCK_TIMES = (0.1, 10.0, 100.0, 300.0, 1000.0, 3000.0)
+
+# Measured 1.26e-12 (lam = 0.01, f = 0, t = 3000).  The floor is the rounding
+# of Delta = tr^2 - 4 det, which is about eps tr^2 in absolute terms: it
+# enters sinh(om t)/om = t (1 + (om t)^2/6 + ...) as an absolute error of
+# about eps tr^2 t^2 / 24 relative to t.
+EXP_2X2_BOUND = 2e-12
+DECAY_ENTRY_BOUND = 2e-12
+
+R_CASES = ((0.7, 2.0), (0.5, 1.0), (3.0, 1.0), (2.0 * (1 - 1e-7), 1.0),
+           (2.0 * (1 - 1e-12), 1.0), (2.0, 1.0), (0.1, 0.25), (1.9, 1.0))
+R_TIMES = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e4)
+R_BOUND = 2e-15          # measured 1.02e-15 (mu = 0.1, lam = 0.25, t = 10)
+
+OU_LAMS = (1.0, 0.25, 1e-3, 10.0)
+OU_ETAS = (0.1, 0.0125)
+OU_TIMES = np.concatenate([10.0 ** np.arange(-10, 3), [0.0125]])
+OU_BOUND = 1e-15         # measured 4.6e-16 (lam = 1e-3, eta = 0.1, order 2, t = 1e-4)
+
+
+def _edge_blocks():
+    for lam in BLOCK_LAMS:
+        for f in BLOCK_FS:
+            mu = 2.0 * math.sqrt(lam) / math.sqrt(1.0 - f * 1e-12)
+            # mu t / 2 <= 600 keeps exp(-t a) clear of underflow
+            times = [t for t in BLOCK_TIMES if 0.5 * mu * t <= 600.0]
+            yield (lam, f), np.array([[mu, lam], [-1.0, 0.0]]), times
+
+
+def _mp_exp_neg(block, t):
+    """exp(-t block) in closed form at the working precision, from the exact
+    values of the float entries."""
+    a = [[mp.mpf(float(x)) for x in row] for row in block]
+    tr = a[0][0] + a[1][1]
+    delta = tr * tr - 4 * (a[0][0] * a[1][1] - a[0][1] * a[1][0])
+    u = -mp.mpf(t)
+    if delta == 0:
+        c0, c1 = mp.mpf(1), u
+    else:
+        om = mp.sqrt(mp.mpc(delta)) / 2
+        c0, c1 = mp.cosh(om * u), mp.sinh(om * u) / om
+    g = mp.exp(tr / 2 * u)
+    return [[mp.re(g * ((c0 if i == j else 0) + c1 * (a[i][j] - (tr / 2 if i == j else 0))))
+             for j in range(2)] for i in range(2)]
+
+
+def _worst(cases):
+    """(largest error, its case) over an iterable of (error, case)."""
+    return max(cases, key=lambda item: item[0])
+
+
+def test_exp_2x2_near_critical_against_mpmath():
+    def cases():
+        for case, block, times in _edge_blocks():
+            for t in times:
+                want = _mp_exp_neg(block, t)
+                got = _exp_2x2(block, -t)
+                num = sum((mp.mpf(float(got[i, j])) - want[i][j]) ** 2
+                          for i in range(2) for j in range(2))
+                den = sum(want[i][j] ** 2 for i in range(2) for j in range(2))
+                yield float(mp.sqrt(num / den)), case + (t,)
+
+    with mp.workdps(DPS):
+        err, case = _worst(cases())
+    assert err <= EXP_2X2_BOUND, "worst normwise error %.3g at (lam, f, t) = %s" % (err, case)
+
+
+def test_decay_entry_near_critical_against_mpmath():
+    def cases():
+        for case, block, times in _edge_blocks():
+            entry = _decay_entry(block)
+            for t in times:
+                want = _mp_exp_neg(block, t)[1][0]
+                yield float(abs((entry(t) - want) / want)), case + (t,)
+
+    with mp.workdps(DPS):
+        err, case = _worst(cases())
+    assert err <= DECAY_ENTRY_BOUND, "worst relative error %.3g at (lam, f, t) = %s" % (err, case)
+
+
+def _mp_r(t, mu, lam):
+    """R_function's documented formulas, branch by the exact sign of 4 lam - mu^2."""
+    t, mu, lam = mp.mpf(t), mp.mpf(mu), mp.mpf(lam)
+    om2 = 4 * lam - mu * mu
+    if om2 <= 0:
+        return (1 - mp.exp(-mu * t)) / mu
+    om = mp.sqrt(om2)
+    return (mu + om * mp.exp(-mu * t) * mp.sin(om * t)
+            - mu * mp.exp(-mu * t) * mp.cos(om * t)) / (4 * lam)
+
+
+def test_r_function_against_mpmath():
+    def cases():
+        for mu, lam in R_CASES:
+            for t in R_TIMES:
+                want = _mp_r(t, mu, lam)
+                yield float(abs((R_function(t, mu, lam) - want) / want)), (mu, lam, t)
+
+    with mp.workdps(DPS):
+        err, case = _worst(cases())
+    assert err <= R_BOUND, "worst relative error %.3g at (mu, lam, t) = %s" % (err, case)
+
+
+def test_ou_noise_term_against_mpmath():
+    # x0 = 0 leaves only the noise term (lam/2) eta lam^2 (1 - e^{-2 m t})/(2 m)
+    def cases():
+        for lam in OU_LAMS:
+            spec = SpectralDecomp(np.array([lam]), np.eye(1))
+            for eta in OU_ETAS:
+                for order in (1, 2):
+                    got = ou_expected_f(spec, [0.0], eta, OU_TIMES, order=order)
+                    lam_, eta_ = mp.mpf(lam), mp.mpf(eta)
+                    m = lam_ * (1 + eta_ * lam_ / 2) if order == 2 else lam_
+                    for t, value in zip(OU_TIMES.tolist(), got.tolist()):
+                        want = lam_ / 2 * eta_ * lam_ ** 2 * -mp.expm1(-2 * m * t) / (2 * m)
+                        yield float(abs((value - want) / want)), (lam, eta, order, t)
+
+    with mp.workdps(DPS):
+        err, case = _worst(cases())
+    assert err <= OU_BOUND, "worst relative error %.3g at (lam, eta, order, t) = %s" % (err, case)

@@ -273,7 +273,7 @@ def test_r_function_branches_and_limits():
     lo = R_function(1.1, 2.0 * (1 - 1e-7), 1.0)
     hi = R_function(1.1, 2.0 * (1 + 1e-7), 1.0)
     assert_allclose(lo, hi, rtol=1e-5)
-    # deep-time branch switch
+    # the deep-time value reaches R(inf) once e^{-mu t} underflows
     assert_allclose(R_function(2000.0, 0.5, 1.0), R_function(np.inf, 0.5, 1.0),
                     rtol=1e-12)
     with pytest.raises(ValueError):
