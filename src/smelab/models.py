@@ -220,8 +220,9 @@ def _batch_objective(model, X, out, rows):
         if d >= 8:
             for i in range(8, rest, 8):
                 t[..., :8] += t[..., i:i + 8]
-            for j, k in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-                t[..., j] += t[..., k]
+            t[..., 0:8:2] += t[..., 1:8:2]
+            t[..., 0:8:4] += t[..., 2:8:4]
+            t[..., 0] += t[..., 4]
         out = np.positive(t[..., 0], out=out)       # a copy
         for j in range(rest, d):
             out += t[..., j]

@@ -8,8 +8,15 @@ so that results are reproducible bit-for-bit regardless of execution order,
 chunking, or thread count.  The generator is the standard Philox 4x64 bijection
 with 10 rounds; the two 64-bit key words hold (seed, stream) and the four
 counter words hold (path, step, draw, block).  Standard normals are produced by
-the inverse-CDF transform (scipy.special.ndtri) applied to open-interval
-uniforms, never by rejection or Box-Muller, so the draw count per key is fixed.
+the inverse-CDF transform (Cephes ndtri) applied to open-interval uniforms,
+never by rejection or Box-Muller, so the draw count per key is fixed.
+
+normals takes ndtri by one of two routes with the same bits: a scalar port of
+Cephes ndtri (S. L. Moshier, 1989; its one step outside IEEE arithmetic is libm's
+log, i.e. math.log) for a single key (scalar path and step) of at most _PORT_MAX
+draws, the Haar fills and CounterStream steps, so bases, models, exact recursions
+and closed forms import no scipy; and scipy.special.ndtri, the same routine as a
+ufunc, about 100x faster per value on long inputs, for every other request.
 
 raw_words computes the same words by one of two routes:
 
@@ -29,6 +36,7 @@ raw_words computes the same words by one of two routes:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -195,9 +203,60 @@ def uniforms(seed, stream, path, step, draw, n, out=None):
 
 def normals(seed, stream, path, step, draw, n, out=None):
     """n standard normal deviates for the key tuple (inverse-CDF transform);
-    out as in uniforms; scipy is imported on first use, not with the package."""
+    out as in uniforms; the scalar port or scipy's ufunc (module doc)."""
+    u = uniforms(seed, stream, path, step, draw, n, out)
+    if np.ndim(path) == 0 and np.ndim(step) == 0 and n <= _PORT_MAX:
+        u[:] = list(map(_ndtri, u.tolist()))
+        return u
     from scipy.special import ndtri
-    return ndtri(uniforms(seed, stream, path, step, draw, n, out), out=out)
+    return ndtri(u, out=u)
+
+
+# Cephes ndtri's rational approximations, highest power first (leading 1s written out):
+# P0/Q0 in (y - 1/2)^2 on the centre, P1/Q1 and P2/Q2 in 1/x, x = sqrt(-2 log y) < 8, >= 8.
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2, _S2PI = 0.13533528323661269189, 2.50662827463100050242    # exp(-2), sqrt(2 pi)
+_PORT_MAX = 4096    # the d * d Haar fill at matkit.MAX_DIM
+
+
+def _horner(x, coef):
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(y0):
+    """Cephes ndtri at a float y0 in (0, 1], operation for operation."""
+    if y0 == 1.0:       # the top uniform, (2**53 - 1/2) 2**-53, rounds to 1
+        return math.inf
+    upper = y0 > 1.0 - _EXP_M2
+    y = 1.0 - y0 if upper else y0
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q)
+    return x if upper else -x
 
 
 class CounterStream:

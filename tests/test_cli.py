@@ -379,7 +379,7 @@ def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
 
 def test_figures_imports_scipy_special_but_not_scipy_linalg(tmp_path):
     # scipy.linalg serves only the oracles (mat_exp_dense, linear_sme_moments,
-    # the quadrature), and ndtri from scipy.special defines every normal draw
+    # the quadrature), and the ensembles' batched draws take scipy.special.ndtri
     code = ("import contextlib, io, sys\n"
             "from smelab import cli\n"
             "for threads in ('1', '2'):\n"
@@ -388,10 +388,33 @@ def test_figures_imports_scipy_special_but_not_scipy_linalg(tmp_path):
             "                         '--threads', threads])\n"
             "    print(code)\n"
             "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n")
+    done = _fresh_python(code, str(tmp_path / "threads"))
+    assert done.stdout.split() == ["0", "0", "False", "True"]
+
+
+def test_exact_layer_imports_no_scipy():
+    # a basis, a model, the Nesterov schedule's recursion and the Langevin
+    # closed form draw only single keys, which the ndtri port serves
+    code = ("import math, sys\n"
+            "import numpy as np\n"
+            "from smelab import matkit, models, sga, sme\n"
+            "model = models.from_matrix(models.ISOTROPIC_SHIFT,\n"
+            "                           matkit.spd_with_condition(64, 100.0, 7))\n"
+            "algo = sga.AlgoSpec(sga.SNAG, 0.1, 5.0, sga.NesterovSchedule())\n"
+            "series = sga.exact_moment_recursion(algo, model, np.ones(64))\n"
+            "system = sme.langevin_system(model.spec, 0.2, 0.1)\n"
+            "ef = sme.langevin_expected_f_exact(system, np.ones(64), np.array([0.0, 1.0, math.inf]))\n"
+            "assert np.all(np.isfinite(series)) and np.all(np.isfinite(ef))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports smelab from this tree."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "threads")],
+    done = subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == ["0", "0", "False", "True"]
+    return done

@@ -12,9 +12,11 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 
+from smelab.analysis import CRITICAL, classify_damping
 from smelab.matkit import SpectralDecomp, _exp_2x2
-from smelab.sme import R_function, _decay_entry, ou_expected_f
+from smelab.sme import R_function, _decay_entry, asymptotic_noise_msgd, ou_expected_f
 
 DPS = 80
 
@@ -42,6 +44,19 @@ OU_LAMS = (1.0, 0.25, 1e-3, 10.0)
 OU_ETAS = (0.1, 0.0125)
 OU_TIMES = np.concatenate([10.0 ** np.arange(-10, 3), [0.0125]])
 OU_BOUND = 1e-15         # measured 4.6e-16 (lam = 1e-3, eta = 0.1, order 2, t = 1e-4)
+
+# mu = 2 sqrt(lam) (1 + f) around critical damping.  The route divides by
+# |mu^2 - 4 lam|, about 8 lam |f|, so its error grows like eps / |f|:
+# measured 4.5e-9 at |f| = 1e-8, 4.4e-13 at 1e-4, 5.8e-14 at 1e-3, 2.6e-15 at
+# 1e-2 and at most 1.1e-15 from 0.5 on.  Points inside classify_damping's
+# band raise, as documented, and are checked to raise.
+NOISE_LAMS = (1.0, 0.25, 4.0, 0.01)
+NOISE_FS = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.5, 3.0)
+NOISE_ETA = 0.1
+
+
+def _noise_msgd_bound(f):
+    return 0.5 * np.finfo(float).eps / abs(f) + 2e-15
 
 
 def _edge_blocks():
@@ -144,3 +159,25 @@ def test_ou_noise_term_against_mpmath():
     with mp.workdps(DPS):
         err, case = _worst(cases())
     assert err <= OU_BOUND, "worst relative error %.3g at (lam, eta, order, t) = %s" % (err, case)
+
+
+def test_asymptotic_noise_msgd_near_critical_against_mpmath():
+    # the Gibbs value eta ns^2 lam^2 / (4 mu) that the bracket sum equals
+    def cases():
+        for lam in NOISE_LAMS:
+            spec = SpectralDecomp(np.array([lam]), np.eye(1))
+            for f in NOISE_FS + tuple(-f for f in NOISE_FS if f < 1):
+                mu = 2.0 * math.sqrt(lam) * (1.0 + f)
+                if classify_damping(mu, lam) == CRITICAL:
+                    with pytest.raises(ValueError, match="degenerate"):
+                        asymptotic_noise_msgd(spec, mu, NOISE_ETA)
+                    continue
+                got = asymptotic_noise_msgd(spec, mu, NOISE_ETA)
+                want = mp.mpf(NOISE_ETA) * mp.mpf(lam) ** 2 / (4 * mp.mpf(mu))
+                err = float(abs((got - want) / want))
+                yield err / _noise_msgd_bound(f), (lam, f, err)
+
+    with mp.workdps(DPS):
+        ratio, case = _worst(cases())
+    assert ratio <= 1.0, ("worst relative error %.3g at (lam, f) = %s, %.3g of its bound"
+                          % (case[2], case[:2], ratio))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -217,3 +218,49 @@ def test_out_must_match_the_draws():
         rng.normals(1, 2, np.arange(4), 0, 0, 3, out=np.empty((4, 2)))
     with pytest.raises(ValueError, match="shape"):
         rng.normals(1, 2, 0, 0, 0, 3, out=np.empty((1, 3)))
+
+
+def _edge_uniforms():
+    """Uniforms of the grid (k + 1/2) 2**-53 that normals draws from: windows
+    around ndtri's switches at exp(-2) and 1 - exp(-2), the 4,000 nearest to
+    each extreme (the tail's x = 8 switch, at exp(-32), is k = 114), 60,000
+    spread over (0, 1) and 40,000 whose distance from 0 or 1 is log-uniform.
+    The top one, k = 2**53 - 1, rounds to 1.0."""
+    k = [np.arange(-2000, 2000) + int(c * 2.0**53) for c in (np.exp(-2.0), -np.expm1(-2.0))]
+    k += [np.arange(4000), 2**53 - 1 - np.arange(4000)]
+    gen = np.random.default_rng(2024)
+    k += [gen.integers(0, 2**53, 60_000)]
+    tail = (2.0 ** gen.uniform(0.0, 53.0, 20_000)).astype(np.int64) - 1
+    k += [tail, 2**53 - 1 - tail]
+    return (np.concatenate(k) + 0.5) * 2.0**-53
+
+
+def test_ndtri_port_matches_scipy_bit_for_bit():
+    u = _edge_uniforms()
+    assert u.size >= 100_000 and u.min() == 0.5 * 2.0**-53 and u.max() == 1.0
+    got = np.array([rng._ndtri(v) for v in u.tolist()])
+    want = ndtri(u)
+    x = np.sqrt(-2.0 * np.log(u[u < 0.5]))     # the tail's x = 8 switch, both sides
+    assert np.any((x > 7.99) & (x < 8.0)) and np.any((x >= 8.0) & (x < 8.01))
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, "%d of %d differ, first at u = %r" % (bad.size, u.size, u[bad[0]])
+
+
+def test_single_keys_take_the_port_and_batches_take_scipy(monkeypatch):
+    single = [rng.normals(5, 3, 2, 7, 0, n) for n in (1, 9, 4096)]
+    batch = rng.normals(5, 3, np.arange(4), 7, 0, 9)
+    long_key = rng.normals(5, 3, 2, 7, 0, 4097)
+    stream = rng.CounterStream(5, 3, path=2, step=7).normals(9)
+    monkeypatch.setattr(scipy.special, "ndtri", None)    # a scipy call now fails
+    for n, z in zip((1, 9, 4096), single):
+        assert np.array_equal(rng.normals(5, 3, 2, 7, 0, n), z)
+    assert np.array_equal(rng.CounterStream(5, 3, path=2, step=7).normals(9), stream)
+    assert np.array_equal(stream, single[1])
+    monkeypatch.undo()
+    _forbid(monkeypatch, "_ndtri")
+    assert np.array_equal(rng.normals(5, 3, np.arange(4), 7, 0, 9), batch)
+    assert np.array_equal(rng.normals(5, 3, 2, 7, 0, 4097), long_key)
+    assert np.array_equal(batch[2], single[1]) and np.array_equal(long_key[:9], single[1])
+    out = np.empty(9)
+    monkeypatch.undo()
+    assert rng.normals(5, 3, 2, 7, 0, 9, out=out) is out and np.array_equal(out, single[1])
