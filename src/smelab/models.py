@@ -174,14 +174,17 @@ class _Rows:
     """Scratch for points of a model stacked in rows, of the given shape:
     two buffers a and b, the eigenvalues (repeated in every row of a batch:
     numpy runs a product with a (d,) vector broadcast over the rows row by
-    row, several times slower at small d) and a C-ordered copy of basis.T
-    (numpy multiplies by the transposed view several times slower).  An
-    ensemble chunk makes one and reuses it at every step."""
+    row, several times slower at small d), the basis and a C-ordered copy of
+    basis.T (numpy multiplies by the transposed view several times slower),
+    both None for an identity basis, whose products the kernels skip: X @ I
+    is X bit for bit for finite X but for the sign of a zero.  An ensemble
+    chunk makes one and reuses it at every step."""
 
     def __init__(self, model, shape):
-        lam = model.spec.eigenvalues
+        lam, q = model.spec.eigenvalues, model.spec.basis
         self.lam = lam if shape[0] == 1 else np.broadcast_to(lam, shape).copy()
-        self.basis_t = np.ascontiguousarray(model.spec.basis.T)
+        self.basis = None if np.array_equal(q, np.eye(len(q))) else q
+        self.basis_t = None if self.basis is None else np.ascontiguousarray(q.T)
         self.a = np.empty(shape)
         self.b = np.empty(shape)
 
@@ -189,10 +192,15 @@ class _Rows:
 def _batch_gradient(model, X, gammas, out, rows):
     """Rows of grad f_gamma(x) for row-stacked points X (which may be rows.a)
     and draws gammas, into out (or a new array) and rows, a _Rows of X's shape."""
-    q = model.spec.basis
+    q = rows.basis
     if model.kind == ISOTROPIC_SHIFT:
-        c = np.matmul(np.subtract(X, gammas, out=rows.a), q, out=rows.b)
+        c = np.subtract(X, gammas, out=rows.a)
+        if q is None:
+            return np.multiply(c, rows.lam, out=out)
+        c = np.matmul(c, q, out=rows.b)
         c *= rows.lam
+    elif q is None:   # X may be rows.a
+        return np.multiply(X, np.add(rows.lam, gammas, out=rows.b), out=out)
     else:
         c = np.matmul(X, q, out=rows.b)
         c *= np.add(rows.lam, gammas, out=rows.a)
@@ -209,7 +217,7 @@ def _batch_objective(model, X, out, rows):
     For d <= 128 and several rows the columns are added in that order (in t):
     the same bits without the per-row cost of a short reduction.
     """
-    y = np.matmul(X, model.spec.basis, out=rows.a)
+    y = X if rows.basis is None else np.matmul(X, rows.basis, out=rows.a)
     t = np.multiply(rows.lam, y, out=rows.b)
     t *= y
     d = t.shape[-1]

@@ -630,13 +630,13 @@ def _fit(algo, floor, series):
         raise ConfigError("%s: no descent rate to fit (%s)" % (key, exc)) from None
 
 
-def _trajectory(cfg, family, mu, eta, ks, series, method, stderr=None):
-    """Dynamics-table rows of one E f series at the indices ks; mu is one
-    momentum or one per index, stderr one per step (zero when omitted)."""
+def _trajectory(cfg, family, mu, eta, ks, values, method, stderr=None):
+    """Dynamics-table rows of E f values at the indices ks; mu is one
+    momentum or one per index, stderr one per index (zero when omitted)."""
     mus = np.broadcast_to(np.asarray(mu, dtype=float), ks.shape).tolist()
-    errs = [0.0] * len(ks) if stderr is None else np.asarray(stderr)[ks].tolist()
+    errs = [0.0] * len(ks) if stderr is None else np.asarray(stderr).tolist()
     return [(cfg.experiment, family, m, float(eta), k, float(k * eta), f, e, method)
-            for k, m, f, e in zip(ks.tolist(), mus, np.asarray(series)[ks].tolist(), errs)]
+            for k, m, f, e in zip(ks.tolist(), mus, np.asarray(values).tolist(), errs)]
 
 
 def _curve(label, eta, ks, series):
@@ -814,7 +814,7 @@ def exp_divergence(config=None):
         discrete_divergent = bool(np.max(discrete_growth_factors(model, eta)) > 1.0)
         sme_divergent = bool(np.any(eta * ns2 > 2.0 * lam))
         verdicts[eta] = (discrete_divergent, sme_divergent)
-        rows += _trajectory(cfg, SGD, 0.0, eta, ks, series, "exact")
+        rows += _trajectory(cfg, SGD, 0.0, eta, ks, series[ks], "exact")
         curves.append(_curve("eta=%g" % eta, eta, ks, series))
 
     sme_threshold = divergence_threshold(model.spec) / ns2 if ns2 > 0 else math.inf
@@ -896,8 +896,8 @@ def exp_momentum_dynamics(config=None):
             metrics.append(("max_rel_deviation[mu=%g,eta=%g]" % (mu, eta),
                             deviation))
             ks = _subsample(n)
-            rows += _trajectory(cfg, MSGD, mu, eta, ks, exact, "exact")
-            rows += _trajectory(cfg, MSGD, mu, eta, ks, closed, "closed-form")
+            rows += _trajectory(cfg, MSGD, mu, eta, ks, exact[ks], "exact")
+            rows += _trajectory(cfg, MSGD, mu, eta, ks, closed[ks], "closed-form")
             if eta == eta0:
                 series_eta0[mu] = (exact, hi)
                 curves.append(_curve("exact mu=%g" % mu, eta, ks, exact))
@@ -907,9 +907,9 @@ def exp_momentum_dynamics(config=None):
         n0 = iteration_count(cfg.horizon, eta0)
         rows.append((cfg.experiment, MSGD, float(mu), float(eta0), int(n0),
                      math.inf, float(exact_floors[mu]), 0.0, "floor"))
-    if mc_slots:   # one batch shares the draws; each row block goes back to its slot
-        ensembles = _run_ensembles([algo for _, algo, _ in mc_slots], model, x0,
-                                   cfg.n_paths, cfg.seed, "f", cfg.threads)
+    if mc_slots:   # one batch at eta0 shares the draws and ks; rows go back to their slots
+        ensembles = _run_ensembles([algo for _, algo, _ in mc_slots], model, x0, cfg.n_paths,
+                                   cfg.seed, "f", cfg.threads, record=mc_slots[0][2])
         for (at, algo, ks), stats in reversed(list(zip(mc_slots, ensembles))):
             rows[at:at] = _trajectory(cfg, MSGD, algo.momentum.mu, algo.eta, ks,
                                       stats.mean, "mc", stats.stderr)
@@ -1026,7 +1026,7 @@ def exp_msgd_vs_snag(config=None):
             _, series, fit = _descent(algo, model, x0, trim=(1.3, 100))
             rates[family] = fit.slope
             ks = _subsample(series.size - 1)
-            rows += _trajectory(cfg, family, mu_const, eta, ks, series, "exact")
+            rows += _trajectory(cfg, family, mu_const, eta, ks, series[ks], "exact")
             curves.append(_curve(family, eta, ks, series))
         measured = rates[SNAG] - rates[MSGD]
         measured_gaps[lam_d] = measured
@@ -1095,7 +1095,7 @@ def exp_msgd_vs_snag(config=None):
         % (floor_sched, msgd_tuned_floor)))
     ks = _subsample(n)
     tables.append(Table("compare_snag_schedule", _DYNAMICS_HEADER, tuple(
-        _trajectory(cfg, SNAG, mu_at(algo_s, ks), eta, ks, series_s, "exact"))))
+        _trajectory(cfg, SNAG, mu_at(algo_s, ks), eta, ks, series_s[ks], "exact"))))
     panels.append(Panel("compare_snag_schedule",
                         "snag under the Nesterov schedule", "t", "E f",
                         (_curve("schedule", eta, ks, series_s),), logy=True))

@@ -54,6 +54,7 @@ _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _INV53 = 2.0 ** -53
+_BELOW_ONE = 1.0 - _INV53
 
 # Stream tags.  Each independent consumer of randomness gets its own stream so
 # that counters never collide across uses of the same seed.
@@ -185,7 +186,11 @@ def _philox(counter, key):
 
 
 def uniforms(seed, stream, path, step, draw, n, out=None):
-    """n float64 uniforms on the open interval (0, 1) for the key tuple.
+    """n float64 uniforms on the open interval (0, 1) for the key tuple:
+    (k + 1/2) 2**-53 of the top 53 bits k of each word, rounded to double.
+    Below 2**52 that is the midpoint of k's cell; above, k + 1/2 rounds to
+    the even one of k and k + 1, so the top k = 2**53 - 1 would give 1.0 and
+    is mapped to 1 - 2**-53, the largest double below 1.
 
     out, when given, is a float64 array of the result's shape that receives
     the values (the same bits, with no temporaries); it is returned.
@@ -198,7 +203,7 @@ def uniforms(seed, stream, path, step, draw, n, out=None):
     np.copyto(out, w >> _S11)          # exact: the shifted words are below 2**53
     out += 0.5
     out *= _INV53
-    return out
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
 def normals(seed, stream, path, step, draw, n, out=None):
@@ -244,7 +249,7 @@ def _horner(x, coef):
 
 def _ndtri(y0):
     """Cephes ndtri at a float y0 in (0, 1], operation for operation."""
-    if y0 == 1.0:       # the top uniform, (2**53 - 1/2) 2**-53, rounds to 1
+    if y0 == 1.0:       # as Cephes; uniforms stay below 1
         return math.inf
     upper = y0 > 1.0 - _EXP_M2
     y = 1.0 - y0 if upper else y0

@@ -198,8 +198,10 @@ class EnsembleStats:
     observable: object = "f"
 
 
-def _ensemble(n_paths, n, start, threads):
-    """[(mean, stderr), ...] of observables at points 0..n over n_paths paths.
+def _ensemble(n_paths, n, start, threads, record=None):
+    """[(mean, stderr), ...] of observables over n_paths paths at the
+    increasing points record of 0..n (None: every point); past the last of
+    them no state advances.
 
     start(paths) builds the states and scratch buffers of one chunk of paths
     (a uint64 array) and returns (advance, observes): advance(k) moves every
@@ -213,6 +215,7 @@ def _ensemble(n_paths, n, start, threads):
         raise ValueError("need at least 2 paths")
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError("threads must lie in [1, %d], got %r" % (_MAX_THREADS, threads))
+    ks = range(n + 1) if record is None else np.asarray(record).tolist()
 
     def run_chunk(lo):
         # an array, not a range: bench/tracing.py sizes the path of a traced
@@ -220,15 +223,17 @@ def _ensemble(n_paths, n, start, threads):
         # (about 160 us for 2048 paths, charged to the ensemble's own layer)
         paths = np.arange(lo, min(lo + _CHUNK, n_paths), dtype=np.uint64)
         advance, observes = start(paths)
-        sums = np.empty((2, len(observes), n + 1))   # of the values, of their squares
+        sums = np.empty((2, len(observes), len(ks)))   # of the values, of their squares
         square = np.empty(len(paths))
-        for k in range(n + 1):
-            if k:
-                advance(k - 1)
+        done = 0   # the point every state is at
+        for i, k in enumerate(ks):
+            for s in range(done, k):
+                advance(s)
+            done = k
             for j, observe in enumerate(observes):
                 vals = observe()
-                sums[0, j, k] = vals.sum()
-                sums[1, j, k] = np.multiply(vals, vals, out=square).sum()
+                sums[0, j, i] = vals.sum()
+                sums[1, j, i] = np.multiply(vals, vals, out=square).sum()
         return sums
 
     lows = range(0, n_paths, _CHUNK)
@@ -271,16 +276,19 @@ def _chunk(algos, model, x0, seed, bind, paths):
     return advance, [bind(X, rows) for _, X, _, _ in states]
 
 
-def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1):
+def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1,
+                   record=None):
     """run_ensemble of algorithms with one step count on one model, start and
-    seed, as a list of EnsembleStats, from one draw per path and step (_chunk)."""
+    seed, as a list of EnsembleStats at the increasing steps record (None:
+    every step), from one draw per path and step (_chunk)."""
     n = algos[0].n_steps
     if any(algo.n_steps != n for algo in algos):
         raise ValueError("a batch needs one step count, got %s" % [a.n_steps for a in algos])
     start = partial(_chunk, algos, model, np.asarray(x0, dtype=float), seed,
                     models._observer(model, observable))
-    return [EnsembleStats(algo.eta * np.arange(n + 1), mean, stderr, n_paths, observable)
-            for algo, (mean, stderr) in zip(algos, _ensemble(n_paths, n, start, threads))]
+    ks = np.arange(n + 1) if record is None else np.asarray(record)
+    return [EnsembleStats(algo.eta * ks, mean, stderr, n_paths, observable)
+            for algo, (mean, stderr) in zip(algos, _ensemble(n_paths, n, start, threads, ks))]
 
 
 # ---------------------------------------------------------------------------

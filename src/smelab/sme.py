@@ -164,12 +164,15 @@ def _batch_noise(system, Y, Z, out, rows):
     into out and the scratch rows (a models._Rows of Z's shape)."""
     d = system.dim_x
     model = system.model
-    q = model.spec.basis
-    w = np.matmul(Z, q, out=rows.a)
+    q = rows.basis   # None: an identity basis, whose products are skipped
     if model.kind == models.ISOTROPIC_SHIFT:
-        w *= rows.lam
+        scale = rows.lam
     else:
-        w *= np.abs(np.matmul(Y[:, -d:], q, out=rows.b), out=rows.b)
+        y = Y[:, -d:] if q is None else np.matmul(Y[:, -d:], q, out=rows.b)
+        scale = np.abs(y, out=rows.b)
+    w = np.multiply(Z if q is None else np.matmul(Z, q, out=rows.a), scale, out=rows.a)
+    if q is None:
+        return np.multiply(w, math.sqrt(system.eta) * model.noise_scale, out=out)
     w *= math.sqrt(system.eta) * model.noise_scale
     return np.matmul(w, rows.basis_t, out=out)
 

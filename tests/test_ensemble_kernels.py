@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from smelab import models, rng, sga
+from smelab import models, rng, sga, sme
 from smelab.matkit import _assemble, haar_orthogonal
 from smelab.models import EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum
 from smelab.sga import (MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
@@ -314,3 +314,72 @@ def test_two_path_em_ensembles_equal_the_step_loop(kind, system_name):
         mean, stderr = _ref_em(system, x0, T, 2, seed, 4, "f")
         stats = em_integrate_ensemble(system, x0, T, 2, seed, substeps=4)
         assert _same(stats, mean, stderr)
+
+
+# Models built with no basis have exactly np.eye(d) as their eigenbasis, and
+# the kernels skip their products with it; the explicit products give the
+# same bits on finite points with no zero coordinate.
+def _identity_model(kind, d):
+    return from_spectrum(kind, np.linspace(1.0, 0.2, d), noise_scale=0.5)
+
+
+def _points(gen, m, d):
+    return gen.standard_normal((m, d)) * 10.0 ** gen.uniform(-4, 4, (m, d))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m, d", [(1, 1), (1, 2), (1, 9), (5, 1), (300, 2), (300, 9)])
+def test_identity_basis_kernels_equal_the_explicit_products(kind, m, d):
+    model = _identity_model(kind, d)
+    eye, lam = np.eye(d), model.spec.eigenvalues
+    rows = models._Rows(model, (m, d))
+    assert rows.basis is None and rows.basis_t is None
+    gen = np.random.default_rng(300 + 10 * m + d)
+    X, gamma = _points(gen, m, d), model.noise_scale * gen.standard_normal((m, d))
+    if kind == ISOTROPIC_SHIFT:
+        want = ((X - gamma) @ eye * lam) @ eye
+    else:
+        want = ((X @ eye) * (lam + gamma)) @ eye
+    out = np.empty((m, d))
+    assert models._batch_gradient(model, X, gamma, out, rows) is out
+    assert np.array_equal(out, want)
+    # snag's look-ahead point lives in rows.a, which the kernel must read
+    # before it writes there
+    np.copyto(rows.a, X)
+    assert np.array_equal(models._batch_gradient(model, rows.a, gamma, None, rows), want)
+    y = X @ eye
+    f = models._batch_objective(model, X, np.empty(m), rows)
+    assert np.array_equal(f, 0.5 * np.sum(lam * y * y, axis=-1))
+    if m == 1:
+        assert models.objective(model, X[0]) == f[0]
+        assert np.array_equal(models.gradient_given_gamma(model, X[0], gamma[0]), want[0])
+
+
+@pytest.mark.parametrize("system_name", ["sgd1", "msgd2", "snag1"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_identity_basis_noise_equals_the_explicit_products(kind, system_name):
+    family, order, mu = SYSTEMS[system_name]
+    system = build_sme(_identity_model(kind, 3), family, order, 0.1, mu=mu)
+    gen = np.random.default_rng(17)
+    Y, Z = _points(gen, 200, system.state_dim), gen.standard_normal((200, 3))
+    rows = models._Rows(system.model, Z.shape)
+    assert rows.basis is None
+    out = np.empty_like(Z)
+    assert sme._batch_noise(system, Y, Z, out, rows) is out
+    assert np.array_equal(out, _ref_batch_noise(system, Y, Z)[:, :3])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_recorded_steps_equal_the_full_run_there(kind, threads):
+    # one full chunk and a partial one; the last recorded step stops the run
+    algos = [AlgoSpec(MSGD, 0.1, 0.7, ConstantMomentum(mu)) for mu in (0.1, 1.0, 3.0)] \
+        + [AlgoSpec(SNAG, 0.1, 0.7, NesterovSchedule())]
+    for model in (_identity_model(kind, 2), _model(kind, 2)):
+        full = sga._run_ensembles(algos, model, _start(2), N_PATHS, 7, "f", threads)
+        for ks in (np.array([0, 2, 3, 7]), np.array([1, 4]), np.arange(8)):
+            part = sga._run_ensembles(algos, model, _start(2), N_PATHS, 7, "f", threads,
+                                      record=ks)
+            for stats, whole in zip(part, full, strict=True):
+                assert np.array_equal(stats.times, whole.times[ks])
+                assert _same(stats, whole.mean[ks], whole.stderr[ks])

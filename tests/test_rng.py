@@ -235,6 +235,20 @@ def _edge_uniforms():
     return (np.concatenate(k) + 0.5) * 2.0**-53
 
 
+@pytest.mark.parametrize("path", [3, np.arange(3)], ids=["port", "scipy"])
+def test_the_top_word_maps_below_one(monkeypatch, path):
+    # w >> 11 = 2**53 - 1 gives (2**53 - 1/2) 2**-53, which rounds to 1.0;
+    # the next word down keeps its value, the even 2**53 - 2 of its tie
+    words = np.array([2**64 - 1, 2**64 - 1 - 2**11], dtype=np.uint64)
+    monkeypatch.setattr(rng, "raw_words", lambda seed, stream, path, step, draw, n:
+                        np.broadcast_to(words, np.shape(path) + (n,)))
+    u = rng.uniforms(1, 2, path, 0, 0, 2)
+    assert np.array_equal(u, np.broadcast_to([1.0 - 2.0**-53, 1.0 - 2.0**-52], u.shape))
+    z = rng.normals(1, 2, path, 0, 0, 2)
+    assert np.all(np.isfinite(z)) and np.all(z > 8.0)
+    assert np.array_equal(z, ndtri(u))
+
+
 def test_ndtri_port_matches_scipy_bit_for_bit():
     u = _edge_uniforms()
     assert u.size >= 100_000 and u.min() == 0.5 * 2.0**-53 and u.max() == 1.0

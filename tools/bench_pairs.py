@@ -33,9 +33,10 @@ no names runs the cold pairs alone.
 The JSON written has, per workload and per end-to-end metric: both sides'
 median, quartiles and range, the change/parent median ratio, the number of
 pairs in which the change is lower, the parent's IQR/median and the value of
-every seed; plus timed passes per run, the least-squares peak RSS per timed
-pass of each side, attempted and failed operations, and the machine block of
-the first report.
+every seed; the same for ``cpu_s``, each run's median CPU seconds per timed
+pass (from bench/run.py's report line; not gated); plus timed passes per
+run, the least-squares peak RSS per timed pass of each side, attempted and
+failed operations, and the machine block of the first report.
 """
 
 import argparse
@@ -173,24 +174,33 @@ def run_cold_pairs(trees, n_pairs, dest, log):
     return out
 
 
+def paired(per_seed, unit):
+    """Pair statistics of one metric from {seed: {side: value}}."""
+    parent = [per_seed[s]["parent"] for s in sorted(per_seed)]
+    change = [per_seed[s]["change"] for s in sorted(per_seed)]
+    ps, cs = summary(parent), summary(change)
+    return {"unit": unit, "parent": ps, "change": cs,
+            "change_over_parent_median": cs["median"] / ps["median"],
+            "pairs": len(per_seed),
+            "pairs_change_lower": sum(c < p for c, p in zip(change, parent)),
+            "parent_iqr_over_median": ((ps["q3"] - ps["q1"]) / ps["median"]
+                                       if "q1" in ps else None),
+            "per_seed": per_seed}
+
+
 def digest(runs):
     """The per-workload block of the output from {seed: {side: (report, result)}}."""
     seeds = sorted(runs)
     out = {"seeds": seeds}
     for metric in END_TO_END:
-        per_seed = {seed: {side: runs[seed][side][1]["metrics"][metric]["value"]
-                           for side in SIDES} for seed in seeds}
-        parent = [per_seed[s]["parent"] for s in seeds]
-        change = [per_seed[s]["change"] for s in seeds]
-        ps, cs = summary(parent), summary(change)
-        out[metric] = {
-            "unit": UNITS[metric], "parent": ps, "change": cs,
-            "change_over_parent_median": cs["median"] / ps["median"],
-            "pairs": len(seeds),
-            "pairs_change_lower": sum(c < p for c, p in zip(change, parent)),
-            "parent_iqr_over_median": ((ps["q3"] - ps["q1"]) / ps["median"]
-                                       if "q1" in ps else None),
-            "per_seed": per_seed}
+        out[metric] = paired({seed: {side: runs[seed][side][1]["metrics"][metric]["value"]
+                                     for side in SIDES} for seed in seeds}, UNITS[metric])
+    # not an end-to-end metric and not gated: the median CPU seconds of a timed
+    # pass, from each run's report line, which time spent waiting for a CPU
+    # on a loaded host does not inflate as it does wall time
+    out["cpu_s"] = paired({seed: {side: runs[seed][side][0]["cpu_s"]["median"]
+                                  for side in SIDES} for seed in seeds}, "s")
+    out["cpu_s"]["gated"] = False
     passes = {side: [runs[s][side][0]["wall_s"]["n"] for s in seeds] for side in SIDES}
     rss = {side: [runs[s][side][1]["metrics"]["peak_rss_mib"]["value"] for s in seeds]
            for side in SIDES}
