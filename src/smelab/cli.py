@@ -6,7 +6,8 @@ weak-error, sweep, divergence, momentum, compare-snag
     Run one experiment (built-in desk-scale defaults, or --config file),
     write its CSV/SVG artifacts, and print one PASS/FAIL line per check.
 figures
-    Run every experiment at its defaults into one output directory.
+    Run every experiment at its defaults, on each model variant it runs on,
+    into one output directory.
 selftest
     Run the oracle and invariant suites (no files written).
 
@@ -26,15 +27,7 @@ import numpy as np
 
 from . import repro
 from .repro import ConfigError, ExperimentConfig, default_config
-from .models import EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum
-
-_COMMAND_EXPERIMENTS = (
-    ("weak-error", "weak_error"),
-    ("sweep", "condition_sweep"),
-    ("divergence", "divergence"),
-    ("momentum", "momentum_dynamics"),
-    ("compare-snag", "msgd_vs_snag"),
-)
+from .models import ISOTROPIC_SHIFT, from_spectrum
 
 
 def _build_parser():
@@ -43,14 +36,16 @@ def _build_parser():
         description="stochastic gradient algorithms, their modified "
                     "equations, and quantitative checks of the predictions")
     sub = parser.add_subparsers(dest="command")
-    for name, experiment in _COMMAND_EXPERIMENTS:
-        p = sub.add_parser(name, help="run the %s experiment" % experiment)
+    for experiment, entry in repro._TABLE.items():
+        p = sub.add_parser(entry.command, help="run the %s experiment" % experiment)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (default: built-in desk-scale "
                             "config)")
+        p.set_defaults(experiments=(experiment,))
         _add_common_flags(p)
     fig = sub.add_parser("figures",
                          help="run every experiment at its defaults")
+    fig.set_defaults(experiments=repro.EXPERIMENTS, config=None)
     _add_common_flags(fig)
     sub.add_parser("selftest", help="run the oracle and invariant suites")
     return parser
@@ -79,17 +74,14 @@ def _apply_overrides(cfg, args):
 
 
 def _load_configs(args):
-    """The configs a command runs: its --config file, or its experiment's
-    defaults (every experiment's for figures)."""
-    if args.command == "figures":
-        configs = [cfg for experiment in repro.EXPERIMENTS
-                   for cfg in _default_configs(experiment)]
-    elif args.config:
-        experiment = dict(_COMMAND_EXPERIMENTS)[args.command]
+    """The configs a command runs: its --config file, or the defaults of each
+    of its experiments on each model variant the experiment runs on."""
+    if args.config:
+        (experiment,) = args.experiments
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("config: cannot read %s (%s)" % (args.config, exc))
         cfg = ExperimentConfig.from_json(text)
         if cfg.experiment != experiment:
@@ -98,16 +90,10 @@ def _load_configs(args):
                               % (cfg.experiment, args.command, experiment))
         configs = [cfg]
     else:
-        configs = _default_configs(dict(_COMMAND_EXPERIMENTS)[args.command])
+        configs = [dataclasses.replace(cfg, variant=variant)
+                   for cfg in map(default_config, args.experiments)
+                   for variant in repro._TABLE[cfg.experiment].variants]
     return [_apply_overrides(cfg, args) for cfg in configs]
-
-
-def _default_configs(experiment):
-    """The default config of an experiment; weak_error runs on both variants."""
-    configs = [default_config(experiment)]
-    if experiment == "weak_error":
-        configs.append(dataclasses.replace(configs[0], variant=EIGENBASIS_SCALED))
-    return configs
 
 
 def _run_configs(configs):

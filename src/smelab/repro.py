@@ -28,11 +28,12 @@ import json
 import math
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import condition_spectrum
+from .matkit import MAX_DIM, condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
@@ -46,9 +47,6 @@ from .analysis import (CRITICAL, RateFit, _order2_pairs,
                        discrete_divergence_threshold,
                        discrete_growth_factors, divergence_threshold,
                        fit_loglog_slope, optimal_mu, order2_eigs, windowed_rate)
-
-EXPERIMENTS = ("weak_error", "condition_sweep", "divergence",
-               "momentum_dynamics", "msgd_vs_snag")
 
 _WEAK_HEADER = ("experiment", "order", "eta", "max_weak_error", "method")
 _SWEEP_HEADER = ("experiment", "kappa", "rate", "family")
@@ -110,12 +108,14 @@ def _coerce(key, value, kind):
 
 
 # key: (kind as for _coerce, range of the value or of each entry, message for
-# one outside it, formatted with that value), in declaration order
+# one outside it, formatted with that value and the experiments' names), in
+# declaration order
 _FIELDS = {
     "experiment": (str, lambda v: v in EXPERIMENTS,
-                   "unknown experiment {!r} (expected one of %s)"
-                   % ", ".join(EXPERIMENTS)),
-    "dimension": (int, lambda v: v >= 1, "must be a positive integer"),
+                   "unknown experiment {!r} (expected one of {experiments})"),
+    # the exact routes build d x d bases and check them in O(d^3)
+    "dimension": (int, lambda v: 1 <= v <= MAX_DIM,
+                  "must be an integer in [1, %d]" % MAX_DIM),
     "eigenvalues": ((float,), lambda v: 0 < v < math.inf,
                     "must be positive and finite"),
     "kappa": ((float,), lambda v: 1 <= v < math.inf,
@@ -175,7 +175,8 @@ class ExperimentConfig:
             value = _coerce(key, getattr(self, key), kind)
             for entry in value if isinstance(kind, tuple) else (value,):
                 if not ok(entry):
-                    raise ConfigError("%s: %s" % (key, message.format(entry)))
+                    raise ConfigError("%s: %s" % (key, message.format(
+                        entry, experiments=", ".join(EXPERIMENTS))))
             object.__setattr__(self, key, value)
         if self.eigenvalues and len(self.eigenvalues) != self.dimension:
             raise ConfigError("eigenvalues: expected %d values to match "
@@ -224,7 +225,9 @@ class ExperimentConfig:
     def from_json(cls, text):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError: malformed JSON, or an integer past Python's digit limit;
+        # RecursionError: arrays or objects nested past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("config: invalid JSON (%s)" % exc)
         if not isinstance(obj, dict):
             raise ConfigError("config: expected a JSON object")
@@ -234,37 +237,6 @@ class ExperimentConfig:
         if "experiment" not in obj:
             raise ConfigError("experiment: required field is missing")
         return cls(**obj)
-
-
-def default_config(experiment):
-    """Desk-scale defaults for each experiment (spectra, grids, start point)."""
-    if experiment == "weak_error":
-        return ExperimentConfig(
-            "weak_error", dimension=2, eigenvalues=(1.0, 0.1),
-            variant=ISOTROPIC_SHIFT, eta_grid=(0.1, 0.05, 0.025, 0.0125),
-            horizon=2.0, families=("sgd",), x0=(1.0, 1.0))
-    if experiment == "condition_sweep":
-        return ExperimentConfig(
-            "condition_sweep", dimension=6,
-            kappa=(10.0, 30.0, 100.0, 300.0, 1000.0), eta_grid=(0.1,),
-            horizon=12000.0, families=("sgd", "msgd"))
-    if experiment == "divergence":
-        return ExperimentConfig(
-            "divergence", dimension=2, eigenvalues=(1.0, 0.01),
-            variant=EIGENBASIS_SCALED, eta_grid=(0.04, 0.025, 0.015, 0.005),
-            horizon=300.0, families=("sgd",), x0=(0.1, 1.0))
-    if experiment == "momentum_dynamics":
-        return ExperimentConfig(
-            "momentum_dynamics", dimension=2, eigenvalues=(1.0, 0.25),
-            eta_grid=(0.1, 0.05), horizon=40.0, families=("msgd",),
-            mu_values=(0.1, 1.0, 3.0), n_paths=2048, x0=(30.0, 30.0))
-    if experiment == "msgd_vs_snag":
-        return ExperimentConfig(
-            "msgd_vs_snag", dimension=2, eigenvalues=(1.0, 0.25),
-            eta_grid=(0.1,), horizon=400.0, families=("msgd", "snag"),
-            mu_values=(0.2,))
-    raise ConfigError("experiment: unknown experiment %r (expected one of %s)"
-                      % (experiment, ", ".join(EXPERIMENTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +515,18 @@ def emit_svg(report, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _resolve(config, experiment, variant=None):
+def _resolve(config, experiment):
     """The config to run (the defaults when None), checked against the
-    experiment and, when given, the only model variant it supports."""
+    experiment and the model variants it runs on."""
     if config is None:
         config = default_config(experiment)
     if config.experiment != experiment:
         raise ConfigError("experiment: config is for %r but %r was requested"
                           % (config.experiment, experiment))
-    if variant is not None and config.variant != variant:
-        raise ConfigError("variant: %s supports %s only" % (experiment, variant))
+    variants = _TABLE[experiment].variants
+    if config.variant not in variants:
+        raise ConfigError("variant: %s supports %s only"
+                          % (experiment, " and ".join(variants)))
     return config
 
 
@@ -747,7 +721,7 @@ def exp_condition_sweep(config=None):
     descent_rate on exact-recursion trajectories with closed-form floors; a
     log-log fit of rate vs kappa per family estimates the scaling exponent.
     """
-    cfg = _resolve(config, "condition_sweep", ISOTROPIC_SHIFT)
+    cfg = _resolve(config, "condition_sweep")
     if not cfg.kappa:
         raise ConfigError("kappa: condition_sweep needs a kappa grid")
     if cfg.dimension == 1 and any(k != 1 for k in cfg.kappa):
@@ -799,7 +773,7 @@ def exp_divergence(config=None):
     of the modified-equation exponent eta ns^2 - 2 lam.  Emits the exact
     E f trajectories and compares the two flip thresholds.
     """
-    cfg = _resolve(config, "divergence", EIGENBASIS_SCALED)
+    cfg = _resolve(config, "divergence")
     model = _model_for(cfg)
     x0 = np.asarray(cfg.x0 or (1.0,) * cfg.dimension, dtype=float)
     lam = model.spec.eigenvalues
@@ -855,7 +829,7 @@ def exp_momentum_dynamics(config=None):
     A separate scan measures descent rate over a mu grid on the spectrum
     whose predicted optimum is 0.95 and reports the grid argmax.
     """
-    cfg = _resolve(config, "momentum_dynamics", ISOTROPIC_SHIFT)
+    cfg = _resolve(config, "momentum_dynamics")
     if not cfg.mu_values:
         raise ConfigError("mu_values: momentum_dynamics needs momentum values")
     model = _model_for(cfg)
@@ -998,7 +972,7 @@ def exp_msgd_vs_snag(config=None):
         half the early-window rate (sub-linear phase) and the trajectory's
         late plateau sits above the tuned-msgd stationary floor.
     """
-    cfg = _resolve(config, "msgd_vs_snag", ISOTROPIC_SHIFT)
+    cfg = _resolve(config, "msgd_vs_snag")
     if not cfg.mu_values:
         raise ConfigError("mu_values: msgd_vs_snag needs a constant momentum")
     if cfg.x0 and cfg.dimension != 2:
@@ -1103,15 +1077,51 @@ def exp_msgd_vs_snag(config=None):
                             tuple(metrics), tuple(checks))
 
 
-_EXPERIMENT_RUNNERS = {
-    "weak_error": exp_weak_error,
-    "condition_sweep": exp_condition_sweep,
-    "divergence": exp_divergence,
-    "momentum_dynamics": exp_momentum_dynamics,
-    "msgd_vs_snag": exp_msgd_vs_snag,
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+
+# an experiment's CLI subcommand, runner (config -> ExperimentReport), model
+# variants it runs on (the first is its default) and other default fields
+# (the rest are ExperimentConfig's); _TABLE lists them in figures' order
+_Experiment = namedtuple("_Experiment", "command runner variants defaults")
+_TABLE = {
+    "weak_error": _Experiment(
+        "weak-error", exp_weak_error, (ISOTROPIC_SHIFT, EIGENBASIS_SCALED),
+        dict(eigenvalues=(1.0, 0.1), eta_grid=(0.1, 0.05, 0.025, 0.0125),
+             x0=(1.0, 1.0))),
+    "condition_sweep": _Experiment(
+        "sweep", exp_condition_sweep, (ISOTROPIC_SHIFT,),
+        dict(dimension=6, kappa=(10.0, 30.0, 100.0, 300.0, 1000.0),
+             horizon=12000.0, families=("sgd", "msgd"))),
+    "divergence": _Experiment(
+        "divergence", exp_divergence, (EIGENBASIS_SCALED,),
+        dict(eigenvalues=(1.0, 0.01), eta_grid=(0.04, 0.025, 0.015, 0.005),
+             horizon=300.0, x0=(0.1, 1.0))),
+    "momentum_dynamics": _Experiment(
+        "momentum", exp_momentum_dynamics, (ISOTROPIC_SHIFT,),
+        dict(eigenvalues=(1.0, 0.25), eta_grid=(0.1, 0.05), horizon=40.0,
+             families=("msgd",), mu_values=(0.1, 1.0, 3.0), n_paths=2048,
+             x0=(30.0, 30.0))),
+    "msgd_vs_snag": _Experiment(
+        "compare-snag", exp_msgd_vs_snag, (ISOTROPIC_SHIFT,),
+        dict(eigenvalues=(1.0, 0.25), horizon=400.0, families=("msgd", "snag"),
+             mu_values=(0.2,))),
 }
+EXPERIMENTS = tuple(_TABLE)
+
+
+def default_config(experiment):
+    """Desk-scale defaults of an experiment (spectra, grids, start point), on
+    its default model variant."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError("experiment: unknown experiment %r (expected one of %s)"
+                          % (experiment, ", ".join(EXPERIMENTS)))
+    entry = _TABLE[experiment]
+    return ExperimentConfig(experiment, variant=entry.variants[0], **entry.defaults)
 
 
 def run_experiment(config):
     """Dispatch a config to its experiment function."""
-    return _EXPERIMENT_RUNNERS[config.experiment](config)
+    return _TABLE[config.experiment].runner(config)

@@ -9,13 +9,15 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smelab import cli
-from smelab.repro import ExperimentConfig, default_config, parse_csv
+from smelab.repro import (ExperimentConfig, ExperimentReport, default_config,
+                          parse_csv)
 
 
 def _files(dirpath):
@@ -49,6 +51,69 @@ def test_missing_config_file(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     assert "config: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    # not UTF-8 (a UTF-16 byte-order mark)
+    b'\xff\xfe{"experiment": "weak_error"}',
+    # nested past the interpreter's recursion limit
+    b'{"experiment": "weak_error", "x0": ' + b"[" * 50000 + b"]" * 50000 + b"}",
+    # an integer literal past Python's 4,300-digit conversion limit
+    b'{"experiment": "weak_error", "dimension": 1' + b"0" * 5000 + b"}",
+], ids=["not-utf8", "nested-50000-deep", "int-of-5001-digits"])
+def test_unparsable_config_file_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(text)
+    code = cli.main(["weak-error", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _configs_run(monkeypatch, tmp_path, argv):
+    """The configs that cli.main hands to run_experiment for argv, in order."""
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return ExperimentReport(config.experiment, config, (), (), (), ())
+
+    monkeypatch.setattr("smelab.repro.run_experiment", record)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    return seen
+
+
+def _default(experiment, variant, out_dir):
+    cfg = default_config(experiment)
+    return dataclasses.replace(cfg, variant=variant or cfg.variant, out_dir=str(out_dir))
+
+
+@pytest.mark.parametrize("command, experiment, variants", [
+    ("weak-error", "weak_error", ["isotropic_shift", "eigenbasis_scaled"]),
+    ("sweep", "condition_sweep", ["isotropic_shift"]),
+    ("divergence", "divergence", ["eigenbasis_scaled"]),
+    ("momentum", "momentum_dynamics", ["isotropic_shift"]),
+    ("compare-snag", "msgd_vs_snag", ["isotropic_shift"]),
+])
+def test_each_command_runs_its_default_configs(tmp_path, monkeypatch, command,
+                                               experiment, variants):
+    seen = _configs_run(monkeypatch, tmp_path, [command])
+    assert seen == [_default(experiment, variant, tmp_path) for variant in variants]
+    assert variants[0] == default_config(experiment).variant
+
+
+def test_figures_runs_the_benchmark_configs_in_order(tmp_path, monkeypatch):
+    # the figures benchmark splits the stdout by config in FIGURE_CONFIGS'
+    # order; a name is experiment[.variant], with no variant for the default
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    seen = _configs_run(monkeypatch, tmp_path, ["figures"])
+    names = [name.partition(".") for name in tracing.FIGURE_CONFIGS]
+    assert len(seen) == 6
+    assert seen == [_default(experiment, variant, tmp_path) for experiment, _, variant in names]
 
 
 def test_config_for_wrong_command(tmp_path, capsys):

@@ -21,6 +21,7 @@ from smelab.models import ISOTROPIC_SHIFT, from_spectrum
 from smelab.sga import MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum, discrete_floor
 from smelab.sme import (R_function, _decay_entry, asymptotic_noise_msgd, bs_expected_f,
                         ou_expected_f)
+from test_sga import _worst_against_mpmath
 
 DPS = 80
 
@@ -277,6 +278,33 @@ def test_discrete_floor_msgd_at_its_lam_edge_against_mpmath():
         ratio, case = _worst(_floor_errors(cases))
     assert ratio <= 1.0, ("worst relative error %.3g at (family, lam, mu eta) = %s, "
                           "%.3g of its bound" % (case[3], case[:3], ratio))
+
+
+# The constant-momentum E f series, P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf,
+# takes discrete_floor's P_inf, so the floor's error may reach it.  One mode
+# at the lam edge of the worst floor row above (mu eta = 0.01,
+# h = h_max (1 - 1e-8)), from x0 = 1 over 1200 steps, against test_sga's
+# 40-digit step recursion; bound as the floor rows', per point.  snag's
+# worst is 0.036 of it (5.4e-10 at k = 2, 1 - rho = 3.0e-8); msgd's series
+# carries its floor's loss (the strict xfail).
+MSGD_SERIES_AT_ITS_LAM_EDGE = pytest.param(MSGD, marks=pytest.mark.xfail(strict=True, reason=(
+    "msgd's series at the top of its stable lam range carries the 2.0e-5 "
+    "relative error of its stationary solve: 2.0e-5 at k = 1174 from x0 = 1, "
+    "where 1 - rho = 4.0e-6 (1.8e5 x its bound)")))
+
+
+@pytest.mark.parametrize("family", [MSGD_SERIES_AT_ITS_LAM_EDGE, SNAG])
+def test_momentum_series_at_its_lam_edge_against_mpmath(family):
+    mu = 0.01 / FLOOR_ETA
+    model = from_spectrum(ISOTROPIC_SHIFT, [_floor_edge_lam(family, 0.01, 1e-8)])
+    algo = AlgoSpec(family, FLOOR_ETA, 1200 * FLOOR_ETA + 1e-9, ConstantMomentum(mu))
+    m = sga._mode_update(algo, model, np.array([[mu]]))[0, 0]
+    rho = np.abs(np.linalg.eigvals(m)).max()
+    assert rho < 1.0      # the series takes the P_inf route
+    worst, k = _worst_against_mpmath(algo, model, np.array([1.0]))
+    bound = 2.0 * np.finfo(float).eps / (1.0 - rho) + 2e-15
+    assert worst <= bound, ("worst relative error %.3g at k = %d, %.3g of its bound"
+                            % (worst, k, worst / bound))
 
 
 def test_bs_expected_f_near_growth_threshold_against_mpmath():

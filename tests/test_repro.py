@@ -73,10 +73,11 @@ def test_validation_names_the_offending_key():
     _expect_config_error("families", families=(("sgd",),))
     _expect_config_error("x0", x0=1.0)
     _expect_config_error("x0", x0=((1.0,), (1.0,)))
-    # an int beyond the largest double is an infinite float, and an int
-    # dimension that large is over the series-cell budget
+    # an int beyond the largest double is an infinite float
     _expect_config_error("x0", x0=(10**400, 1.0))
-    _expect_config_error("horizon", dimension=10**400, eigenvalues=(), x0=())
+    # the exact routes' d x d bases stop at matkit.MAX_DIM = 64
+    _expect_config_error("dimension", dimension=65, eigenvalues=(), x0=())
+    _expect_config_error("dimension", dimension=10**400, eigenvalues=(), x0=())
 
 
 def test_integral_floats_and_numpy_scalars_are_accepted():

@@ -1,13 +1,16 @@
-"""SHA-256 digests of what `smelab figures` and `smelab selftest` write and print.
+"""SHA-256 digests of what the smelab commands write and print.
 
     python3 tools/artifact_digests.py [--parent REV]
 
 Run from the root of a smelab checkout.  ``smelab figures`` runs at
-``--threads 1`` and ``--threads 2``, each into a new temporary directory,
-and ``smelab selftest`` runs once, all with the tree's ``src`` on
-PYTHONPATH.  The script prints one line ``<sha256>  <label>`` per artifact
-(label ``figures-t<N>/<file>``) and one per stdout with its ``wrote <path>``
-lines dropped (``figures-t<N>/stdout``, ``selftest/stdout``).
+``--threads 1`` and ``--threads 2``, and each experiment command
+(``weak-error``, ``sweep``, ``divergence``, ``momentum``, ``compare-snag``)
+runs once at its defaults, each into a new temporary directory; ``smelab
+selftest`` runs once.  All run with the tree's ``src`` on PYTHONPATH.  The
+script prints one line ``<sha256>  <label>`` per artifact (label
+``figures-t<N>/<file>`` or ``<command>/<file>``) and one per stdout with its
+``wrote <path>`` lines dropped (``figures-t<N>/stdout``,
+``<command>/stdout``, ``selftest/stdout``).
 
 With ``--parent REV`` it makes the same runs on ``git archive REV``,
 unpacked into a temporary directory, and then lists every label whose
@@ -24,6 +27,7 @@ import tarfile
 import tempfile
 
 THREADS = (1, 2)
+COMMANDS = ("weak-error", "sweep", "divergence", "momentum", "compare-snag")
 
 
 def sha256(data):
@@ -43,12 +47,14 @@ def smelab(tree, *args):
 
 
 def digests(tree, scratch):
-    """{label: sha256} of every figures artifact and of the stdouts."""
+    """{label: sha256} of every artifact and of the stdouts."""
     out = {}
-    for threads in THREADS:
-        label = "figures-t%d" % threads
+    runs = [("figures-t%d" % threads, ("figures", "--threads", str(threads)))
+            for threads in THREADS]
+    runs += [(command, (command,)) for command in COMMANDS]
+    for label, args in runs:
         target = tempfile.mkdtemp(prefix=label + "-", dir=scratch)
-        stdout = smelab(tree, "figures", "--out", target, "--threads", str(threads))
+        stdout = smelab(tree, *args, "--out", target)
         for name in sorted(os.listdir(target)):
             with open(os.path.join(target, name), "rb") as f:
                 out["%s/%s" % (label, name)] = sha256(f.read())
