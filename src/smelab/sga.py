@@ -296,8 +296,8 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1,
 #
 # Both models are diagonal in the eigenbasis of H, so each family is one
 # small linear map per mode.  The three functions below are the only place
-# that writes it; the closed-form series (sgd, constant momentum), the one
-# momentum step loop (_moment_steps) and the stationary floor read them.
+# that writes it; the closed-form series (sgd, constant momentum), the
+# Nesterov schedule's step loop (_moment_steps) and the floors read them.
 #
 # _mode_update, _mode_noise (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
@@ -305,7 +305,7 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1,
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
 #   so mean' = M mean and cov' = M cov M^T + N, N = ns^2 n n^T.  _mode_update
 #   takes a (G, 1) array of momenta: G constant ones of one family and eta
-#   (the stationary solve, the series) or mu_at of a block of steps (the loop).
+#   (the floor, the series) or mu_at of a block of steps (the loop).
 # _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
 #   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
 #   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
@@ -338,14 +338,13 @@ def _mode_noise(algo, model):
 
 
 def _stationary(algos, model):
-    """(M, P_inf, floor, stable) of G constant momenta of one family at one
-    eta: per-mode updates M and the P_inf solving P = M P M^T + N per mode,
-    (G, d, 2, 2), and per momentum the stationary E f and whether every mode
-    has spectral radius < 1 (if not, its P_inf and floor are NaN).
+    """(M, floor, stable) of G constant momenta of one family at one eta:
+    per-mode updates M (G, d, 2, 2), and per momentum the stationary E f
+    (NaN unless stable) and whether every mode has spectral radius < 1.
 
-    The symmetric equation has three unknowns p = (P00, P01, P11), and
-    (I - K) p = (N00, N01, N11) with K the action of P -> M P M^T on them;
-    the 3 x 3 systems of all stable momenta and modes are solved in one call.
+    Per mode P = M P M^T + N in p = (P00, P01, P11) is (I - K) p = (N00,
+    N01, N11); the 3 x 3 systems of all stable momenta and modes are solved
+    in one call.
     """
     m = _mode_update(algos[0], model, np.array([[a.momentum.mu] for a in algos]))
     stable = ~np.any(np.abs(np.linalg.eigvals(m)) >= 1.0, axis=(1, 2))
@@ -355,26 +354,30 @@ def _stationary(algos, model):
                   a * c, a * e + b * c, b * e,
                   c * c, 2.0 * c * e, e * e], axis=-1).reshape(a.shape + (3, 3))
     rhs = _mode_noise(algos[0], model)[:, [0, 0, 1], [0, 1, 1], None]   # N00, N01, N11
-    p = np.linalg.solve(np.eye(3) - k, rhs)
-    p_inf = np.full(m.shape, np.nan)
-    p_inf[stable] = p[..., [0, 1, 1, 2], 0].reshape(a.shape + (2, 2))
-    floor = 0.5 * np.sum(model.spec.eigenvalues * p_inf[..., 1, 1], axis=-1)
-    return m, p_inf, floor, stable
+    floor = np.full(len(m), np.nan)
+    floor[stable] = 0.5 * np.sum(model.spec.eigenvalues
+                                 * np.linalg.solve(np.eye(3) - k, rhs)[..., 2, 0], axis=-1)
+    return m, floor, stable
 
 
-def _powers(m, count):
-    """m^0, ..., m^(count-1) of G stacks of 2x2 blocks m (G, d, 2, 2), by
-    doubling: shape (G, count, d, 2, 2)."""
-    out = np.empty((len(m), count) + m.shape[1:], dtype=m.dtype)
-    out[:, 0] = np.eye(2)
-    filled, step = 1, m[:, None]
+def _powers(m, noise, count):
+    """(M^i, C_i), i < count, C_i = sum_{j<i} M^j noise (M^j)^T, of G stacks of
+    2x2 blocks m (G, d, 2, 2), noise broadcasting to m; each (G, count, d, 2, 2),
+    by doubling: (M^(a+b), C_(a+b)) = (M^b M^a, C_b + M^b C_a (M^b)^T)."""
+    shape = (len(m), count) + m.shape[1:]
+    power, cov = np.empty(shape, m.dtype), np.empty(shape, m.dtype)
+    power[:, 0], cov[:, 0] = np.eye(2), 0.0
+    filled, step, acc = 1, m[:, None], np.broadcast_to(noise, m.shape)[:, None]
     while filled < count:
         take = min(filled, count - filled)
-        out[:, filled:filled + take] = out[:, :take] @ step
+        new = slice(filled, filled + take)
+        np.matmul(power[:, :take], step, out=power[:, new])
+        np.matmul(step @ cov[:, :take], np.swapaxes(step, -1, -2), out=cov[:, new])
+        cov[:, new] += acc
         filled += take
         if filled < count:
-            step = step @ step
-    return out
+            step, acc = step @ step, acc + step @ acc @ np.swapaxes(step, -1, -2)
+    return power, cov
 
 
 # working-set bound of the constant-momentum series: elements per temporary
@@ -405,48 +408,48 @@ def _start(model, x0):
         return y0, 0.5 * float(np.sum(model.spec.eigenvalues * (y0 * y0)))
 
 
-def _momentum_series(m, p_inf, model, x0, n):
+def _momentum_series(m, noise, model, x0, n):
     """Yield E f(x_k), k = 0..n, of each of G momentum runs from x0 at
-    constant per-mode updates m whose blocks all have spectral radius < 1,
-    with stationary second moments p_inf, each (G, d, 2, 2).
+    constant per-mode updates m (G, d, 2, 2) and noise covariances (d, 2, 2).
 
-    Per mode P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf, and only the x row r_k
-    of M^k is needed.  With a block length B ~ sqrt(n + 1), r_{jB+i} is the x
-    row of M^{jB} times M^i: B small powers, about n/B large powers, and a
-    broadcast product, accumulated a few large-power blocks at a time so the
-    working set stays O(sqrt(n) d) per run.  The power tables are built in
+    Per mode P_k = M^k P_0 (M^k)^T + C_k, a sum of positive semidefinite
+    terms (_powers), so every spectral radius takes this route and a growing
+    mode reads +inf once it overflows, never NaN.  With B ~ sqrt(n + 1) and
+    k = jB + i, P_(k,yy) = (M^k_yy y0)^2 + C_(i,yy) + r_i C_(jB) r_i^T, r_i
+    the y row of M^i, and M^k's y row is M^(jB)'s times M^i: B small and
+    about n/B large pairs, combined a few large pairs at a time so the
+    working set stays O(sqrt(n) d) per run.  The pairs are built in
     np.longdouble: the rounding of M^B would otherwise be raised to the j-th
-    power and shift the phase of an oscillating mode (on a platform whose
-    longdouble is double the series is then about 10x less accurate, still
-    well inside the step loop's error).  A slice of runs holds at most
+    power and shift the phase of an oscillating mode (about 10x less
+    accurate where longdouble is double).  A slice of runs holds at most
     _SERIES_CELLS cells; each run's modes are summed by its own (B, d) @ (d,)
     products, so its bits do not depend on the slice.
     """
     y0, f0 = _start(model, x0)
-    d = m.shape[1]
     width = math.isqrt(n) + 1
     half = 0.5 * model.spec.eigenvalues
-    size = max(1, min(_SERIES_CELLS // (n + 1), _SERIES_BLOCK // (width * d)))
+    size = max(1, min(_SERIES_CELLS // (n + 1), _SERIES_BLOCK // (width * model.dim)))
+    live = (y0 != 0.0) | np.any(noise != 0.0, axis=(1, 2))   # else P_k = 0 for all k
+    m = np.where(live[:, None, None], m, 0.0)
     for lo in range(0, len(m), size):
-        stat = p_inf[lo:lo + size, None, None]   # against (G, blocks, B, d)
-        dev = -stat
-        with np.errstate(over="ignore"):   # as f(x0)
-            dev[..., 1, 1] += y0 * y0
-        mx = m[lo:lo + size].astype(np.longdouble)
-        small = _powers(mx, width)
-        rows = _powers(small[:, -1] @ mx, -(-(n + 1) // width))[..., 1, :].astype(float)
-        small = small.astype(float)
-        out = np.empty((len(mx), rows.shape[1] * width))
-        per = max(1, _SERIES_BLOCK // (width * d * len(mx)))
-        for j in range(0, rows.shape[1], per):
-            # the x row of M^k, k = jB + i, as (G, blocks, B, d) components
-            r0 = rows[:, j:j + per, None, :, 0]
-            r1 = rows[:, j:j + per, None, :, 1]
-            c0 = r0 * small[:, None, ..., 0, 0] + r1 * small[:, None, ..., 1, 0]
-            c1 = r0 * small[:, None, ..., 0, 1] + r1 * small[:, None, ..., 1, 1]
-            p = c0 * (c0 * dev[..., 0, 0] + 2.0 * c1 * dev[..., 0, 1]) \
-                + c1 * c1 * dev[..., 1, 1] + stat[..., 1, 1]
-            out[:, j * width:(j + c0.shape[1]) * width] = (p @ half).reshape(len(mx), -1)
+        with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
+            power, cov = _powers(m[lo:lo + size].astype(np.longdouble), noise, width + 1)
+            small, c_yy = power[:, :width].astype(float), cov[:, :width, :, 1, 1].astype(float)
+            step = power[:, width].copy(), cov[:, width].copy()   # (M^B, C_B)
+            del power, cov   # the tables dominate the working set; hold one pair at a time
+            big, c_big = (t.astype(float) for t in _powers(*step, -(-(n + 1) // width)))
+            out = np.empty((len(big), big.shape[1] * width))
+            per = max(1, _SERIES_BLOCK // (width * model.dim * len(big)))
+            r0, r1 = small[:, None, ..., 1, 0], small[:, None, ..., 1, 1]   # r_i
+            for j in range(0, big.shape[1], per):
+                # (G, blocks, B, d) components: M^k_yy, k = jB + i, and P_(k,yy)
+                c = c_big[:, j:j + per, None]
+                yy = big[:, j:j + per, None, :, 1, 0] * small[:, None, ..., 0, 1] \
+                    + big[:, j:j + per, None, :, 1, 1] * r1
+                p = np.square(yy * y0) + c_yy[:, None] + r0 * (r0 * c[..., 0, 0] \
+                    + 2.0 * r1 * c[..., 0, 1]) + r1 * r1 * c[..., 1, 1]
+                out[:, j * width:(j + p.shape[1]) * width] = (p @ half).reshape(len(big), -1)
+        out[np.isnan(out)] = np.inf   # inf - inf or 0 inf in a mode that overflowed
         out[:, 0] = f0
         yield from out[:, :n + 1]
 
@@ -461,8 +464,9 @@ def constant_momentum_runs(algos, model, x0):
     if len(one) != 1 or not isinstance(algos[0].momentum, ConstantMomentum) \
             or model.kind != models.ISOTROPIC_SHIFT:
         raise ValueError("need constant momenta of one family, eta and step count")
-    m, p_inf, floors, stable = _stationary(algos, model)
-    series = _momentum_series(m[stable], p_inf[stable], model, x0, algos[0].n_steps)
+    m, floors, stable = _stationary(algos, model)
+    series = _momentum_series(m[stable], _mode_noise(algos[0], model), model, x0,
+                              algos[0].n_steps)
     return ((floor, next(series) if ok else None)
             for floor, ok in zip(floors.tolist(), stable.tolist()))
 
@@ -533,21 +537,19 @@ def exact_moment_recursion(algo, model, x0):
     Raises ValueError otherwise (use run_ensemble for those).
 
     Routes: sgd never steps; it takes p_k = a^k p_0 + b S_k from blocked
-    power tables (_sgd_series).  A constant momentum whose per-mode updates
-    all have spectral radius < 1 takes P_k = M^k (P_0 - P_inf) (M^k)^T + P_inf
-    by blocked matrix powers (constant_momentum_runs, which runs G momenta
-    at once, with G = 1).  The Nesterov schedule (time-varying M_k) and a
-    constant momentum with a mode of radius >= 1 (no stationary P_inf) step
-    each mode's mean and covariance (_moment_steps); a second moment stepped
-    as one would cancel where a mean crosses zero.
+    power tables (_sgd_series).  A constant momentum, whatever its spectral
+    radius, takes P_k = M^k P_0 (M^k)^T + C_k from blocked tables of
+    composed (M^i, C_i) pairs (_momentum_series, which constant_momentum_runs
+    runs for G momenta at once).  The Nesterov schedule (time-varying M_k)
+    steps each mode's mean and covariance (_moment_steps); a second moment
+    stepped as one would cancel where a mean crosses zero.
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact recursion for %s on %s; use run_ensemble"
                          % (algo.family, model.kind))
     if isinstance(algo.momentum, ConstantMomentum):
-        series = next(constant_momentum_runs([algo], model, x0))[1]
-        if series is not None:
-            return series
+        m = _mode_update(algo, model, np.array([[algo.momentum.mu]]))
+        return next(_momentum_series(m, _mode_noise(algo, model), model, x0, algo.n_steps))
     y0, f0 = _start(model, x0)
     if algo.family == SGD:
         out = _sgd_series(model, algo.eta, y0, algo.n_steps)
@@ -565,11 +567,9 @@ def discrete_floor(algo, model):
     """Stationary E f of the exact second-moment recursion (constant mu).
 
     Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
-    eigenbasis_scaled), or the solution P_inf of the discrete Lyapunov
-    equation P = M P M^T + N of a momentum family, from the stationary solve
-    the constant-momentum series uses (_stationary with G = 1).  Raises
-    ValueError when a mode diverges (a >= 1, or M has spectral radius
-    >= 1).
+    eigenbasis_scaled), or the solution of the discrete Lyapunov equation
+    P = M P M^T + N of a momentum family (_stationary with G = 1).  Raises
+    ValueError when a mode diverges (a >= 1, or M has spectral radius >= 1).
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact stationary value for %s on %s"
@@ -583,7 +583,7 @@ def discrete_floor(algo, model):
         return float(0.5 * np.sum(lam * (b / (1.0 - a))))
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
-    _, _, floor, stable = _stationary([algo], model)
+    _, floor, stable = _stationary([algo], model)
     if not stable[0]:
         raise diverging
     return float(floor[0])

@@ -377,7 +377,8 @@ def test_constant_momentum_series_equals_step_loop(family, lams):
 
 
 def test_unstable_constant_momentum_steps_the_recursion():
-    # spectral radius 2.49: no stationary P_inf, so the step loop serves
+    # spectral radius 2.49: no stationary P_inf, and none is needed; the
+    # series takes the route of a stable momentum
     model = from_spectrum(ISOTROPIC_SHIFT, [5.674], noise_scale=1.0)
     algo = AlgoSpec(SNAG, 0.6, 6.0, ConstantMomentum(0.02))
     series = exact_moment_recursion(algo, model, np.array([1.0]))
@@ -526,8 +527,8 @@ def test_sliced_batch_equals_unsliced(monkeypatch):
     whole = _batch(algos, model, x0)
     tables = []
     powers = sga._powers
-    monkeypatch.setattr(sga, "_powers", lambda m, count: tables.append(len(m))
-                        or powers(m, count))
+    monkeypatch.setattr(sga, "_powers", lambda m, noise, count: tables.append(len(m))
+                        or powers(m, noise, count))
     monkeypatch.setattr(sga, "_SERIES_CELLS", 7 * 401)   # 7 runs of n = 400
     sliced = _batch(algos, model, x0)
     assert tables == [7, 7] * 23
@@ -606,6 +607,9 @@ def test_sigma_mc_memory_stays_small():
     model = from_spectrum(EIGENBASIS_SCALED, condition_spectrum(8, 10.0),
                           haar_orthogonal(8, seed=9), noise_scale=0.5)
     x = np.linspace(0.5, 1.5, 8)
+    # a warm-up call first: batched draws import scipy.special on first use,
+    # which tracemalloc would otherwise count (about 12 MB) when run alone
+    sigma_mc(model, x, 2, seed=3)
     tracemalloc.start()
     try:
         est = sigma_mc(model, x, (1 << 16) + 4000, seed=3)
@@ -666,7 +670,7 @@ def test_sgd_series_overflow_reads_inf_not_nan(case):
 
 @pytest.mark.parametrize("family, momentum, lam", [
     (SNAG, NesterovSchedule(), [1.0, 0.25]),       # the schedule's step route
-    (MSGD, ConstantMomentum(0.5), [5.0, 0.25]),    # a mode of spectral radius >= 1
+    (MSGD, ConstantMomentum(0.5), [5.0, 0.25]),    # the series, a mode of radius >= 1
 ])
 def test_step_route_overflow_reads_inf_without_a_warning(family, momentum, lam):
     model = from_spectrum(ISOTROPIC_SHIFT, lam, noise_scale=1.0)
@@ -679,8 +683,8 @@ def test_step_route_overflow_reads_inf_without_a_warning(family, momentum, lam):
 
 @pytest.mark.parametrize("family", [MSGD, SNAG])
 def test_step_route_divergence_reads_inf_not_nan(family):
-    # a mode of spectral radius >= 1 from x0 = (1, 1): its mean overflows
-    # within the 1,000 steps, and inf - inf in the per-mode products made NaN
+    # a mode of spectral radius >= 1 from x0 = (1, 1): its E f overflows
+    # within the 1,000 steps, where inf - inf or 0 inf could make NaN
     model = from_spectrum(ISOTROPIC_SHIFT, [5.0, 0.25], noise_scale=1.0)
     x0 = np.ones(2)
     algo = AlgoSpec(family, 1.0, 1000.0, ConstantMomentum(0.5))
@@ -689,12 +693,18 @@ def test_step_route_divergence_reads_inf_not_nan(family):
         series = exact_moment_recursion(algo, model, x0)
     k = int(np.argmin(np.isfinite(series)))
     assert 0 < k < algo.n_steps and np.all(np.isposinf(series[k:]))
-    # the finite prefix is the whole of a run stopped before the overflow
-    short = AlgoSpec(family, 1.0, k - 1.0, ConstantMomentum(0.5))
-    prefix = exact_moment_recursion(short, model, x0)
-    assert np.array_equal(series[:k], prefix)
-    loop = _loop_series(family, [5.0, 0.25], 1.0, 0.5, 1.0, x0, short.n_steps)
-    assert_allclose(prefix, loop, rtol=1e-12, atol=0)
+    loop = _loop_series(family, [5.0, 0.25], 1.0, 0.5, 1.0, x0, k - 1)
+    assert_allclose(series[:k], loop, rtol=1e-12, atol=0)
+
+
+def test_noiseless_zero_start_mode_stays_zero_past_the_overflow():
+    # the lam = 5 mode has spectral radius 3.35, so M^k passes the largest
+    # double within the 1,000 steps, but it starts at 0 with no noise
+    model = from_spectrum(ISOTROPIC_SHIFT, [5.0, 0.01], noise_scale=0.0)
+    algo = AlgoSpec(MSGD, 1.0, 1000.0, ConstantMomentum(0.5))
+    series = exact_moment_recursion(algo, model, np.array([0.0, 1.0]))
+    loop = _loop_series(MSGD, [5.0, 0.01], 1.0, 0.5, 0.0, [0.0, 1.0], algo.n_steps)
+    assert_allclose(series, loop, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

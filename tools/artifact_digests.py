@@ -14,12 +14,17 @@ script prints one line ``<sha256>  <label>`` per artifact (label
 
 With ``--parent REV`` it makes the same runs on ``git archive REV``,
 unpacked into a temporary directory, and then lists every label whose
-digest differs between the two trees or that only one of them has.  The
+digest differs between the two trees or that only one of them has.  For a
+differing CSV that both trees write it also prints how many cells moved and
+the largest relative move |new - old| / |old| among them; a cell that is not
+a number on both sides, is missing on one, or moves off 0 moves by inf.  The
 exit status is 1 if any label is listed, and 0 otherwise.
 """
 
 import argparse
 import hashlib
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -46,8 +51,26 @@ def smelab(tree, *args):
     return proc.stdout
 
 
-def digests(tree, scratch):
-    """{label: sha256} of every artifact and of the stdouts."""
+def cell_moves(old, new):
+    """(moved, largest) of two CSV texts: the number of cells that differ and
+    the largest relative move among them, cell by cell in row order."""
+    moved, largest = 0, 0.0
+    rows = itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue="")
+    for row_old, row_new in rows:
+        for a, b in itertools.zip_longest(row_old.split(","), row_new.split(",")):
+            if a == b:
+                continue
+            moved += 1
+            try:
+                move = abs(float(b) - float(a)) / abs(float(a))
+            except (TypeError, ValueError, ZeroDivisionError):
+                move = math.inf
+            largest = max(largest, math.inf if math.isnan(move) else move)
+    return moved, largest
+
+
+def outputs(tree, scratch):
+    """{label: bytes} of every artifact and of the stdouts."""
     out = {}
     runs = [("figures-t%d" % threads, ("figures", "--threads", str(threads)))
             for threads in THREADS]
@@ -57,11 +80,11 @@ def digests(tree, scratch):
         stdout = smelab(tree, *args, "--out", target)
         for name in sorted(os.listdir(target)):
             with open(os.path.join(target, name), "rb") as f:
-                out["%s/%s" % (label, name)] = sha256(f.read())
+                out["%s/%s" % (label, name)] = f.read()
         kept = [line for line in stdout.splitlines(keepends=True)
                 if not line.startswith(b"wrote ")]
-        out[label + "/stdout"] = sha256(b"".join(kept))
-    out["selftest/stdout"] = sha256(smelab(tree, "selftest"))
+        out[label + "/stdout"] = b"".join(kept)
+    out["selftest/stdout"] = smelab(tree, "selftest")
     return out
 
 
@@ -81,17 +104,21 @@ def main(argv=None):
                         help="compare against the tree of this git revision")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
-        change = digests(os.getcwd(), scratch)
-        for label, value in change.items():
-            print("%s  %s" % (value, label))
+        change = outputs(os.getcwd(), scratch)
+        for label, data in change.items():
+            print("%s  %s" % (sha256(data), label))
         if args.parent is None:
             return 0
-        parent = digests(parent_tree(args.parent, scratch), scratch)
+        parent = outputs(parent_tree(args.parent, scratch), scratch)
     differ = sorted(label for label in set(change) | set(parent)
                     if change.get(label) != parent.get(label))
     for label in differ:
         print("differs from %s: %s (%s -> %s)" % (
-            args.parent, label, parent.get(label, "missing"), change.get(label, "missing")))
+            args.parent, label, *(sha256(side[label]) if label in side else "missing"
+                                  for side in (parent, change))))
+        if label.endswith(".csv") and label in parent and label in change:
+            print("  %d cells moved, largest relative move %.3g"
+                  % cell_moves(parent[label].decode(), change[label].decode()))
     print("%d of %d labels differ from %s" % (len(differ), len(set(change) | set(parent)),
                                               args.parent))
     return 1 if differ else 0
