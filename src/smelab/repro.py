@@ -236,7 +236,8 @@ class ExperimentConfig:
                 raise ConfigError("%s: unknown field" % key)
         if "experiment" not in obj:
             raise ConfigError("experiment: required field is missing")
-        return cls(**obj)
+        experiment = _coerce("experiment", obj["experiment"], str)
+        return dataclasses.replace(default_config(experiment), **obj)
 
 
 # ---------------------------------------------------------------------------

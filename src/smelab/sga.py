@@ -296,8 +296,8 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1,
 #
 # Both models are diagonal in the eigenbasis of H, so each family is one
 # small linear map per mode.  The three functions below are the only place
-# that writes it; the closed-form series (sgd, constant momentum), the
-# Nesterov schedule's step loop (_moment_steps) and the floors read them.
+# that writes it; the series, the Nesterov schedule's step loop and sgd's
+# floor read them, and the momentum floor reads M's invariants (_stationary).
 #
 # _mode_update, _mode_noise (msgd, snag on isotropic_shift): z = (v_i, y_i) obeys
 #   z' = M_k z + n gamma_i, gamma_i ~ N(0, ns^2), n = (eta lam, eta^2 lam), with
@@ -305,7 +305,7 @@ def _run_ensembles(algos, model, x0, n_paths, seed, observable="f", threads=1,
 #     snag: M as msgd with 1 - mu eta replaced by (1 - mu eta)(1 - eta^2 lam),
 #   so mean' = M mean and cov' = M cov M^T + N, N = ns^2 n n^T.  _mode_update
 #   takes a (G, 1) array of momenta: G constant ones of one family and eta
-#   (the floor, the series) or mu_at of a block of steps (the loop).
+#   (the series) or mu_at of a block of steps (the loop).
 # _sgd_factors (sgd): y' = (1 - eta lam) y in the mean and p' = a p + b in the
 #   second moment, a = (1 - eta lam)^2 and b = ns^2 (eta lam)^2 on
 #   isotropic_shift, a = discrete_growth_factors and b = 0 on eigenbasis_scaled.
@@ -338,26 +338,25 @@ def _mode_noise(algo, model):
 
 
 def _stationary(algos, model):
-    """(M, floor, stable) of G constant momenta of one family at one eta:
-    per-mode updates M (G, d, 2, 2), and per momentum the stationary E f
-    (NaN unless stable) and whether every mode has spectral radius < 1.
+    """(floor, stable) of G constant momenta of one family at one eta: each
+    one's stationary E f (NaN unless stable) and whether all its modes are.
 
-    Per mode P = M P M^T + N in p = (P00, P01, P11) is (I - K) p = (N00,
-    N01, N11); the 3 x 3 systems of all stable momenta and modes are solved
-    in one call.
+    Per mode det M = c (_mode_update's damping), 1 - tr M + det M = h =
+    eta^2 lam and 1 + tr M + det M = q = 2 + 2c - h.  M is stable iff h, 1 - c
+    and q are positive (Jury's test), and then P = M P M^T + N has P_yy =
+    ns^2 h (1 + c) / ((1 - c) q).  q cancels at the top of the stable lam
+    range, so c and h are np.longdouble, formed from the float mu, eta, lam.
     """
-    m = _mode_update(algos[0], model, np.array([[a.momentum.mu] for a in algos]))
-    stable = ~np.any(np.abs(np.linalg.eigvals(m)) >= 1.0, axis=(1, 2))
-    ms = m[stable]
-    a, b, c, e = ms[..., 0, 0], ms[..., 0, 1], ms[..., 1, 0], ms[..., 1, 1]
-    k = np.stack([a * a, 2.0 * a * b, b * b,
-                  a * c, a * e + b * c, b * e,
-                  c * c, 2.0 * c * e, e * e], axis=-1).reshape(a.shape + (3, 3))
-    rhs = _mode_noise(algos[0], model)[:, [0, 0, 1], [0, 1, 1], None]   # N00, N01, N11
-    floor = np.full(len(m), np.nan)
-    floor[stable] = 0.5 * np.sum(model.spec.eigenvalues
-                                 * np.linalg.solve(np.eye(3) - k, rhs)[..., 2, 0], axis=-1)
-    return m, floor, stable
+    eta = np.longdouble(algos[0].eta)
+    h = eta * eta * model.spec.eigenvalues.astype(np.longdouble)
+    c = 1.0 - np.array([[a.momentum.mu] for a in algos], np.longdouble) * eta
+    if algos[0].family == SNAG:
+        c = c * (1.0 - h)
+    q = 2.0 + 2.0 * c - h
+    stable = np.all((h > 0.0) & (c < 1.0) & (q > 0.0), axis=-1)
+    with np.errstate(all="ignore"):   # an unstable mode's P_yy is not read
+        p_yy = (model.noise_scale ** 2 * h * (1.0 + c) / ((1.0 - c) * q)).astype(float)
+    return np.where(stable, 0.5 * np.sum(model.spec.eigenvalues * p_yy, axis=-1), np.nan), stable
 
 
 def _powers(m, noise, count):
@@ -457,16 +456,16 @@ def _momentum_series(m, noise, model, x0, n):
 def constant_momentum_runs(algos, model, x0):
     """Iterator of (discrete_floor, exact_moment_recursion) of G constant
     momenta of one family, eta and step count from x0 on isotropic_shift, in
-    order: one stationary solve at the call, one batched series a slice at a
-    time as the items are reached; (nan, None) for a run with a diverging mode.
+    order: the closed-form floors at the call, one batched series a slice at
+    a time as the items are reached; (nan, None) for a run with a diverging mode.
     """
     one = {(a.family, a.eta, a.n_steps, type(a.momentum)) for a in algos}
     if len(one) != 1 or not isinstance(algos[0].momentum, ConstantMomentum) \
             or model.kind != models.ISOTROPIC_SHIFT:
         raise ValueError("need constant momenta of one family, eta and step count")
-    m, floors, stable = _stationary(algos, model)
-    series = _momentum_series(m[stable], _mode_noise(algos[0], model), model, x0,
-                              algos[0].n_steps)
+    floors, stable = _stationary(algos, model)
+    m = _mode_update(algos[0], model, np.array([[a.momentum.mu] for a in algos])[stable])
+    series = _momentum_series(m, _mode_noise(algos[0], model), model, x0, algos[0].n_steps)
     return ((floor, next(series) if ok else None)
             for floor, ok in zip(floors.tolist(), stable.tolist()))
 
@@ -567,9 +566,9 @@ def discrete_floor(algo, model):
     """Stationary E f of the exact second-moment recursion (constant mu).
 
     Per eigenmode: the fixed point b / (1 - a) of sgd's p' = a p + b (zero on
-    eigenbasis_scaled), or the solution of the discrete Lyapunov equation
-    P = M P M^T + N of a momentum family (_stationary with G = 1).  Raises
-    ValueError when a mode diverges (a >= 1, or M has spectral radius >= 1).
+    eigenbasis_scaled), or P_yy of the discrete Lyapunov equation P = M P M^T
+    + N of a momentum family in closed form (_stationary with G = 1).  Raises
+    ValueError when a mode diverges (a >= 1, or M fails Jury's test).
     """
     if not supports_exact_moments(algo, model):
         raise ValueError("no exact stationary value for %s on %s"
@@ -583,7 +582,7 @@ def discrete_floor(algo, model):
         return float(0.5 * np.sum(lam * (b / (1.0 - a))))
     if not isinstance(algo.momentum, ConstantMomentum):
         raise ValueError("stationary floor needs constant momentum")
-    _, floor, stable = _stationary([algo], model)
+    floor, stable = _stationary([algo], model)
     if not stable[0]:
         raise diverging
     return float(floor[0])

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smelab import cli
-from smelab.repro import (ExperimentConfig, ExperimentReport, default_config,
-                          parse_csv)
+from smelab.repro import (ConfigError, ExperimentConfig, ExperimentReport,
+                          default_config, parse_csv)
 
 
 def _files(dirpath):
@@ -123,6 +123,48 @@ def test_config_for_wrong_command(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     assert "experiment: config declares" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, experiment", [
+    ("weak-error", "weak_error"), ("sweep", "condition_sweep"),
+    ("divergence", "divergence"), ("momentum", "momentum_dynamics"),
+    ("compare-snag", "msgd_vs_snag"),
+])
+def test_config_file_starts_from_its_experiments_defaults(tmp_path, monkeypatch, capsys,
+                                                          command, experiment):
+    # a file naming only its experiment runs what the command runs with no
+    # --config on the default variant: the same files, bytes and stdout
+    (tmp_path / "only.json").write_text(json.dumps({"experiment": experiment}))
+    runs = {}
+    for name, flags in (("default", []), ("file", ["--config", str(tmp_path / "only.json")])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli.main([command, "--out", "out"] + flags) == 0
+        runs[name] = capsys.readouterr().out
+    names = _files(tmp_path / "file" / "out")
+    assert names and set(names) <= set(_files(tmp_path / "default" / "out"))
+    for name in names:
+        assert (tmp_path / "file" / "out" / name).read_bytes() \
+            == (tmp_path / "default" / "out" / name).read_bytes()
+    assert runs["default"].startswith(runs["file"])   # weak-error runs a second variant
+    assert (runs["default"] == runs["file"]) == (command != "weak-error")
+
+
+def test_config_file_overrides_only_the_fields_it_names(tmp_path, capsys):
+    # six coordinates fit condition_sweep's default dimension of 6
+    cfg = ExperimentConfig.from_json(json.dumps({"experiment": "condition_sweep",
+                                                 "x0": [1.0] * 6}))
+    assert cfg == dataclasses.replace(default_config("condition_sweep"), x0=(1.0,) * 6)
+    # divergence's default variant is eigenbasis_scaled, so the file need not name it
+    found = tmp_path / "divergence.json"
+    found.write_text(json.dumps({"experiment": "divergence", "eigenvalues": [1.0, 0.01],
+                                 "eta_grid": [0.04, 0.005], "horizon": 2.0}))
+    assert cli.main(["divergence", "--config", str(found), "--out", str(tmp_path / "out")]) == 0
+    assert "divergence.csv" in _files(tmp_path / "out")
+    # the experiment is still checked first, with the message of its kind
+    for bad in (3, ["divergence"], None):
+        with pytest.raises(ConfigError, match="^experiment: expected a string"):
+            ExperimentConfig.from_json(json.dumps({"experiment": bad}))
 
 
 def test_weak_error_deterministic_and_contained(tmp_path, monkeypatch, capsys):
@@ -242,7 +284,9 @@ def test_series_longer_than_the_limit_is_a_config_error(tmp_path, monkeypatch,
 @pytest.mark.parametrize("key, config, flags", [
     ("threads", {}, ["--threads", "100000"]),
     ("n_paths", {"n_paths": 1e8, "horizon": 1000}, []),
-    ("horizon", {"dimension": 64, "horizon": 1e5}, []),   # 10^6 steps at d = 64
+    # 10^6 steps at d = 64; the experiment's default spectrum and start have 2
+    ("horizon", {"dimension": 64, "horizon": 1e5, "eigenvalues": [1.0] * 64,
+                 "x0": [1.0] * 64}, []),
 ])
 def test_work_over_budget_is_a_config_error(tmp_path, monkeypatch, capsys,
                                             key, config, flags):

@@ -60,14 +60,16 @@ NOISE_FS = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.5, 3.0)
 NOISE_ETA = 0.1
 
 
-# discrete_floor per mode: sgd's b / (1 - a) and the momentum families' 3 x 3
-# stationary solve, as the spectral radius rho of the mode's update nears 1,
+# discrete_floor per mode: sgd's b / (1 - a) and the momentum families'
+# closed form P_yy = ns^2 h (1 + c) / ((1 - c) q), with c and h in
+# np.longdouble, as the spectral radius rho of the mode's update nears 1,
 # from the damping (mu eta -> 0; sgd's eta lam -> 0 and -> 2) or from the top
 # of the stable lam range (eta^2 lam -> its limit h_max at fixed mu eta).  The
-# floor grows like 1 / (1 - rho), so the bound is 2 eps / (1 - rho) + 2e-15:
-# measured at most 0.76 eps / (1 - rho) for sgd (eta lam = 2 - 1e-6) and
-# 1.56 for snag (its lam edge, mu eta = 0.5, h = h_max (1 - 1e-2)).  msgd at
-# its lam edge is over it (the strict xfail below).
+# floor grows like 1 / (1 - rho), so the bound is 2 eps / (1 - rho) + 2e-15.
+# Measured as a share of it: sgd 0.35 (eta lam = 2 - 1e-6); the damping rows
+# at most 0.0046 (snag, lam = 4, mu eta = 1e-6; msgd 0.0024); snag's lam edge
+# 0.0044 (mu eta = 0.5, gap 1e-2); msgd's lam edge 0.033 (mu eta = 0.01, gap
+# 1e-8, where 1 - rho = 4.0e-6).
 FLOOR_ETA = 0.1
 FLOOR_LAMS = (1.0, 0.25, 4.0, 0.01)
 FLOOR_MU_ETAS = (1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0)
@@ -218,7 +220,8 @@ def test_asymptotic_noise_msgd_near_critical_against_mpmath():
 
 def _mp_floor(family, lam, mu):
     """Stationary E f of one mode at the exact values of the float inputs:
-    sgd's b / (1 - a), or the 3 x 3 solve of P = M P M^T + N."""
+    sgd's b / (1 - a), or the 3 x 3 solve of P = M P M^T + N (independent of
+    the closed form that discrete_floor evaluates)."""
     lam, eta = mp.mpf(lam), mp.mpf(FLOOR_ETA)
     h = eta * eta * lam
     if family == SGD:
@@ -267,10 +270,6 @@ def test_discrete_floor_near_spectral_radius_one_against_mpmath():
                           "%.3g of its bound" % (case[3], case[:3], ratio))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "msgd's 3 x 3 stationary solve at the top of its stable lam range loses "
-    "far more than eps / (1 - rho): 2.0e-5 relative at mu eta = 0.01, "
-    "h = h_max (1 - 1e-8), where 1 - rho = 4.0e-6 (3.6e5 x eps / (1 - rho))"))
 def test_discrete_floor_msgd_at_its_lam_edge_against_mpmath():
     cases = [(MSGD, _floor_edge_lam(MSGD, x, gap), x / FLOOR_ETA)
              for x in FLOOR_EDGE_MU_ETAS for gap in FLOOR_EDGE_GAPS]

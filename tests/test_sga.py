@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -489,18 +490,68 @@ def test_random_batch_rows_equal_single_calls(family, d):
         _assert_batch_is_single_calls(algos, model, gen.normal(0.0, 1e3, d))
 
 
-@pytest.mark.parametrize("family, lam, mus", [
+def _radius(algo, model):
+    """Largest spectral radius of the per-mode updates, from their eigenvalues."""
+    m = sga._mode_update(algo, model, np.array([[algo.momentum.mu]]))[0]
+    return np.abs(np.linalg.eigvals(m)).max()
+
+
+@pytest.mark.parametrize("family, eta, lam, mus, diverging", [
     # at eta = 0.5 msgd diverges for large momenta, snag for small ones
-    (MSGD, 12.0, (0.5, 1.5, 0.8)),
-    (SNAG, 6.0, (1.5, 0.5, 1.8)),
-])
-def test_batch_reports_its_diverging_member(family, lam, mus):
+    (MSGD, 0.5, 12.0, (0.5, 1.5, 0.8), (False, True, False)),
+    (SNAG, 0.5, 6.0, (1.5, 0.5, 1.8), (False, True, False)),
+    # at eta = 0.1 msgd with h = eta^2 lam = 3 is stable for mu eta < 0.5, and
+    # snag with h = 1.6 for mu eta > 2/3 (Jury: 1 + tr M + det M > 0)
+    (MSGD, 0.1, 300.0, (0.5, 2.5, 4.0, 6.0, 9.0), (False, False, False, True, True)),
+    (SNAG, 0.1, 160.0, (0.5, 2.5, 6.0, 9.0, 10.0), (True, True, True, False, False)),
+], ids=["msgd-12.0-mus0", "snag-6.0-mus1", "msgd-0.1-300.0", "snag-0.1-160.0"])
+def test_batch_reports_its_diverging_member(family, eta, lam, mus, diverging):
     model = from_spectrum(ISOTROPIC_SHIFT, [lam, 0.5], noise_scale=1.0)
-    algos = [AlgoSpec(family, 0.5, 6.0, ConstantMomentum(mu)) for mu in mus]
+    algos = [AlgoSpec(family, eta, 6.0, ConstantMomentum(mu)) for mu in mus]
     runs = _batch(algos, model, np.array([1.0, 1.0]))
-    assert [series is None for _, series in runs] == [False, True, False]
-    assert np.isfinite([runs[0][0], runs[2][0]]).all()
+    assert [series is None for _, series in runs] == list(diverging)
+    assert [_radius(algo, model) >= 1.0 for algo in algos] == list(diverging)
+    assert np.isfinite([floor for floor, series in runs if series is not None]).all()
     _assert_batch_is_single_calls(algos, model, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+def test_floor_diverges_exactly_where_the_spectral_radius_reaches_one(family):
+    # the floor decides stability by Jury's test on det M and tr M; over a
+    # seeded sweep it must raise where the eigenvalue rule says rho >= 1
+    gen = np.random.default_rng(27)
+    top = 5.0 if family == MSGD else 2.5   # h = eta^2 lam < top straddles the edge
+    verdicts = []
+    for _ in range(500):
+        eta = gen.uniform(0.01, 1.0)
+        lams = np.sort(gen.uniform(0.0, top, 2))[::-1] / eta ** 2
+        model = from_spectrum(ISOTROPIC_SHIFT, lams, noise_scale=0.7)
+        algo = AlgoSpec(family, eta, 1.0, ConstantMomentum(gen.uniform(0.01, 1.0) / eta))
+        rho = _radius(algo, model)
+        if abs(rho - 1.0) < 1e-9:
+            continue
+        if rho >= 1.0:
+            with pytest.raises(ValueError, match="diverges"):
+                sga.discrete_floor(algo, model)
+        else:
+            assert math.isfinite(sga.discrete_floor(algo, model))
+        verdicts.append(rho < 1.0)
+    assert 100 < sum(verdicts) < len(verdicts) - 100   # both sides well sampled
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+@pytest.mark.parametrize("mu_eta", [0.01, 0.5])
+def test_floor_flips_at_the_top_of_the_stable_lam_range(family, mu_eta):
+    from test_precision import FLOOR_ETA, _floor_edge_lam
+    for gap, stable in ((1e-6, True), (-1e-6, False)):
+        model = from_spectrum(ISOTROPIC_SHIFT, [_floor_edge_lam(family, mu_eta, gap)])
+        algo = AlgoSpec(family, FLOOR_ETA, 1.0, ConstantMomentum(mu_eta / FLOOR_ETA))
+        assert (_radius(algo, model) < 1.0) == stable
+        if stable:
+            assert math.isfinite(sga.discrete_floor(algo, model))
+        else:
+            with pytest.raises(ValueError, match="diverges"):
+                sga.discrete_floor(algo, model)
 
 
 @pytest.mark.parametrize("algos, kind", [
@@ -557,6 +608,9 @@ _SGD_SERIES_CASES = {
     # a within about 2e-8 of 1 on either side
     "a-near-one": lambda: (from_spectrum(ISOTROPIC_SHIFT, [20.0 + 1e-7, 20.0 - 1e-7]),
                            0.1, np.array([1.0, 1.0]), 2000),
+    # a near 1 from the damping side: a = 1 - 2e-6 and 1 - 2e-8 (eta lam -> 0)
+    "a-near-one-damping": lambda: (from_spectrum(ISOTROPIC_SHIFT, [1e-5, 1e-7]),
+                                   0.1, np.array([1.0, 1.0]), 2000),
     # a = 1.44 with noise, started at 0 on that mode: p_k = b S_k alone
     "isotropic-growth": lambda: (from_spectrum(ISOTROPIC_SHIFT, [22.0, 1.0]),
                                  0.1, np.array([0.0, 1.0]), 1500),

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import solve_continuous_lyapunov
 
-from smelab.matkit import haar_orthogonal, mat_exp_dense
+from smelab.matkit import SpectralDecomp, haar_orthogonal, mat_exp_dense
 from smelab.models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                            grad_full, objective)
 from smelab.sga import MSGD, SGD, SNAG
@@ -412,6 +412,16 @@ def test_order2_stationary_value_is_finite_and_matches_lyapunov(variant, mu):
                     rtol=1e-12)
     assert_allclose(got, langevin_expected_f_quadrature(system, np.zeros(2), math.inf),
                     rtol=1e-10)
+
+
+def test_stationary_value_needs_routh_hurwitz():
+    # msgd2 at lam = 8, mu = 0.5, eta = 1: det a = lam (1 + eta mu / 2 -
+    # eta^2 lam / 4) = -6, so a real mode grows; a finite time still has E f
+    system = langevin_system(SpectralDecomp(np.array([8.0]), np.eye(1)), mu=0.5, eta=1.0,
+                             variant="msgd2")
+    with pytest.raises(ValueError, match="not asymptotically stable"):
+        langevin_expected_f_exact(system, np.array([1.0]), math.inf)
+    assert math.isfinite(langevin_expected_f_exact(system, np.array([1.0]), 1.0))
 
 
 @pytest.mark.parametrize("variant", ["order1", "msgd2", "snag2"])
