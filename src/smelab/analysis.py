@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import Block2x2Family, SpectralDecomp, _pairs_2x2, _trace_det
+from .matkit import Block2x2Family, SpectralDecomp, _invariants, _pairs_2x2
 
 _DEGENERATE_TOL = 1e-9
 
@@ -45,26 +45,25 @@ class EigenReport:
     diagonalizable: bool
 
 
-def _regimes(tr, det):
-    """The one near-critical rule: the regime of each 2x2 block (trace tr,
-    determinant det) is critical where |tr^2 - 4 det| <= _DEGENERATE_TOL
-    max(1, 4 det), and otherwise set by the sign of tr^2 - 4 det."""
-    disc = tr * tr - 4.0 * det
-    critical = np.abs(disc) <= _DEGENERATE_TOL * np.maximum(1.0, 4.0 * det)
-    return np.where(critical, CRITICAL, np.where(disc > 0.0, OVERDAMPED, UNDERDAMPED))
+def _regimes(det, delta):
+    """The one near-critical rule: the regime of each 2x2 block (determinant
+    det, discriminant delta from matkit._invariants) is critical where
+    |delta| <= _DEGENERATE_TOL max(1, 4 det), and otherwise set by delta's sign."""
+    critical = np.abs(delta) <= _DEGENERATE_TOL * np.maximum(1.0, 4.0 * det)
+    return np.where(critical, CRITICAL, np.where(delta > 0.0, OVERDAMPED, UNDERDAMPED))
 
 
 def _eigen_report(blocks):
     """Eigenvalue pairs, least real part and regimes of blocks (d, 2, 2)."""
     pairs = _pairs_2x2(blocks)
-    cls = tuple(_regimes(*_trace_det(blocks)).tolist())
+    cls = tuple(_regimes(*_invariants(blocks)[1:]).tolist())
     return EigenReport(pairs, float(np.min(pairs.real)), cls, CRITICAL not in cls)
 
 
 def classify_damping(mu, lam):
     """Damping regime of one momentum mode, the block [[mu, lam], [-1, 0]]
     (trace mu, determinant lam) under _regimes' rule: mu^2 vs 4 lam."""
-    return str(_regimes(mu, lam))
+    return str(_regimes(*_invariants(np.array([[mu, lam], [-1.0, 0.0]]))[1:]))
 
 
 def momentum_eigs(mu, spec_or_lambdas):
@@ -186,10 +185,9 @@ def decay_bound_check(family: Block2x2Family, t_grid):
     d = family.dim
     eigs = family.block_eigenvalues()
     rate = float(np.min(eigs.real))
-    tr, det = _trace_det(blocks)
-    disc = tr * tr - 4.0 * det
+    tr, det, disc = _invariants(blocks)
     nil = blocks - 0.5 * tr[:, None, None] * np.eye(2)
-    defective = ((_regimes(tr, det) == CRITICAL)
+    defective = ((_regimes(det, disc) == CRITICAL)
                  & (np.max(np.abs(nil), axis=(1, 2)) > 1e-14))
     any_def = bool(np.any(defective))
     eps = 0.0

@@ -3,9 +3,9 @@
 Everything here is sized for the regimes this package works in (d <= 64):
 the symmetric eigendecomposition (LAPACK eigh) and the dense matrix
 exponential (scipy expm) behind this package's validation and size cap,
-closed-form 2x2 matrix exponentials (the per-mode blocks of the momentum
-systems), planted-spectrum SPD test matrices, and the reduction of
-block-structured 2d x 2d systems to per-mode 2x2 blocks sharing one
+closed-form 2x2 matrix exponentials and invariants (the per-mode blocks of
+the momentum systems), planted-spectrum SPD test matrices, and the reduction
+of block-structured 2d x 2d systems to per-mode 2x2 blocks sharing one
 eigenbasis.
 """
 
@@ -91,14 +91,13 @@ def _exp_2x2(a, t):
     """exp(t a) for 2x2 blocks a (..., 2, 2) at times t that broadcast
     against a's batch shape.
 
-    Writes a = (tr/2) I + K with K^2 = (Delta/4) I, Delta = tr^2 - 4 det, and
+    Writes a = (tr/2) I + K with K^2 = (Delta/4) I (see _invariants), and
     picks per block on the sign of Delta: cosh/sinh and cos/sin, both accurate
     as Delta -> 0, and the defective I + tK only where Delta == 0.  In the
     cosh/sinh branch e^{|om t|} is folded into the exponent, so the result
     stays finite wherever exp(t a) is, even when cosh(om t) alone would overflow.
     """
-    tr, det = _trace_det(a)
-    delta = tr * tr - 4.0 * det
+    tr, _, delta = _invariants(a)
     half = 0.5 * tr
     over = delta > 0.0
     under = delta < 0.0
@@ -210,17 +209,22 @@ class Block2x2Family:
         return _pairs_2x2(self.blocks)
 
 
-def _trace_det(a):
-    """(trace, determinant) of 2x2 blocks a (..., 2, 2)."""
+def _invariants(a):
+    """(trace, determinant, Delta = tr^2 - 4 det) of 2x2 blocks a (..., 2, 2).
+    Delta is (a00 - a11)^2 + 4 a01 a10, formed in np.longdouble from the float
+    entries and rounded once: it carries no eps tr^2 from a float tr^2 - 4 det."""
+    w = a.astype(np.longdouble)
+    diff = w[..., 0, 0] - w[..., 1, 1]
     return (a[..., 0, 0] + a[..., 1, 1],
-            a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
+            a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0],
+            (diff * diff + 4.0 * w[..., 0, 1] * w[..., 1, 0]).astype(float))
 
 
 def _pairs_2x2(a):
-    """Complex eigenvalue pairs (tr +- sqrt(tr^2 - 4 det)) / 2 of 2x2 blocks
+    """Complex eigenvalue pairs (tr +- sqrt(Delta)) / 2 of 2x2 blocks
     a (..., 2, 2): shape (..., 2)."""
-    tr, det = _trace_det(a)
-    root = np.sqrt(np.asarray(tr * tr - 4.0 * det, dtype=complex))
+    tr, _, delta = _invariants(a)
+    root = np.sqrt(np.asarray(delta, dtype=complex))
     return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=-1)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import models, rng, sga
 from .analysis import CRITICAL, _drift_blocks, classify_damping
-from .matkit import Block2x2Family, _assemble, _trace_det, mat_exp_dense
+from .matkit import Block2x2Family, _assemble, _invariants, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -390,7 +390,7 @@ def langevin_expected_f_exact(system, x0, t):
     a = fam.blocks
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     ts = t.reshape(-1)
-    tr, det = _trace_det(a)
+    tr, det, _ = _invariants(a)
     if np.isinf(ts).any() and not np.all((tr > 0.0) & (det > 0.0)):   # Routh-Hurwitz
         raise ValueError("system is not asymptotically stable; E f diverges")
     # Cramer's rule on the three unknowns of the symmetric Lyapunov equation
@@ -432,9 +432,8 @@ def quad(*args, **kwargs):
 def _decay_entry(block):
     """u -> the [1, 0] entry of exp(-u block) for u >= 0, c1(-u) block[1, 0]
     with c1 and its branches as in matkit._exp_2x2, picked once, in scalar math."""
-    a00, a01, a10, a11 = (float(v) for v in np.ravel(block))
-    tr = a00 + a11
-    delta = tr * tr - 4.0 * (a00 * a11 - a01 * a10)
+    a10 = float(block[1, 0])
+    tr, _, delta = (float(v) for v in _invariants(block))
     half, om = 0.5 * tr, 0.5 * math.sqrt(abs(delta))
     if delta == 0.0:
         return lambda u: -a10 * u * math.exp(-half * u)
@@ -446,8 +445,7 @@ def _decay_entry(block):
 
 
 def _mode_quad_integral(block, t):
-    tr, det = _trace_det(block)
-    disc = tr * tr - 4.0 * det
+    tr, _, disc = _invariants(block)
     min_re = 0.5 * (tr - math.sqrt(disc)) if disc > 0 else 0.5 * tr
     max_re = tr - min_re
     if np.isinf(t):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from test_precision import _edge_blocks
 
 from smelab import matkit
-from smelab.matkit import (Block2x2Family, MatkitError, SpectralDecomp,
-                           block_reduce, check_symmetric, condition_spectrum,
+from smelab.analysis import CRITICAL, OVERDAMPED, _drift_blocks, _regimes, classify_damping
+from smelab.matkit import (Block2x2Family, MatkitError, SpectralDecomp, _invariants,
+                           _pairs_2x2, block_reduce, check_symmetric, condition_spectrum,
                            haar_orthogonal, mat_exp_2x2, mat_exp_dense,
                            spd_with_condition, sym_eig)
 
@@ -126,6 +128,64 @@ def test_mat_exp_2x2_group_property():
     e2 = mat_exp_2x2(m, 0.4)
     assert_allclose(e1 @ e2, mat_exp_2x2(m, 1.0), rtol=1e-12, atol=1e-12)
     assert_allclose(mat_exp_2x2(m, 0.0), np.eye(2), atol=1e-15)
+
+
+def _discriminant_blocks():
+    """The order-1 momentum blocks of the precision ledger near critical
+    damping, the order-2 msgd and snag blocks -(b0 + eta b1) at the same mu,
+    and 200 seeded blocks with N(0, 1) entries."""
+    order1 = [block for _, block, _ in _edge_blocks()]
+    lam = np.array([b[0, 1] for b in order1])
+    mu = np.array([b[0, 0] for b in order1])
+    order2 = []
+    for family in ("msgd", "snag"):
+        b0, b1 = _drift_blocks(family, 2, lam, 0.1, mu)
+        order2 += list(-(b0 + 0.1 * b1)[np.arange(lam.size), np.arange(lam.size)])
+    gen = np.random.default_rng(28)
+    return np.array(order1 + order2 + list(gen.standard_normal((200, 2, 2))))
+
+
+def _exact_discriminants(blocks):
+    """(a00 - a11)^2 + 4 a01 a10 and (a00 - a11)^2 + 4 |a01 a10| of each
+    block at 60 digits from its float entries, as mpmath numbers."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for a in blocks:
+            a00, a01, a10, a11 = (mp.mpf(float(v)) for v in a.ravel())
+            yield (a00 - a11) ** 2 + 4 * a01 * a10, (a00 - a11) ** 2 + 4 * abs(a01 * a10)
+
+
+def test_invariants_discriminant_against_mpmath():
+    # |Delta - Delta_exact| <= 2^-53 |Delta_exact| + 2^-59 ((a00 - a11)^2 +
+    # 4 |a01 a10|); a float tr^2 - 4 det is 335 x over it near critical damping
+    blocks = _discriminant_blocks()
+    tr, det, delta = _invariants(blocks)
+    assert_array_equal(tr, blocks[:, 0, 0] + blocks[:, 1, 1])
+    assert_array_equal(det, blocks[:, 0, 0] * blocks[:, 1, 1]
+                       - blocks[:, 0, 1] * blocks[:, 1, 0])
+    worst = (0.0, None)
+    for a, got, (exact, scale) in zip(blocks, delta.tolist(), _exact_discriminants(blocks)):
+        ratio = float(abs(got - exact) / (abs(exact) / 2 ** 53 + scale / 2 ** 59))
+        if ratio > worst[0]:
+            worst = (ratio, a.tolist())
+    assert worst[0] <= 1.0, "error %.3g of its bound at block %s" % worst
+
+
+def test_discriminant_readers_agree():
+    blocks = _discriminant_blocks()
+    _, det, delta = _invariants(blocks)
+    # a complex eigenvalue pair exactly where _exp_2x2 takes its cos/sin branch
+    assert_array_equal(_pairs_2x2(blocks).imag[:, 0] != 0.0, delta < 0.0)
+    # outside the critical band the regime is the sign of the exact Delta
+    regimes = _regimes(det, delta)
+    exact_sign = np.array([int(exact > 0) - int(exact < 0)
+                           for exact, _ in _exact_discriminants(blocks)])
+    outside = regimes != CRITICAL
+    assert outside.any() and not outside.all()
+    assert_array_equal(np.where(regimes[outside] == OVERDAMPED, 1, -1), exact_sign[outside])
+    # classify_damping reads the same rule on the order-1 blocks [[mu, lam], [-1, 0]]
+    for block, regime in zip(blocks[:len(list(_edge_blocks()))], regimes):
+        assert classify_damping(block[0, 0], block[0, 1]) == regime
 
 
 @pytest.mark.parametrize("d,seed", [(3, 0), (5, 1), (8, 2)])

@@ -33,12 +33,15 @@ BLOCK_LAMS = (1.0, 0.25, 4.0, 0.01)
 BLOCK_FS = (0.0, 1e-4, 0.3, 0.999, 1.001, 3.0, 100.0, -0.5)
 BLOCK_TIMES = (0.1, 10.0, 100.0, 300.0, 1000.0, 3000.0)
 
-# Measured 1.26e-12 (lam = 0.01, f = 0, t = 3000).  The floor is the rounding
-# of Delta = tr^2 - 4 det, which is about eps tr^2 in absolute terms: it
-# enters sinh(om t)/om = t (1 + (om t)^2/6 + ...) as an absolute error of
-# about eps tr^2 t^2 / 24 relative to t.
-EXP_2X2_BOUND = 2e-12
-DECAY_ENTRY_BOUND = 2e-12
+# Measured 5.32e-14 for both (lam = 4, f = -0.5, t = 300).  That is the
+# rounding of the exponent (tr/2) t = 600 - 1.5e-10, off by -5.33e-14 in
+# absolute terms, which exp turns into the same relative error: a floor of
+# any float evaluation at the grid's cap mu t / 2 <= 600.  The old floor,
+# 1.26e-12 (lam = 0.01, f = 0, t = 3000), was the rounding of a float
+# Delta = tr^2 - 4 det, about eps tr^2 in absolute terms; it went when
+# matkit._invariants began to form Delta in np.longdouble.
+EXP_2X2_BOUND = 1e-13
+DECAY_ENTRY_BOUND = 1e-13
 
 R_CASES = ((0.7, 2.0), (0.5, 1.0), (3.0, 1.0), (2.0 * (1 - 1e-7), 1.0),
            (2.0 * (1 - 1e-12), 1.0), (2.0, 1.0), (0.1, 0.25), (1.9, 1.0))
@@ -163,6 +166,16 @@ def _mp_r(t, mu, lam):
     om = mp.sqrt(om2)
     return (mu + om * mp.exp(-mu * t) * mp.sin(om * t)
             - mu * mp.exp(-mu * t) * mp.cos(om * t)) / (4 * lam)
+
+
+def test_long_double_is_x87_extended():
+    # sga._stationary, sga._momentum_series and matkit._invariants form their
+    # cancelling terms in np.longdouble; where it is double, their ledger rows
+    # above fail for this one reason
+    eps = np.finfo(np.longdouble).eps
+    assert eps < 1e-18, ("np.longdouble has eps %.3g, not x87 extended (1.08e-19): "
+                         "sga._stationary, sga._momentum_series and "
+                         "matkit._invariants lose the extra bits they rely on" % eps)
 
 
 def test_r_function_against_mpmath():
@@ -315,6 +328,29 @@ def test_momentum_series_at_its_lam_edge_against_mpmath(family, mu_eta, gap):
     bound = 2.0 * np.finfo(float).eps / (1.0 - rho) + 2e-15
     assert worst <= bound, ("worst relative error %.3g at k = %d, %.3g of its bound"
                             % (worst, k, worst / bound))
+
+
+# The same series away from the lam edge, as rho nears 1 from the damping
+# side (mu eta -> 0), for one mode from x0 = 1 over 1200 steps.  Measured at
+# most 8.9e-16 (snag, lam = 0.01, mu eta = 1e-6), at most 0.0091 of the floor
+# rows' bound 2 eps / (1 - rho) + 2e-15, so the bound is a flat 2e-15.
+SERIES_DAMPING_LAMS = (1.0, 0.01)
+SERIES_DAMPING_MU_ETAS = (1e-6, 1e-4, 1e-2)
+
+
+@pytest.mark.parametrize("family", [MSGD, SNAG])
+def test_momentum_series_near_radius_one_from_damping_against_mpmath(family):
+    def cases():
+        for lam in SERIES_DAMPING_LAMS:
+            model = from_spectrum(ISOTROPIC_SHIFT, [lam])
+            for mu_eta in SERIES_DAMPING_MU_ETAS:
+                algo = AlgoSpec(family, FLOOR_ETA, 1200 * FLOOR_ETA + 1e-9,
+                                ConstantMomentum(mu_eta / FLOOR_ETA))
+                worst, k = _worst_against_mpmath(algo, model, np.array([1.0]))
+                yield worst, (lam, mu_eta, k)
+
+    err, case = _worst(cases())
+    assert err <= 2e-15, "worst relative error %.3g at (lam, mu eta, k) = %s" % (err, case)
 
 
 def test_bs_expected_f_near_growth_threshold_against_mpmath():

@@ -492,6 +492,16 @@ def test_langevin_difference_form_just_past_the_switch_against_mpmath():
     assert worst[0] <= 1e-14, "worst relative error %.3g at %s" % worst
 
 
+def test_langevin_difference_form_past_the_switch_against_mpmath():
+    # the difference form further past the switch, a guard until one route
+    # replaces it.  Measured 1.91e-12 (snag2 at f = 1.5: lam = 0.25, mu = 9.99,
+    # eta = 0.1, t = 0.0484), 2.2 eps C_inf_xx / C_xx(t) with C_inf_xx / C_xx
+    # = 3.9e3 there: the subtraction turns one ulp of E into that much.  It
+    # falls with f: at most 1.5e-13 at f = 3 and 3.9e-14 at f = 10 and 40.
+    worst = max(_noise_f_worst(v, [1.5, 3.0, 10.0, 40.0]) for v in ("order1", "msgd2", "snag2"))
+    assert worst[0] <= 4e-12, "worst relative error %.3g at %s" % worst
+
+
 def test_langevin_array_t_equals_scalar_calls():
     spec = _iso([1.0, 0.25]).spec
     x0 = np.array([2.0, -1.0])
