@@ -62,21 +62,16 @@ def _add_common_flags(p):
 
 
 def _apply_overrides(cfg, args):
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    out = getattr(args, "out", None) or os.environ.get("SMELAB_OUT")
-    if out:
-        updates["out_dir"] = out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """cfg with the flags given; an empty --out is given, an empty $SMELAB_OUT unset."""
+    out = args.out if args.out is not None else os.environ.get("SMELAB_OUT") or None
+    updates = dict(seed=args.seed, threads=args.threads, out_dir=out)
+    return dataclasses.replace(cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _load_configs(args):
     """The configs a command runs: its --config file, or the defaults of each
     of its experiments on each model variant the experiment runs on."""
-    if args.config:
+    if args.config is not None:
         (experiment,) = args.experiments
         try:
             with open(args.config, "r", encoding="utf-8") as handle:

@@ -205,8 +205,6 @@ class ExperimentConfig:
             raise ConfigError("n_paths: %d paths x %.3g steps exceed the limit "
                               "of %d path-steps" % (self.n_paths, steps,
                                                     _MAX_PATH_STEPS))
-        if not self.families:
-            raise ConfigError("families: must not be empty")
         if len(set(self.families)) != len(self.families):
             raise ConfigError("families: duplicate entries")
         # the largest step size sets the smallest admissible ceiling 1/eta
@@ -236,8 +234,15 @@ class ExperimentConfig:
                 raise ConfigError("%s: unknown field" % key)
         if "experiment" not in obj:
             raise ConfigError("experiment: required field is missing")
-        experiment = _coerce("experiment", obj["experiment"], str)
-        return dataclasses.replace(default_config(experiment), **obj)
+        default = default_config(_coerce("experiment", obj["experiment"], str))
+        if obj.get("dimension", default.dimension) != default.dimension:
+            obj = {"eigenvalues": (), "x0": (), **obj}   # defaults fit their dimension only
+        cfg = dataclasses.replace(default, **obj)
+        reads = _RUN_LEVEL + _TABLE[cfg.experiment].reads
+        for key in obj:
+            if key not in reads and getattr(cfg, key) != getattr(default, key):
+                raise ConfigError("%s: %s does not read it" % (key, cfg.experiment))
+        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +523,24 @@ def emit_svg(report, out_dir):
 
 def _resolve(config, experiment):
     """The config to run (the defaults when None), checked against the
-    experiment and the model variants it runs on."""
+    experiment, the model variants it runs on and the arrays it reads."""
     if config is None:
         config = default_config(experiment)
     if config.experiment != experiment:
         raise ConfigError("experiment: config is for %r but %r was requested"
                           % (config.experiment, experiment))
-    variants = _TABLE[experiment].variants
-    if config.variant not in variants:
+    entry = _TABLE[experiment]
+    if config.variant not in entry.variants:
         raise ConfigError("variant: %s supports %s only"
-                          % (experiment, " and ".join(variants)))
+                          % (experiment, " and ".join(entry.variants)))
+    for key in entry.reads:
+        if getattr(config, key) == ():
+            raise ConfigError("%s: %s needs at least one value" % (key, experiment))
     return config
 
 
 def _model_for(cfg, eigenvalues=None):
-    lam = tuple(eigenvalues) if eigenvalues is not None else cfg.eigenvalues
-    if not lam:
-        raise ConfigError("eigenvalues: experiment %r needs an explicit "
-                          "spectrum" % cfg.experiment)
+    lam = cfg.eigenvalues if eigenvalues is None else eigenvalues
     return from_spectrum(cfg.variant, np.asarray(lam, dtype=float),
                          noise_scale=cfg.noise_scale)
 
@@ -723,8 +728,6 @@ def exp_condition_sweep(config=None):
     log-log fit of rate vs kappa per family estimates the scaling exponent.
     """
     cfg = _resolve(config, "condition_sweep")
-    if not cfg.kappa:
-        raise ConfigError("kappa: condition_sweep needs a kappa grid")
     if cfg.dimension == 1 and any(k != 1 for k in cfg.kappa):
         raise ConfigError("kappa: dimension 1 admits only kappa = 1")
     eta = cfg.eta_grid[0]
@@ -831,8 +834,6 @@ def exp_momentum_dynamics(config=None):
     whose predicted optimum is 0.95 and reports the grid argmax.
     """
     cfg = _resolve(config, "momentum_dynamics")
-    if not cfg.mu_values:
-        raise ConfigError("mu_values: momentum_dynamics needs momentum values")
     model = _model_for(cfg)
     x0 = np.asarray(cfg.x0 or (1.0,) * cfg.dimension, dtype=float)
     eta0 = cfg.eta_grid[0]
@@ -974,8 +975,6 @@ def exp_msgd_vs_snag(config=None):
         late plateau sits above the tuned-msgd stationary floor.
     """
     cfg = _resolve(config, "msgd_vs_snag")
-    if not cfg.mu_values:
-        raise ConfigError("mu_values: msgd_vs_snag needs a constant momentum")
     if cfg.x0 and cfg.dimension != 2:
         raise ConfigError("x0: part (a) runs on 2-mode models (1, lam_d), so an "
                           "explicit x0 needs dimension 2")
@@ -1083,30 +1082,35 @@ def exp_msgd_vs_snag(config=None):
 # ---------------------------------------------------------------------------
 
 
+# fields every experiment accepts at any value; the CLI sets the last three on each
+_RUN_LEVEL = ("experiment", "dimension", "variant", "noise_scale", "eta_grid",
+              "horizon", "x0", "seed", "threads", "out_dir")
 # an experiment's CLI subcommand, runner (config -> ExperimentReport), model
-# variants it runs on (the first is its default) and other default fields
-# (the rest are ExperimentConfig's); _TABLE lists them in figures' order
-_Experiment = namedtuple("_Experiment", "command runner variants defaults")
+# variants it runs on (the first is its default), the other fields it reads (a
+# config file sets the rest only to their defaults; no array it reads may be
+# empty) and default fields (the rest are ExperimentConfig's), in figures' order
+_Experiment = namedtuple("_Experiment", "command runner variants reads defaults")
 _TABLE = {
     "weak_error": _Experiment(
-        "weak-error", exp_weak_error, (ISOTROPIC_SHIFT, EIGENBASIS_SCALED),
+        "weak-error", exp_weak_error, (ISOTROPIC_SHIFT, EIGENBASIS_SCALED), ("eigenvalues",),
         dict(eigenvalues=(1.0, 0.1), eta_grid=(0.1, 0.05, 0.025, 0.0125),
              x0=(1.0, 1.0))),
     "condition_sweep": _Experiment(
-        "sweep", exp_condition_sweep, (ISOTROPIC_SHIFT,),
+        "sweep", exp_condition_sweep, (ISOTROPIC_SHIFT,), ("kappa", "families"),
         dict(dimension=6, kappa=(10.0, 30.0, 100.0, 300.0, 1000.0),
              horizon=12000.0, families=("sgd", "msgd"))),
     "divergence": _Experiment(
-        "divergence", exp_divergence, (EIGENBASIS_SCALED,),
+        "divergence", exp_divergence, (EIGENBASIS_SCALED,), ("eigenvalues",),
         dict(eigenvalues=(1.0, 0.01), eta_grid=(0.04, 0.025, 0.015, 0.005),
              horizon=300.0, x0=(0.1, 1.0))),
     "momentum_dynamics": _Experiment(
         "momentum", exp_momentum_dynamics, (ISOTROPIC_SHIFT,),
+        ("eigenvalues", "mu_values", "n_paths"),
         dict(eigenvalues=(1.0, 0.25), eta_grid=(0.1, 0.05), horizon=40.0,
              families=("msgd",), mu_values=(0.1, 1.0, 3.0), n_paths=2048,
              x0=(30.0, 30.0))),
     "msgd_vs_snag": _Experiment(
-        "compare-snag", exp_msgd_vs_snag, (ISOTROPIC_SHIFT,),
+        "compare-snag", exp_msgd_vs_snag, (ISOTROPIC_SHIFT,), ("eigenvalues", "mu_values"),
         dict(eigenvalues=(1.0, 0.25), horizon=400.0, families=("msgd", "snag"),
              mu_values=(0.2,))),
 }

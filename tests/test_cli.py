@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smelab import cli
+from smelab import cli, repro
 from smelab.repro import (ConfigError, ExperimentConfig, ExperimentReport,
                           default_config, parse_csv)
 
@@ -165,6 +165,64 @@ def test_config_file_overrides_only_the_fields_it_names(tmp_path, capsys):
     for bad in (3, ["divergence"], None):
         with pytest.raises(ConfigError, match="^experiment: expected a string"):
             ExperimentConfig.from_json(json.dumps({"experiment": bad}))
+
+
+def test_a_file_at_another_dimension_starts_from_no_spectrum_and_no_start(tmp_path, capsys):
+    # the default eigenvalues and x0 fit the default dimension only
+    cfg = tmp_path / "d3.json"
+    cfg.write_text(json.dumps({"experiment": "weak_error", "dimension": 3}))
+    assert cli.main(["weak-error", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err \
+        == "config error: eigenvalues: weak_error needs at least one value\n"
+    # with a spectrum it runs from the fallback start (1, 1, 1)
+    cfg.write_text(json.dumps({"experiment": "weak_error", "dimension": 3,
+                               "eigenvalues": [1.0, 0.5, 0.1]}))
+    assert cli.main(["weak-error", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    table = parse_csv(str(tmp_path / "out" / "weak_error_isotropic_shift_order1.csv"))
+    (echo,) = [c for c in table.comments if c.startswith("config,")]
+    assert json.loads(echo[len("config,"):])["x0"] == []
+    # what the file gives still wins, and its default dimension keeps the default start
+    loaded = ExperimentConfig.from_json(json.dumps({
+        "experiment": "weak_error", "dimension": 1, "eigenvalues": [2.0], "x0": [3.0]}))
+    assert (loaded.eigenvalues, loaded.x0) == ((2.0,), (3.0,))
+    assert ExperimentConfig.from_json(json.dumps({"experiment": "weak_error", "dimension": 2.0})) \
+        == default_config("weak_error")
+
+
+def test_an_empty_config_or_out_flag_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for flags, key in ((["--config", ""], "config"), (["--out", ""], "out_dir")):
+        assert cli.main(["divergence"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: " % key) and len(err.splitlines()) == 1
+    assert _files(tmp_path) == []
+    # an empty $SMELAB_OUT is unset: the config's out_dir "." is used
+    monkeypatch.setenv("SMELAB_OUT", "")
+    assert cli.main(["divergence"]) == 0
+    assert _files(tmp_path) == ["divergence.csv", "divergence.svg"]
+
+
+def test_every_echoed_config_loads_back_as_the_config_that_wrote_it(tmp_path):
+    # figures and each command at its defaults; the echo drops out_dir and threads
+    runs = [("figures", ["--seed", "3", "--threads", "2"], 3)]
+    runs += [(entry.command, [], 0) for entry in repro._TABLE.values()]
+    for run, (command, flags, seed) in enumerate(runs):
+        out = tmp_path / str(run)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--out", str(out)] + flags) == 0
+        wrote = {dataclasses.replace(default_config(experiment), variant=variant, seed=seed)
+                 for experiment in repro.EXPERIMENTS
+                 if command in ("figures", repro._TABLE[experiment].command)
+                 for variant in repro._TABLE[experiment].variants}
+        echoed = set()
+        for name in _files(out):
+            if name.endswith(".csv"):
+                (echo,) = [c[len("config,"):] for c in parse_csv(str(out / name)).comments
+                           if c.startswith("config,")]
+                cfg = ExperimentConfig.from_json(echo)
+                assert cfg.to_json(compact=True) == echo
+                echoed.add(cfg)
+        assert echoed == wrote
 
 
 def test_weak_error_deterministic_and_contained(tmp_path, monkeypatch, capsys):
@@ -404,6 +462,27 @@ def _defaults(experiment, **changes):
     ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
                       "horizon": 20.0, "eta_grid": [0.1], "mu_values": [0.2],
                       "x0": [1e160, 1e160]}, 2, "x0"),
+    # a field the experiment does not read, set away from its default: weak_error
+    # runs sgd only, so this file would echo a run that never happened
+    ("weak-error", {"experiment": "weak_error", "families": ["snag"]}, 2, "families"),
+    ("weak-error", {"experiment": "weak_error", "kappa": [10.0]}, 2, "kappa"),
+    ("sweep", {"experiment": "condition_sweep", "eigenvalues": [1.0] * 6}, 2,
+     "eigenvalues"),
+    ("divergence", _defaults("divergence", mu_values=[0.5]), 2, "mu_values"),
+    ("momentum", {"experiment": "momentum_dynamics", "families": ["sgd"]}, 2,
+     "families"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "n_paths": 16}, 2, "n_paths"),
+    # an empty array that the experiment reads
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": []}, 2, "eigenvalues"),
+    ("sweep", {"experiment": "condition_sweep", "kappa": []}, 2, "kappa"),
+    ("sweep", {"experiment": "condition_sweep", "families": None}, 2, "families"),
+    ("divergence", {"experiment": "divergence", "eigenvalues": []}, 2, "eigenvalues"),
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": []}, 2,
+     "eigenvalues"),
+    ("momentum", {"experiment": "momentum_dynamics", "mu_values": []}, 2, "mu_values"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": []}, 2,
+     "eigenvalues"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "mu_values": []}, 2, "mu_values"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -459,6 +538,10 @@ _VALUES = st.one_of(
 @example(command="momentum", changes={"eta_grid": [2e-5], "horizon": 1.0})
 @example(command="compare-snag", changes={"dimension": 1, "eigenvalues": [1.0],
                                           "x0": [1000.0]})
+@example(command="weak-error", changes={"families": ["snag"]})
+@example(command="sweep", changes={"mu_values": [0.5], "n_paths": 8})
+@example(command="momentum", changes={"kappa": [10.0]})
+@example(command="momentum", changes={"eigenvalues": [], "mu_values": []})
 def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
     config = dict(_SMALL_CONFIGS[command], **changes)
     stderr = io.StringIO()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smelab import repro
 from smelab.models import EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum
 from smelab.repro import (ConfigError, ExperimentConfig, RateFit, Table,
                           default_config, discrete_floor, emit_csv, emit_svg,
@@ -400,6 +401,52 @@ def test_run_experiment_dispatch():
     via = run_experiment(cfg)
     assert via.metrics == direct.metrics
     assert via.tables[0].rows == direct.tables[0].rows
+
+
+# small configs, one per experiment, that each run in well under a second
+_SMALL = {
+    "weak_error": dict(eta_grid=(0.1, 0.05), horizon=0.5),
+    "condition_sweep": dict(dimension=3, kappa=(10.0, 30.0), horizon=50.0),
+    "divergence": dict(eta_grid=(0.04, 0.005), horizon=2.0),
+    "momentum_dynamics": dict(eta_grid=(0.25,), horizon=6.0, mu_values=(0.5, 2.0),
+                              n_paths=8),
+    "msgd_vs_snag": dict(horizon=5.0),
+}
+
+
+@pytest.mark.parametrize("experiment, variant", [
+    (experiment, variant) for experiment, entry in repro._TABLE.items()
+    for variant in entry.variants])
+def test_each_runner_reads_exactly_the_fields_its_table_entry_declares(
+        monkeypatch, experiment, variant):
+    # a config that records the fields read from it, except inside _resolve,
+    # which reads each declared field to check it
+    names = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    seen, recording = set(), [False]
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            if recording[0] and name in names:
+                seen.add(name)
+            return object.__getattribute__(self, name)
+
+    def paused(config, experiment):
+        recording[0] = False
+        try:
+            return resolve(config, experiment)
+        finally:
+            recording[0] = True
+
+    resolve = repro._resolve
+    monkeypatch.setattr(repro, "_resolve", paused)
+    cfg = dataclasses.replace(default_config(experiment), variant=variant,
+                              **_SMALL[experiment])
+    config = Recording(**dataclasses.asdict(cfg))
+    recording[0] = True
+    report = repro._TABLE[experiment].runner(config)
+    recording[0] = False
+    assert report.tables and report.config is config
+    assert seen - set(repro._RUN_LEVEL) == set(repro._TABLE[experiment].reads)
 
 
 # ---------------------------------------------------------------------------
