@@ -53,6 +53,8 @@ _SWEEP_HEADER = ("experiment", "kappa", "rate", "family")
 _DYNAMICS_HEADER = ("experiment", "family", "mu", "eta", "k", "t", "mean_f",
                     "stderr", "method")
 _SCAN_HEADER = ("experiment", "mu", "rate", "family")
+# the (x, y) columns a curve draws: t, mean_f; eta, max_weak_error; kappa or mu, rate
+_EF_XY, _WEAK_XY, _RATE_XY = (5, 6), (2, 3), (1, 2)
 
 # momentum scan protocol: spectrum whose predicted optimum 2 sqrt(lam_d) is
 # exactly 0.95, swept on a 0.01-step grid bracketing it from both sides
@@ -205,8 +207,9 @@ class ExperimentConfig:
             raise ConfigError("n_paths: %d paths x %.3g steps exceed the limit "
                               "of %d path-steps" % (self.n_paths, steps,
                                                     _MAX_PATH_STEPS))
-        if len(set(self.families)) != len(self.families):
-            raise ConfigError("families: duplicate entries")
+        for key in ("kappa", "families"):   # a log-log fit over repeated kappa is degenerate
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise ConfigError("%s: duplicate entries" % key)
         # the largest step size sets the smallest admissible ceiling 1/eta
         ceiling = 1.0 / max(self.eta_grid)
         if any(v > ceiling for v in self.mu_values):
@@ -341,9 +344,10 @@ def _write(out_dir, items, suffix, render):
     paths = []
     for item in items:
         path = os.path.join(out_dir, item.name + suffix)
+        text = render(item)   # before the open: a failed render leaves no file
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(render(item))
+                handle.write(text)
         except OSError as exc:
             raise OSError("failed writing %s: %s" % (path, exc))
         paths.append(path)
@@ -417,9 +421,9 @@ def _linear_ticks(lo, hi):
     return ticks or [lo]
 
 
-def _log_ticks(lo, hi):
-    lo_e = int(math.floor(math.log10(lo)))
-    hi_e = int(math.ceil(math.log10(hi)))
+def _log_ticks(lo, hi):   # powers of ten a double holds, 1e-323 to 1e308
+    lo_e = max(-323, int(math.floor(math.log10(lo))))
+    hi_e = min(308, int(math.ceil(math.log10(hi))))
     step = max(1, int(math.ceil((hi_e - lo_e) / 6.0)))
     return [10.0 ** e for e in range(lo_e, hi_e + 1, step)]
 
@@ -578,11 +582,11 @@ def _descent(algo, model, x0, trim=None):
         mu_eta = algo.momentum.mu * algo.eta
         if floor > 0 and mu_eta < 1.0:
             scale, pad = trim
-            guess = -math.log1p(-mu_eta)
-            n_need = int(scale * math.log(f0 / (10.0 * floor)) / guess) + pad
-            algo = AlgoSpec(algo.family, algo.eta,
-                            min(algo.n_steps, n_need) * algo.eta + 1e-9,
-                            algo.momentum)
+            n_need = scale * math.log(f0 / (10.0 * floor)) / -math.log1p(-mu_eta)
+            if n_need < math.inf:   # a quotient past the largest double runs the full horizon
+                algo = AlgoSpec(algo.family, algo.eta,
+                                min(algo.n_steps, int(n_need) + pad) * algo.eta + 1e-9,
+                                algo.momentum)
     series = exact_moment_recursion(algo, model, x0)
     return floor, series, _fit(algo, floor, series)
 
@@ -611,27 +615,23 @@ def _fit(algo, floor, series):
 
 
 def _trajectory(cfg, family, mu, eta, ks, values, method, stderr=None):
-    """Dynamics-table rows of E f values at the indices ks; mu is one
-    momentum or one per index, stderr one per index (zero when omitted)."""
+    """Dynamics-table rows of E f values at the indices ks; mu is one momentum or one
+    per index, stderr one per index (zero when omitted).  An E f not finite and positive,
+    or a stderr not finite, is a ConfigError naming x0 at k = 0 and horizon after it."""
     mus = np.broadcast_to(np.asarray(mu, dtype=float), ks.shape).tolist()
     errs = [0.0] * len(ks) if stderr is None else np.asarray(stderr).tolist()
-    return [(cfg.experiment, family, m, float(eta), k, float(k * eta), f, e, method)
+    rows = [(cfg.experiment, family, m, float(eta), k, float(k * eta), f, e, method)
             for k, m, f, e in zip(ks.tolist(), mus, np.asarray(values).tolist(), errs)]
+    for _, _, m, _, k, _, f, e, _ in rows:
+        if not (0 < f < math.inf and math.isfinite(e)):
+            raise ConfigError("%s: E f = %g (stderr %g) at k = %d of %s %s, mu = %g, eta = %g"
+                              % ("x0" if k == 0 else "horizon", f, e, k, method, family, m, eta))
+    return rows
 
 
-def _curve(label, eta, ks, series):
-    """Panel curve (t, E f) of one E f series at the indices ks.  The panels
-    draw E f on a log axis, so a value that is not finite and positive is a
-    ConfigError naming x0 at k = 0 and horizon after it."""
-    values = np.asarray(series, dtype=float)[ks]
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-    if bad.size:
-        k = int(ks[bad[0]])
-        raise ConfigError("%s: E f = %g at k = %d (%s) cannot be drawn on a "
-                          "log axis" % ("x0" if k == 0 else "horizon",
-                                        values[bad[0]], k, label))
-    return (label, tuple(float(k * eta) for k in ks),
-            tuple(float(v) for v in values))
+def _curve(label, rows, x, y):
+    """Panel curve of columns x and y of a table's rows."""
+    return label, tuple(row[x] for row in rows), tuple(row[y] for row in rows)
 
 
 def _max_relative_deviation(reference, other, lo, hi):
@@ -644,10 +644,8 @@ def _has_oscillation(series, hi):
     """True when successive differences change sign (above 1e-9 of the max)."""
     values = np.asarray(series, dtype=float)[:hi + 1]
     diffs = np.diff(values)
-    significant = diffs[np.abs(diffs) > 1e-9 * np.max(np.abs(values))]
-    if significant.size < 2:
-        return False
-    return bool(np.any(significant[:-1] * significant[1:] < 0))
+    significant = np.signbit(diffs[np.abs(diffs) > 1e-9 * np.max(np.abs(values))])
+    return bool(np.any(significant[:-1] != significant[1:]))
 
 
 def _band_check(name, value, lo, hi):
@@ -683,11 +681,16 @@ def exp_weak_error(config=None):
             t_grid = eta * np.arange(algo.n_steps + 1)
             continuous = closed_form(model.spec, x0, eta, t_grid,
                                      cfg.noise_scale, order)
-            error = float(np.max(np.abs(discrete - continuous)))
+            with np.errstate(invalid="ignore"):   # inf - inf where E f overflows
+                error = float(np.max(np.abs(discrete - continuous)))
+            if not 0 < error < math.inf:
+                key = "horizon" if 0 < discrete[0] < math.inf else "x0"
+                raise ConfigError("%s: the order-%d weak error at eta = %g is %g, not "
+                                  "finite and positive" % (key, order, eta, error))
             rows.append((cfg.experiment, order, float(eta), error, "exact"))
             errors.append(error)
         fit = None
-        if len(errors) >= 2 and all(e > 0 for e in errors):
+        if len(errors) >= 2:
             fit = fit_loglog_slope(cfg.eta_grid, errors)
             metrics.append(("order%d_slope" % order, fit.slope))
             if cfg.noise_scale > 0 and order == 1:
@@ -696,9 +699,7 @@ def exp_weak_error(config=None):
                 checks.append(_band_check("order2-slope", fit.slope, 1.8, 2.2))
         tables.append(Table("weak_error_%s_order%d" % (cfg.variant, order),
                             _WEAK_HEADER, tuple(rows), fit))
-        if all(e > 0 for e in errors):
-            curves.append(("order %d" % order, tuple(cfg.eta_grid),
-                           tuple(errors)))
+        curves.append(_curve("order %d" % order, rows, *_WEAK_XY))
 
     if cfg.noise_scale == 0:
         # errors holds order 2's; its last entry is at the smallest eta
@@ -708,12 +709,9 @@ def exp_weak_error(config=None):
             "error=%.3g budget=%.3g at eta=%g" % (errors[-1], budget,
                                                   cfg.eta_grid[-1])))
 
-    panels = ()
-    if curves:
-        panels = (Panel("weak_error_%s" % cfg.variant,
-                        "weak error vs step size (%s)" % cfg.variant,
-                        "eta", "max weak error", tuple(curves),
-                        logx=True, logy=True),)
+    panels = (Panel("weak_error_%s" % cfg.variant,
+                    "weak error vs step size (%s)" % cfg.variant,
+                    "eta", "max weak error", tuple(curves), logx=True, logy=True),)
     return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels,
                             tuple(metrics), tuple(checks))
 
@@ -730,6 +728,8 @@ def exp_condition_sweep(config=None):
     cfg = _resolve(config, "condition_sweep")
     if cfg.dimension == 1 and any(k != 1 for k in cfg.kappa):
         raise ConfigError("kappa: dimension 1 admits only kappa = 1")
+    if len(cfg.eta_grid) > 1:
+        raise ConfigError("eta_grid: condition_sweep runs one step size")
     eta = cfg.eta_grid[0]
     rows = {family: [] for family in cfg.families}
     for kappa in cfg.kappa:
@@ -744,6 +744,9 @@ def exp_condition_sweep(config=None):
                 momentum = ConstantMomentum(optimal_mu(model.spec))
                 algo = AlgoSpec(family, eta, cfg.horizon, momentum)
                 fit = _descent(algo, model, x0, trim=(1.4, 50))[2]
+            if not fit.slope > 0:
+                raise ConfigError("horizon: %s at kappa = %g has descent rate %g; a log-log "
+                                  "fit needs it positive" % (family, kappa, fit.slope))
             rows[family].append((cfg.experiment, float(kappa), fit.slope, family))
 
     tables, metrics, checks, curves = [], [], [], []
@@ -761,7 +764,7 @@ def exp_condition_sweep(config=None):
                                           -0.6, -0.4))
         tables.append(Table("sweep_%s" % family, _SWEEP_HEADER,
                             tuple(rows[family]), fit))
-        curves.append((family, tuple(cfg.kappa), tuple(rates)))
+        curves.append(_curve(family, rows[family], *_RATE_XY))
     panels = (Panel("sweep", "descent rate vs condition number",
                     "kappa", "rate per iteration", tuple(curves),
                     logx=True, logy=True),)
@@ -793,7 +796,7 @@ def exp_divergence(config=None):
         sme_divergent = bool(np.any(eta * ns2 > 2.0 * lam))
         verdicts[eta] = (discrete_divergent, sme_divergent)
         rows += _trajectory(cfg, SGD, 0.0, eta, ks, series[ks], "exact")
-        curves.append(_curve("eta=%g" % eta, eta, ks, series))
+        curves.append(_curve("eta=%g" % eta, rows[-len(ks):], *_EF_XY))
 
     sme_threshold = divergence_threshold(model.spec) / ns2 if ns2 > 0 else math.inf
     disc_threshold = (discrete_divergence_threshold(lam_min, cfg.noise_scale)
@@ -876,8 +879,8 @@ def exp_momentum_dynamics(config=None):
             rows += _trajectory(cfg, MSGD, mu, eta, ks, closed[ks], "closed-form")
             if eta == eta0:
                 series_eta0[mu] = (exact, hi)
-                curves.append(_curve("exact mu=%g" % mu, eta, ks, exact))
-                curves.append(_curve("sme mu=%g" % mu, eta, ks, closed))
+                curves.append(_curve("exact mu=%g" % mu, rows[-2 * len(ks):-len(ks)], *_EF_XY))
+                curves.append(_curve("sme mu=%g" % mu, rows[-len(ks):], *_EF_XY))
                 if cfg.n_paths > 0:
                     mc_slots.append((len(rows), algo, ks))
         n0 = iteration_count(cfg.horizon, eta0)
@@ -941,8 +944,7 @@ def exp_momentum_dynamics(config=None):
                     "msgd: exact recursion vs Langevin closed form (eta=%g)"
                     % eta0, "t", "E f", tuple(curves), logy=True),
               Panel("momentum_scan", "measured descent rate vs momentum",
-                    "mu", "rate per iteration",
-                    (("measured", _SCAN_MU_GRID, tuple(scan_rates)),)))
+                    "mu", "rate per iteration", (_curve("measured", scan_rows, *_RATE_XY),)))
     return ExperimentReport(cfg.experiment, cfg, tables, panels,
                             tuple(metrics), tuple(checks))
 
@@ -978,6 +980,8 @@ def exp_msgd_vs_snag(config=None):
     if cfg.x0 and cfg.dimension != 2:
         raise ConfigError("x0: part (a) runs on 2-mode models (1, lam_d), so an "
                           "explicit x0 needs dimension 2")
+    if len(cfg.eta_grid) > 1:
+        raise ConfigError("eta_grid: msgd_vs_snag runs one step size")
     eta = cfg.eta_grid[0]
     mu_const = cfg.mu_values[0]
 
@@ -1001,7 +1005,7 @@ def exp_msgd_vs_snag(config=None):
             rates[family] = fit.slope
             ks = _subsample(series.size - 1)
             rows += _trajectory(cfg, family, mu_const, eta, ks, series[ks], "exact")
-            curves.append(_curve(family, eta, ks, series))
+            curves.append(_curve(family, rows[-len(ks):], *_EF_XY))
         measured = rates[SNAG] - rates[MSGD]
         measured_gaps[lam_d] = measured
         metrics.append(("closed_gap[lam_d=%g]" % lam_d, gap_closed))
@@ -1072,7 +1076,7 @@ def exp_msgd_vs_snag(config=None):
         _trajectory(cfg, SNAG, mu_at(algo_s, ks), eta, ks, series_s[ks], "exact"))))
     panels.append(Panel("compare_snag_schedule",
                         "snag under the Nesterov schedule", "t", "E f",
-                        (_curve("schedule", eta, ks, series_s),), logy=True))
+                        (_curve("schedule", tables[-1].rows, *_EF_XY),), logy=True))
     return ExperimentReport(cfg.experiment, cfg, tuple(tables), tuple(panels),
                             tuple(metrics), tuple(checks))
 

@@ -226,24 +226,26 @@ def _ensemble(n_paths, n, start, threads, record=None):
         sums = np.empty((2, len(observes), len(ks)))   # of the values, of their squares
         square = np.empty(len(paths))
         done = 0   # the point every state is at
-        for i, k in enumerate(ks):
-            for s in range(done, k):
-                advance(s)
-            done = k
-            for j, observe in enumerate(observes):
-                vals = observe()
-                sums[0, j, i] = vals.sum()
-                sums[1, j, i] = np.multiply(vals, vals, out=square).sum()
+        with np.errstate(over="ignore"):   # a sum or square past the largest double is +inf
+            for i, k in enumerate(ks):
+                for s in range(done, k):
+                    advance(s)
+                done = k
+                for j, observe in enumerate(observes):
+                    vals = observe()
+                    sums[0, j, i] = vals.sum()
+                    sums[1, j, i] = np.multiply(vals, vals, out=square).sum()
         return sums
 
     lows = range(0, n_paths, _CHUNK)
     s1 = s2 = 0.0   # the first chunk's sums are added to 0.0, as they were to zeros
-    with ThreadPoolExecutor(max_workers=min(threads, len(lows))) as pool:
-        for p1, p2 in pool.map(run_chunk, lows):   # consumed in chunk order
-            s1 += p1
-            s2 += p2
-    mean = s1 / n_paths
-    var = np.maximum(s2 - n_paths * mean * mean, 0.0) / (n_paths - 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf: a NaN the caller rejects
+        with ThreadPoolExecutor(max_workers=min(threads, len(lows))) as pool:
+            for p1, p2 in pool.map(run_chunk, lows):   # consumed in chunk order
+                s1 += p1
+                s2 += p2
+        mean = s1 / n_paths
+        var = np.maximum(s2 - n_paths * mean * mean, 0.0) / (n_paths - 1)
     return list(zip(mean, np.sqrt(var / n_paths)))
 
 
@@ -498,7 +500,7 @@ def _sgd_series(model, eta, y0, n):
     """
     half = 0.5 * model.spec.eigenvalues
     _, a, b = _sgd_factors(model, eta)
-    with np.errstate(over="ignore"):     # +inf is the overflowed E f
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf p_0 times a zero a^k is NaN
         p0 = y0 * y0
         a = np.where((p0 != 0.0) | (b != 0.0), a, 0.0)  # else p_k = 0 for all k
         d, width = a.size, math.isqrt(n) + 1

@@ -296,10 +296,11 @@ def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
     rate = (growth - 2.0 * m) * np.asarray(t, dtype=float)[..., None]
-    ey2 = np.exp(rate) * y0 ** 2
-    if source is not None:   # 1 - e^rate through expm1: no cancellation as t -> 0
-        ey2 = ey2 + source * -np.expm1(rate) / (2.0 * m - growth)
-    out = 0.5 * np.sum(lam * ey2, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
+        ey2 = np.exp(rate) * y0 ** 2
+        if source is not None:   # 1 - e^rate through expm1: no cancellation as t -> 0
+            ey2 = ey2 + source * -np.expm1(rate) / (2.0 * m - growth)
+        out = 0.5 * np.sum(lam * ey2, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

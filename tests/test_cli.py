@@ -394,6 +394,33 @@ def _defaults(experiment, **changes):
     return config
 
 
+# valid config files that a seeded fuzz found ending in a traceback, or
+# writing NaN into a CSV, while the rows a figure draws went unchecked
+_FOUND = [
+    # msgd's rate at kappa = 1e5 is negative at this horizon, positive at 200
+    ("sweep", {"experiment": "condition_sweep", "dimension": 2,
+               "kappa": [30.0, 100000.0], "horizon": 20.0,
+               "families": ["sgd", "msgd"], "x0": [-1000.0, 1.0]}),
+    ("sweep", {"experiment": "condition_sweep", "dimension": 2, "kappa": [100000.0],
+               "horizon": 20.0, "families": ["msgd"], "x0": [-1000.0, 1.0]}),
+    # eta lam = 10: E f overflows after k = 0, so the weak error is inf
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": [100.0, 0.01],
+                    "x0": [-1e6, 30.0], "horizon": 100.0}),
+    # f(x0) overflows: the weak error is inf - inf
+    ("weak-error", {"experiment": "weak_error", "x0": [1e200, 1e200]}),
+    # E f near the largest double: a log axis with ticks up to 1e308
+    ("divergence", {"experiment": "divergence", "x0": [0.0, 1e150],
+                    "eta_grid": [0.1, 0.05]}),
+    # f(x0) / (10 x floor) overflows, so the trim has no finite length
+    ("compare-snag", {"experiment": "msgd_vs_snag", "x0": [1e6, 1e150],
+                      "noise_scale": 1e-8, "horizon": 5.0, "mu_values": [1.0]}),
+    # the Monte Carlo squares overflow at k = 0: no finite standard error
+    ("momentum", {"experiment": "momentum_dynamics", "x0": [1e150, -1e6],
+                  "eta_grid": [0.2], "eigenvalues": [4.0, 0.01], "n_paths": 8,
+                  "horizon": 2.0}),
+]
+
+
 @pytest.mark.parametrize("command, config, code, key", [
     # mu = 1/eta: no trim estimate, the full horizon runs and a check fails
     ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
@@ -483,6 +510,39 @@ def _defaults(experiment, **changes):
     ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": []}, 2,
      "eigenvalues"),
     ("compare-snag", {"experiment": "msgd_vs_snag", "mu_values": []}, 2, "mu_values"),
+    # what a table holds is what its figure draws, checked where the rows are made
+    (*_FOUND[0], 2, "horizon"),
+    (*_FOUND[1], 2, "horizon"),
+    (*_FOUND[2], 2, "horizon"),
+    (*_FOUND[3], 2, "x0"),
+    (*_FOUND[4], 1, None),
+    (*_FOUND[5], 1, None),
+    (*_FOUND[6], 2, "x0"),
+    # no noise and no start: no weak error to measure
+    ("weak-error", {"experiment": "weak_error", "x0": [0.0, 0.0], "noise_scale": 0.0},
+     2, "x0"),
+    # the trim's quotient overflows with a tiny floor, so the full horizon runs
+    ("sweep", {"experiment": "condition_sweep", "dimension": 2, "kappa": [10.0],
+               "families": ["msgd"], "noise_scale": 1e-8, "x0": [1e150, 1e150],
+               "horizon": 100.0}, 0, None),
+    # successive differences of E f near 1e300: their product overflows
+    ("momentum", {"experiment": "momentum_dynamics", "x0": [1e150, 30.0],
+                  "eigenvalues": [1.0, 1e-6], "horizon": 20.0, "n_paths": 0}, 1, None),
+    # f(x0) overflows in the closed form's sum, or as 0 x inf once its mode decays
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": [4.0, 0.01],
+                    "eta_grid": [0.1, 0.05], "horizon": 0.5, "noise_scale": 50.0,
+                    "x0": [-1e154, -1e200]}, 2, "x0"),
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": [10000.0, 10000.0],
+                    "eta_grid": [0.1, 0.05], "horizon": 5.0, "x0": [1e200, -1.0]}, 2,
+     "x0"),
+    ("weak-error", {"experiment": "weak_error", "eta_grid": [1.0, 0.2, 0.1],
+                    "horizon": 1.0, "x0": [-1e300, 1e-300]}, 2, "x0"),
+    # a log-log fit over one condition number twice has no slope
+    ("sweep", {"experiment": "condition_sweep", "kappa": [30.0, 30.0]}, 2, "kappa"),
+    # a step size past the first would be echoed but never run
+    ("sweep", {"experiment": "condition_sweep", "eta_grid": [0.1, 0.05]}, 2, "eta_grid"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eta_grid": [0.1, 0.05]}, 2,
+     "eta_grid"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -499,6 +559,8 @@ def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
         assert err.startswith("config error: " + key)
         assert len(err.splitlines()) == 1
         assert not out.exists() or _files(out) == []
+    else:   # a report that was built is written in full
+        assert _files(out) and all(os.path.getsize(out / name) > 0 for name in _files(out))
 
 
 # valid configs that each run in well under a second
@@ -518,14 +580,26 @@ _SMALL_CONFIGS = {
                      "horizon": 5.0, "mu_values": [0.2]},
 }
 _FIELD_NAMES = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
-# right-kind values, so that some changed configs run, among malformed ones
-_PLAUSIBLE = st.one_of(st.integers(0, 4), st.floats(0.01, 4.0))
+# right-kind values, so that some changed configs run, among malformed ones;
+# the magnitudes reach far past [0, 4], where E f nears 0 or the largest double
+_PLAUSIBLE = st.one_of(st.integers(0, 4), st.floats(0.01, 4.0), st.floats(4.0, 1e4),
+                       st.sampled_from((1e-8, -1e6, 1e6, 1e150, -1e150)))
 _SCALARS = st.one_of(_PLAUSIBLE, st.none(), st.booleans(), st.text(max_size=3),
                      st.integers(-3, 2 ** 65), st.floats())
 _VALUES = st.one_of(
     _SCALARS, st.lists(_PLAUSIBLE, min_size=1, max_size=3),
     st.lists(st.one_of(_SCALARS, st.lists(st.integers(0, 2), max_size=2)),
              max_size=3))
+
+
+def _found_examples(test):
+    """test with each _FOUND config as an example, its _SMALL_CONFIGS keys
+    that the file leaves out at their defaults."""
+    for command, config in _FOUND:
+        defaults = json.loads(default_config(config["experiment"]).to_json())
+        small = {key: defaults[key] for key in _SMALL_CONFIGS[command]}
+        test = example(command=command, changes=dict(small, **config))(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -542,6 +616,7 @@ _VALUES = st.one_of(
 @example(command="sweep", changes={"mu_values": [0.5], "n_paths": 8})
 @example(command="momentum", changes={"kappa": [10.0]})
 @example(command="momentum", changes={"eigenvalues": [], "mu_values": []})
+@_found_examples
 def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
     config = dict(_SMALL_CONFIGS[command], **changes)
     stderr = io.StringIO()

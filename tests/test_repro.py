@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 
@@ -449,6 +450,30 @@ def test_each_runner_reads_exactly_the_fields_its_table_entry_declares(
     assert seen - set(repro._RUN_LEVEL) == set(repro._TABLE[experiment].reads)
 
 
+def _holds(rows, xs, ys):
+    """True when xs and ys are two columns of consecutive rows."""
+    for start, row in enumerate(rows[:len(rows) - len(xs) + 1]):
+        block = rows[start:start + len(xs)]
+        for x, y in itertools.permutations(range(len(row)), 2):
+            if (row[x], row[y]) == (xs[0], ys[0]) and \
+                    [(r[x], r[y]) for r in block] == list(zip(xs, ys)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("experiment, variant", [
+    (experiment, variant) for experiment, entry in repro._TABLE.items()
+    for variant in entry.variants])
+def test_every_figures_curve_is_two_columns_of_its_tables_rows(experiment, variant):
+    cfg = dataclasses.replace(default_config(experiment), variant=variant)
+    report = run_experiment(cfg)
+    assert report.panels
+    for panel in report.panels:
+        for label, xs, ys in panel.curves:
+            assert any(_holds(table.rows, xs, ys) for table in report.tables), \
+                (panel.name, label)
+
+
 # ---------------------------------------------------------------------------
 # SVG figures
 # ---------------------------------------------------------------------------
@@ -474,6 +499,23 @@ def test_render_svg_rejects_nonpositive_log_data():
         panel = Panel("p", "t", "x", "y", (("c", (0.1, 0.2), ys),), logy=True)
         with pytest.raises(ValueError):
             render_svg(panel)
+
+
+def test_render_svg_draws_a_log_axis_out_to_the_ends_of_the_doubles():
+    # 10 ** 309 overflows and 10 ** -324 is 0, whose log is undefined: the
+    # ticks stop at 1e308 and 1e-323
+    for ys in ((1.0, 1.7e308), (5e-324, 1.0), (5e-324, 1.7e308)):
+        panel = Panel("p", "t", "x", "y", (("c", (0.1, 0.2), ys),), logy=True)
+        assert render_svg(panel).endswith("</svg>\n")
+
+
+def test_a_failed_render_leaves_no_file(tmp_path):
+    def render(item):
+        raise ValueError("no render")
+
+    with pytest.raises(ValueError):
+        repro._write(str(tmp_path), (Table("t", ("a",), ()),), ".svg", render)
+    assert os.listdir(tmp_path) == []
 
 
 def test_render_svg_pads_a_point_and_a_nan_as_before():
