@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import Block2x2Family, SpectralDecomp, _invariants, _pairs_2x2
+from .matkit import Block2x2Family, SpectralDecomp, _invariants, _least_real_2x2, _pairs_2x2
 
 _DEGENERATE_TOL = 1e-9
 
@@ -120,20 +120,12 @@ def _drift_blocks(family, order, lam, eta, mu=None, t=0.0):
     return b0, b1
 
 
-def _order2_pairs(family, mu, eta, lam):
-    """Eigenvalue pairs of the order-2 momentum drift blocks -(b0 + eta b1)
-    at the momenta mu (a scalar or an array): shape mu.shape + lam.shape + (2,)."""
-    b0, b1 = _drift_blocks(family, 2, lam, eta, mu)
-    return _pairs_2x2(-(b0 + eta * b1))
-
-
 def order2_eigs(family, mu, eta, spec_or_lambdas):
     """Eigenvalues of the order-2 momentum drift blocks -(b0 + eta b1).
 
     In the underdamped regime each snag eigenvalue's real part exceeds its
     msgd counterpart by eta lam / 2: the extra Hessian damping is what speeds
-    SNAG up at order eta.  _order2_pairs evaluates the same pairs over an
-    array of mu.
+    SNAG up at order eta.
     """
     if family not in ("msgd", "snag"):
         raise ValueError("family must be msgd or snag")
@@ -182,9 +174,7 @@ def decay_bound_check(family: Block2x2Family, t_grid):
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
         raise ValueError("t_grid must be a 1-d array of nonnegative times")
     blocks = family.blocks
-    d = family.dim
-    eigs = family.block_eigenvalues()
-    rate = float(np.min(eigs.real))
+    rate = float(np.min(_least_real_2x2(blocks)))
     tr, det, disc = _invariants(blocks)
     nil = blocks - 0.5 * tr[:, None, None] * np.eye(2)
     defective = ((_regimes(det, disc) == CRITICAL)
@@ -195,7 +185,7 @@ def decay_bound_check(family: Block2x2Family, t_grid):
         if rate <= 0.0:
             raise ValueError("defective block with nonpositive rate: no eps-branch")
         eps = rate / 10.0
-    constant = math.sqrt(2.0 * d)
+    constant = math.sqrt(2.0 * family.dim)
     for i in np.flatnonzero(defective):
         # ||e^{-ta}||_2 <= (1 + t ||N||) e^{-(mean - s) t} with mean = tr/2
         # and s = sqrt(|disc|)/2, so the eps-branch needs eps > s and pays
@@ -332,4 +322,5 @@ def discrete_divergence_threshold(lam, noise_scale=1.0):
 def discrete_growth_factors(model, eta):
     """Per-mode one-step factors of E y_i^2 for sgd on eigenbasis_scaled."""
     lam = model.spec.eigenvalues
-    return (1.0 - eta * lam) ** 2 + eta * eta * model.noise_scale ** 2
+    with np.errstate(over="ignore"):   # a factor past the largest double is +inf
+        return (1.0 - eta * lam) ** 2 + eta * eta * model.noise_scale ** 2

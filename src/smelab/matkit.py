@@ -228,6 +228,13 @@ def _pairs_2x2(a):
     return np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=-1)
 
 
+def _least_real_2x2(a):
+    """Least eigenvalue real part (tr - sqrt(max(Delta, 0))) / 2 of 2x2 blocks a (..., 2, 2):
+    the bits of the smaller of _pairs_2x2's real parts, with no complex root."""
+    tr, _, delta = _invariants(a)
+    return (tr - np.sqrt(np.maximum(delta, 0.0))) / 2.0
+
+
 def _assemble(spec, blocks):
     """The (m d) x (m d) matrix, in original coordinates with the m state slots
     of length d side by side, whose eigenbasis blocks are blocks (d, m, m)."""

@@ -33,18 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import MAX_DIM, condition_spectrum
+from .matkit import MAX_DIM, _least_real_2x2, condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
                   NesterovSchedule, _run_ensembles, constant_momentum_runs,
                   discrete_floor, exact_moment_recursion, iteration_count,
                   mu_at)
-from .sme import (asymptotic_noise_msgd, bs_expected_f, build_sme,
-                  langevin_expected_f_exact, ou_expected_f)
-from .analysis import (CRITICAL, RateFit, _order2_pairs,
-                       classify_damping, descent_rate,
-                       discrete_divergence_threshold,
+from .sme import bs_expected_f, build_sme, langevin_expected_f_exact, ou_expected_f
+from .analysis import (RateFit, _drift_blocks, descent_rate, discrete_divergence_threshold,
                        discrete_growth_factors, divergence_threshold,
                        fit_loglog_slope, optimal_mu, order2_eigs, windowed_rate)
 
@@ -71,6 +68,8 @@ _MAX_SERIES_STEPS = 1_000_000
 _MAX_SERIES_CELLS = 10_000_000
 # largest n_paths x series length of one ensemble
 _MAX_PATH_STEPS = 1_000_000_000
+# largest momenta x modes of compare-snag's tuning grid, about 224 bytes each (default 5,998)
+_MAX_GRID_CELLS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -593,9 +592,11 @@ def _descent(algo, model, x0, trim=None):
 
 def _diverging(algo):   # the ConfigError of a run with no stationary floor
     mu = ", mu = %g" % algo.momentum.mu if algo.momentum else ""
-    return ConfigError("eta_grid: %s at eta = %g%s has a diverging mode on this "
+    # a momentum whose mu eta underflows to 0 damps at no step size
+    key = "mu_values" if mu and algo.momentum.mu * algo.eta == 0.0 else "eta_grid"
+    return ConfigError("%s: %s at eta = %g%s has a diverging mode on this "
                        "spectrum; there is no stationary floor"
-                       % (algo.family, algo.eta, mu))
+                       % (key, algo.family, algo.eta, mu))
 
 
 def _fit(algo, floor, series):
@@ -830,9 +831,8 @@ def exp_momentum_dynamics(config=None):
 
     For each mu and eta, the exact moment recursion is overlaid on the
     order-1 Langevin expectation at t = k eta; the report carries the max
-    relative deviation inside the descent window, asymptotic floors (exact
-    infinite-horizon value, and the printed stationary formula where no mode
-    is critically damped), and an underdamped/overdamped oscillation check.
+    relative deviation inside the descent window, the exact infinite-horizon
+    floors, and an underdamped/overdamped oscillation check.
     A separate scan measures descent rate over a mu grid on the spectrum
     whose predicted optimum is 0.95 and reports the grid argmax.
     """
@@ -849,19 +849,13 @@ def exp_momentum_dynamics(config=None):
                           % (_SCAN_HORIZON / eta0, eta0, _MAX_SERIES_STEPS))
 
     rows, metrics, checks, curves = [], [], [], []
-    deviations = {}
-    exact_floors = {}
-    series_eta0 = {}
+    deviations, exact_floors, series_eta0 = {}, {}, {}
     mc_slots = []   # (row index, algo, ks) of each Monte Carlo trajectory
     for mu in cfg.mu_values:
         systems = {eta: build_sme(model, MSGD, 1, eta, mu) for eta in cfg.eta_grid}
-        exact_floors[mu] = langevin_expected_f_exact(systems[eta0], np.zeros_like(x0),
-                                                     math.inf)
-        if all(classify_damping(mu, lam) != CRITICAL
-               for lam in model.spec.eigenvalues):
-            printed = asymptotic_noise_msgd(model.spec, mu, eta0,
-                                            cfg.noise_scale)
-            metrics.append(("printed_floor[mu=%g]" % mu, printed))
+        exact_floors[mu] = langevin_expected_f_exact(systems[eta0], np.zeros_like(x0), math.inf)
+        if math.isnan(exact_floors[mu]):   # C_inf overflows where mu lam underflows
+            raise ConfigError("eigenvalues: the stationary E f at mu = %g is NaN" % mu)
         metrics.append(("exact_floor[mu=%g]" % mu, exact_floors[mu]))
         for eta in cfg.eta_grid:
             algo = AlgoSpec(MSGD, eta, cfg.horizon, ConstantMomentum(mu))
@@ -950,16 +944,20 @@ def exp_momentum_dynamics(config=None):
 
 
 def _argmax_order2_mu(family, eta, spec):
-    """Momentum in (0, 1/eta] maximizing the order-2 minimal real part
-    (coarse grid then a local refinement), each grid in one array
-    evaluation."""
+    """Momentum in (0, 1/eta] maximizing the least real part of the order-2 drift
+    blocks: a coarse grid over (0, 6 sqrt(lam_max)) by 0.002, then a local refinement,
+    each in one array evaluation.  A coarse grid that is empty or holds over
+    _MAX_GRID_CELLS (mu, mode) cells is a ConfigError naming eigenvalues, before it is built."""
     def best(grid):
         grid = grid[(grid > 0) & (grid <= 1.0 / eta)]
-        min_real = _order2_pairs(family, grid, eta, spec.eigenvalues).real
-        return grid[int(np.argmax(min_real.min(axis=(1, 2))))]
+        b0, b1 = _drift_blocks(family, 2, spec.eigenvalues, eta, grid)
+        return grid[int(np.argmax(_least_real_2x2(-(b0 + eta * b1)).min(axis=1)))]
 
-    lam_max = float(np.max(spec.eigenvalues))
-    center = best(np.arange(0.002, 3.0 * 2.0 * math.sqrt(lam_max), 0.002))
+    top = 6.0 * math.sqrt(float(np.max(spec.eigenvalues)))
+    if not 0.002 < top <= 0.002 * _MAX_GRID_CELLS / spec.dim:
+        raise ConfigError("eigenvalues: the tuning grid (0, 6 sqrt(lam_max)) = (0, %.3g) by 0.002"
+                          " x %d modes must hold 1 to %d cells" % (top, spec.dim, _MAX_GRID_CELLS))
+    center = best(np.arange(0.002, top, 0.002))
     return float(best(np.arange(center - 0.004, center + 0.004, 2e-5)))
 
 
@@ -1030,18 +1028,19 @@ def exp_msgd_vs_snag(config=None):
 
     # (b) each family at its own order-2-optimal momentum
     model_b = _model_for(cfg)
+    if eta * eta * float(np.max(model_b.spec.eigenvalues)) >= 2.0:
+        raise ConfigError("eta_grid: snag at eta = %g diverges at every mu in (0, 1/eta] on"
+                          " this spectrum (Jury's test needs eta^2 lam_max < 2)" % eta)
     x0_b = np.asarray(cfg.x0 or (1.0e6,) * cfg.dimension, dtype=float)
-    tuned_rows, tuned_rates = [], {}
+    tuned_rows, tuned_rates, tuned_floors = [], {}, {}
     for family in (MSGD, SNAG):
         mu_opt = _argmax_order2_mu(family, eta, model_b.spec)
         algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_opt))
-        floor, _, fit = _descent(algo, model_b, x0_b, trim=(1.3, 100))
+        tuned_floors[family], _, fit = _descent(algo, model_b, x0_b, trim=(1.3, 100))
         tuned_rates[family] = fit.slope
         metrics.append(("tuned_mu[%s]" % family, mu_opt))
         metrics.append(("tuned_rate[%s]" % family, tuned_rates[family]))
         tuned_rows.append((cfg.experiment, mu_opt, tuned_rates[family], family))
-        if family == MSGD:
-            msgd_tuned_floor = floor
     tuned_diff = abs(tuned_rates[SNAG] - tuned_rates[MSGD])
     checks.append(Check(
         "tuned-rates-similar",
@@ -1061,16 +1060,16 @@ def exp_msgd_vs_snag(config=None):
     metrics.append(("schedule_early_rate", early.slope))
     metrics.append(("schedule_late_rate", late.slope))
     metrics.append(("schedule_floor", floor_sched))
-    metrics.append(("msgd_tuned_floor", msgd_tuned_floor))
+    metrics.append(("msgd_tuned_floor", tuned_floors[MSGD]))
     checks.append(Check(
         "schedule-sublinear",
         bool(late.slope < 0.5 * early.slope),
         "late rate %.4g < half of early rate %.4g" % (late.slope, early.slope)))
     checks.append(Check(
         "schedule-floor-above-tuned-msgd",
-        bool(floor_sched > msgd_tuned_floor),
+        bool(floor_sched > tuned_floors[MSGD]),
         "schedule floor %.4g vs tuned msgd floor %.4g"
-        % (floor_sched, msgd_tuned_floor)))
+        % (floor_sched, tuned_floors[MSGD])))
     ks = _subsample(n)
     tables.append(Table("compare_snag_schedule", _DYNAMICS_HEADER, tuple(
         _trajectory(cfg, SNAG, mu_at(algo_s, ks), eta, ks, series_s[ks], "exact"))))

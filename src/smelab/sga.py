@@ -358,7 +358,8 @@ def _stationary(algos, model):
     stable = np.all((h > 0.0) & (c < 1.0) & (q > 0.0), axis=-1)
     with np.errstate(all="ignore"):   # an unstable mode's P_yy is not read
         p_yy = (model.noise_scale ** 2 * h * (1.0 + c) / ((1.0 - c) * q)).astype(float)
-    return np.where(stable, 0.5 * np.sum(model.spec.eigenvalues * p_yy, axis=-1), np.nan), stable
+        floor = np.where(stable, 0.5 * np.sum(model.spec.eigenvalues * p_yy, axis=-1), np.nan)
+    return floor, stable
 
 
 def _powers(m, noise, count):
@@ -478,7 +479,8 @@ def _sgd_factors(model, eta):
     lam = model.spec.eigenvalues
     mean = 1.0 - eta * lam
     if model.kind == models.ISOTROPIC_SHIFT:
-        return mean, mean ** 2, model.noise_scale ** 2 * (eta * lam) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):   # +inf past the largest double
+            return mean, mean ** 2, model.noise_scale ** 2 * (eta * lam) ** 2
     return mean, discrete_growth_factors(model, eta), np.zeros_like(lam)
 
 

@@ -290,8 +290,8 @@ def linear_sme_moments(system, y0):
 
 def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
     """E f(X_t) of the sgd modified equation whose per-mode second moment
-    obeys p' = (growth - 2 m_i) p + source_i from y0_i^2 (source None: no
-    source term), with m_i as in ou_expected_f."""
+    obeys p' = (growth - 2 m_i) p + source lam_i^2 from y0_i^2 (source None:
+    no source term), with m_i as in ou_expected_f."""
     lam = spec.eigenvalues
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
@@ -299,7 +299,7 @@ def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
     with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
         ey2 = np.exp(rate) * y0 ** 2
         if source is not None:   # 1 - e^rate through expm1: no cancellation as t -> 0
-            ey2 = ey2 + source * -np.expm1(rate) / (2.0 * m - growth)
+            ey2 = ey2 + source * lam ** 2 * -np.expm1(rate) / (2.0 * m - growth)
         out = 0.5 * np.sum(lam * ey2, axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -312,8 +312,7 @@ def ou_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
       E y_i(t)^2 = e^{-2 m_i t} y0_i^2 + eta ns^2 lam_i^2 (1 - e^{-2 m_i t})/(2 m_i).
     t may be a scalar or an array.
     """
-    return _sgd_expected_f(spec, x0, eta, t, order, 0.0,
-                           eta * noise_scale ** 2 * spec.eigenvalues ** 2)
+    return _sgd_expected_f(spec, x0, eta, t, order, 0.0, eta * noise_scale ** 2)
 
 
 def bs_expected_f(spec, x0, eta, t, noise_scale=1.0, order=1):
@@ -399,11 +398,12 @@ def langevin_expected_f_exact(system, x0, t):
     c_inf[:, 0, 0] = tr * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
     c_inf[:, 0, 1] = c_inf[:, 1, 0] = -a[:, 1, 0] * a[:, 1, 1]
     c_inf[:, 1, 1] = a[:, 1, 0] ** 2
-    c_inf /= (2.0 * tr * det)[:, None, None]
     finite = np.isfinite(ts)
     e = fam.block_exp(-np.where(finite, ts, 0.0))
     e[~finite] = 0.0
-    cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
+    with np.errstate(all="ignore"):   # an overflowed C_inf makes E f NaN, which callers reject
+        c_inf /= (2.0 * tr * det)[:, None, None]
+        cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
     theta = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1)
     k, i = np.nonzero(theta < 0.5)
     if k.size:
@@ -417,8 +417,9 @@ def langevin_expected_f_exact(system, x0, t):
             total += y
         cov[k, i] = ts[k, None, None] * total
     x = e[..., 1, 1] * y0
-    noise = system.eta * system.model.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
-    out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
+        noise = system.eta * system.model.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
+        out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 

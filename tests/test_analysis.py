@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smelab.analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED,
-                             _order2_pairs, classify_damping, decay_bound_check,
+from smelab.analysis import (CRITICAL, OVERDAMPED, UNDERDAMPED, _drift_blocks,
+                             classify_damping, decay_bound_check,
                              descent_rate, discrete_divergence_threshold,
                              discrete_growth_factors, divergence_threshold,
                              fit_loglog_slope, momentum_eigs, optimal_mu,
                              order2_eigs, varying_momentum_eigs)
-from smelab.matkit import block_reduce, mat_exp_2x2
+from smelab.matkit import _least_real_2x2, block_reduce, mat_exp_2x2
 from smelab.models import ISOTROPIC_SHIFT, EIGENBASIS_SCALED, from_spectrum
 from smelab.sga import SGD, AlgoSpec, exact_moment_recursion
 from smelab.sme import langevin_system
@@ -119,17 +119,17 @@ def test_order2_eigs_match_block_numerics():
 
 
 @pytest.mark.parametrize("family", ["msgd", "snag"])
-def test_order2_pairs_over_a_grid_equal_scalar_calls(family):
-    # the coarse momentum grid of the order-2 argmax, in one array call
+def test_order2_least_real_parts_over_a_grid_equal_scalar_calls(family):
+    # the coarse momentum grid of the order-2 argmax, in one array call with
+    # no complex root, is order2_eigs' least real part to the bit at each mu
     spec = _spec([1.0, 0.25])
     grid = np.arange(0.002, 6.0, 0.002)
-    pairs = _order2_pairs(family, grid, 0.1, spec.eigenvalues)
-    assert pairs.shape == (grid.size, 2, 2)
-    min_real = pairs.real.min(axis=(1, 2))
-    for mu, row, value in zip(grid, pairs, min_real):
-        rep = order2_eigs(family, mu, 0.1, spec)
-        assert value == rep.min_real_part
-        assert np.array_equal(row, rep.eigenvalues)
+    b0, b1 = _drift_blocks(family, 2, spec.eigenvalues, 0.1, grid)
+    least = _least_real_2x2(-(b0 + 0.1 * b1))
+    assert least.shape == (grid.size, 2)
+    for mu, value in zip(grid, least.min(axis=1)):
+        assert value.tobytes() == np.float64(order2_eigs(family, mu, 0.1, spec)
+                                             .min_real_part).tobytes()
 
 
 def test_order2_eigs_limits_and_gap():
@@ -194,6 +194,19 @@ def test_decay_bound_overdamped_and_underdamped():
     under = decay_bound_check(langevin_system(spec, 0.5, 0.1).blocks, grid)
     assert under.holds
     assert_allclose(under.rate, 0.25, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["order1", "msgd2", "snag2"])
+def test_decay_rate_is_the_least_real_eigenvalue_part_near_critical(variant):
+    # the rate reads the invariants with no complex root: min(Re eig) of the
+    # blocks to the bit, on both sides of the critical mu = 1 of lam = 0.25
+    spec = _spec([1.0, 0.25])
+    grid = np.linspace(0.0, 50.0, 51)
+    for k in range(4, 17):
+        for sign in (1.0, -1.0):
+            fam = langevin_system(spec, 1.0 + sign * 10.0 ** -k, 1e-3, variant=variant).blocks
+            rate = decay_bound_check(fam, grid).rate
+            assert np.float64(rate).tobytes() == np.min(fam.block_eigenvalues().real).tobytes()
 
 
 def test_decay_bound_defective_eps_branch():

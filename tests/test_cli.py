@@ -430,7 +430,8 @@ _FOUND = [
     ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1.0, 0.25],
                       "horizon": 60.0, "eta_grid": [0.1], "mu_values": [0.2],
                       "noise_scale": 0.0}, 1, None),
-    # the order-2-optimal momentum is capped at 1/eta, where lam = 1e6 diverges
+    # snag diverges at every momentum in (0, 1/eta] once eta^2 lam_max >= 2; this
+    # is checked ahead of part (b)'s tuning, whose grid would hold 6e6 cells
     ("compare-snag", {"experiment": "msgd_vs_snag",
                       "eigenvalues": [1000000.0, 1.0], "horizon": 60.0,
                       "mu_values": [0.2]}, 2, "eta_grid"),
@@ -543,6 +544,25 @@ _FOUND = [
     ("sweep", {"experiment": "condition_sweep", "eta_grid": [0.1, 0.05]}, 2, "eta_grid"),
     ("compare-snag", {"experiment": "msgd_vs_snag", "eta_grid": [0.1, 0.05]}, 2,
      "eta_grid"),
+    # a mode past 1e154 overflows sgd's factors and the OU source to +inf, and
+    # the Langevin noise term, all with no RuntimeWarning
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": [2.7e281, 3.2e135]}, 2,
+     "horizon"),
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [2.1e212, 3.1e-237],
+                  "n_paths": 8}, 2, "eta_grid"),
+    # mu lam_min underflows, so the stationary covariance overflows and the
+    # floor is NaN, while every drawn time still takes the series route
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.0, 1e-309],
+                  "eta_grid": [0.03], "horizon": 0.3, "mu_values": [0.1, 0.3],
+                  "n_paths": 0, "x0": [30.0, 30.0]}, 2, "eigenvalues"),
+    # part (b)'s tuning grid over (0, 6 sqrt(lam_max)) in steps of 0.002 is
+    # empty, or holds 1.9e6 (momentum, mode) cells; it is sized before it is built
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1e-12, 1e-12],
+                      "horizon": 5.0, "mu_values": [0.2]}, 2, "eigenvalues"),
+    ("compare-snag", {"experiment": "msgd_vs_snag", "eigenvalues": [1e5, 1.0],
+                      "eta_grid": [0.001], "horizon": 5.0}, 2, "eigenvalues"),
+    # mu eta underflows to 0: no step size damps the momentum
+    ("compare-snag", {"experiment": "msgd_vs_snag", "mu_values": [5e-324]}, 2, "mu_values"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -580,10 +600,15 @@ _SMALL_CONFIGS = {
                      "horizon": 5.0, "mu_values": [0.2]},
 }
 _FIELD_NAMES = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
-# right-kind values, so that some changed configs run, among malformed ones;
-# the magnitudes reach far past [0, 4], where E f nears 0 or the largest double
-_PLAUSIBLE = st.one_of(st.integers(0, 4), st.floats(0.01, 4.0), st.floats(4.0, 1e4),
-                       st.sampled_from((1e-8, -1e6, 1e6, 1e150, -1e150)))
+# right-kind values, so that some changed configs run, among malformed ones:
+# magnitudes log-uniform over the whole double range, of either sign, reach
+# far past [0, 4], where E f nears 0 or the largest double, and so do the
+# integers log-uniform up to 10^308
+_PLAUSIBLE = st.one_of(
+    st.integers(0, 4), st.floats(0.01, 4.0),
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-323.3, 308.25),
+              st.sampled_from((1.0, -1.0))),
+    st.floats(0.0, 308.25).map(lambda e: int(10.0 ** e)))
 _SCALARS = st.one_of(_PLAUSIBLE, st.none(), st.booleans(), st.text(max_size=3),
                      st.integers(-3, 2 ** 65), st.floats())
 _VALUES = st.one_of(
@@ -602,7 +627,7 @@ def _found_examples(test):
     return test
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(sorted(_SMALL_CONFIGS)),
        changes=st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES,
                                max_size=2))
@@ -632,12 +657,19 @@ def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
                 handle.write(json.dumps(config))
             code = cli.main([command, "--config", "config.json", "--out", "out"])
             assert set(os.listdir(".")) <= {"config.json", "out"}
+            written = {name: Path("out", name).read_text(encoding="utf-8")
+                       for name in (_files("out") if os.path.isdir("out") else ())}
         finally:
             os.chdir(old_cwd)
     assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    for name, text in written.items():
+        if name.endswith(".csv"):
+            assert "nan" not in re.split(r"[,\n]", text), name
     if code == 2:
         # warnings would reach stderr ahead of the message
-        assert caught == []
+        assert caught == [] and written == {}
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1, lines
         match = re.match(r"config error: (\w+): .", lines[0])

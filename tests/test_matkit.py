@@ -7,8 +7,8 @@ from test_precision import _edge_blocks
 from smelab import matkit
 from smelab.analysis import CRITICAL, OVERDAMPED, _drift_blocks, _regimes, classify_damping
 from smelab.matkit import (Block2x2Family, MatkitError, SpectralDecomp, _invariants,
-                           _pairs_2x2, block_reduce, check_symmetric, condition_spectrum,
-                           haar_orthogonal, mat_exp_2x2, mat_exp_dense,
+                           _least_real_2x2, _pairs_2x2, block_reduce, check_symmetric,
+                           condition_spectrum, haar_orthogonal, mat_exp_2x2, mat_exp_dense,
                            spd_with_condition, sym_eig)
 
 
@@ -176,6 +176,8 @@ def test_discriminant_readers_agree():
     _, det, delta = _invariants(blocks)
     # a complex eigenvalue pair exactly where _exp_2x2 takes its cos/sin branch
     assert_array_equal(_pairs_2x2(blocks).imag[:, 0] != 0.0, delta < 0.0)
+    # the least real part with no complex root: the bits of the pairs' smaller one
+    assert _least_real_2x2(blocks).tobytes() == _pairs_2x2(blocks).real.min(axis=1).tobytes()
     # outside the critical band the regime is the sign of the exact Delta
     regimes = _regimes(det, delta)
     exact_sign = np.array([int(exact > 0) - int(exact < 0)
