@@ -215,9 +215,10 @@ def _invariants(a):
     entries and rounded once: it carries no eps tr^2 from a float tr^2 - 4 det."""
     w = a.astype(np.longdouble)
     diff = w[..., 0, 0] - w[..., 1, 1]
-    return (a[..., 0, 0] + a[..., 1, 1],
-            a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0],
-            (diff * diff + 4.0 * w[..., 0, 1] * w[..., 1, 0]).astype(float))
+    with np.errstate(over="ignore"):   # +-inf past the largest double
+        return (a[..., 0, 0] + a[..., 1, 1],
+                a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0],
+                (diff * diff + 4.0 * w[..., 0, 1] * w[..., 1, 0]).astype(float))
 
 
 def _pairs_2x2(a):

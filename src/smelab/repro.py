@@ -37,7 +37,7 @@ from .matkit import MAX_DIM, _least_real_2x2, condition_spectrum
 from .models import (EIGENBASIS_SCALED, ISOTROPIC_SHIFT, from_spectrum,
                      objective)
 from .sga import (_MAX_THREADS, MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum,
-                  NesterovSchedule, _run_ensembles, constant_momentum_runs,
+                  NesterovSchedule, _run_ensembles, _sgd_factors, constant_momentum_runs,
                   discrete_floor, exact_moment_recursion, iteration_count,
                   mu_at)
 from .sme import bs_expected_f, build_sme, langevin_expected_f_exact, ou_expected_f
@@ -64,7 +64,7 @@ _SCAN_HORIZON = 40.0
 # the longest default series is condition_sweep's 120,000
 _MAX_SERIES_STEPS = 1_000_000
 # largest series length x dimension: the Langevin closed form holds about
-# 97 bytes per (time point, mode), so this keeps its peak near 0.9 GiB
+# 105 bytes per (time point, mode), so this keeps its peak near 1 GiB
 _MAX_SERIES_CELLS = 10_000_000
 # largest n_paths x series length of one ensemble
 _MAX_PATH_STEPS = 1_000_000_000
@@ -635,12 +635,6 @@ def _curve(label, rows, x, y):
     return label, tuple(row[x] for row in rows), tuple(row[y] for row in rows)
 
 
-def _max_relative_deviation(reference, other, lo, hi):
-    ref = np.asarray(reference, dtype=float)[lo:hi + 1]
-    oth = np.asarray(other, dtype=float)[lo:hi + 1]
-    return float(np.max(np.abs(ref - oth) / np.abs(ref)))
-
-
 def _has_oscillation(series, hi):
     """True when successive differences change sign (above 1e-9 of the max)."""
     values = np.asarray(series, dtype=float)[:hi + 1]
@@ -672,6 +666,8 @@ def exp_weak_error(config=None):
     model = _model_for(cfg)
     x0 = np.asarray(cfg.x0 or (1.0,) * cfg.dimension, dtype=float)
     closed_form = ou_expected_f if cfg.variant == ISOTROPIC_SHIFT else bs_expected_f
+    if np.isnan(_sgd_factors(model, cfg.eta_grid[0])[2]).any():   # ns^2 = 0, (eta lam)^2 = inf
+        raise ConfigError("eigenvalues: ns^2 (eta lam)^2 is 0 x inf at eta = %g" % cfg.eta_grid[0])
 
     tables, metrics, checks, curves = [], [], [], []
     algos = [AlgoSpec(SGD, eta, cfg.horizon) for eta in cfg.eta_grid]
@@ -794,7 +790,7 @@ def exp_divergence(config=None):
         ks = _subsample(n)
         series = exact_moment_recursion(AlgoSpec(SGD, eta, cfg.horizon), model, x0)
         discrete_divergent = bool(np.max(discrete_growth_factors(model, eta)) > 1.0)
-        sme_divergent = bool(np.any(eta * ns2 > 2.0 * lam))
+        sme_divergent = bool(np.any(eta * ns2 / 2.0 > lam))   # 2 lam may overflow
         verdicts[eta] = (discrete_divergent, sme_divergent)
         rows += _trajectory(cfg, SGD, 0.0, eta, ks, series[ks], "exact")
         curves.append(_curve("eta=%g" % eta, rows[-len(ks):], *_EF_XY))
@@ -864,7 +860,8 @@ def exp_momentum_dynamics(config=None):
             t_grid = eta * np.arange(n + 1)
             closed = langevin_expected_f_exact(systems[eta], x0, t_grid)
             lo, hi = fit.window
-            deviation = _max_relative_deviation(exact, closed, lo, hi)
+            ref, oth = exact[lo:hi + 1], closed[lo:hi + 1]
+            deviation = float(np.max(np.abs(ref - oth) / np.abs(ref)))
             deviations[(mu, eta)] = (deviation, hi)
             metrics.append(("max_rel_deviation[mu=%g,eta=%g]" % (mu, eta),
                             deviation))

@@ -485,9 +485,9 @@ def _sgd_factors(model, eta):
 
 
 def _times(c, x):
-    """c * x, broadcast, with 0 wherever c == 0 even if x is inf (0 * inf is NaN)."""
+    """c * x, broadcast, with 0 wherever c or x is 0 even if the other is inf (0 * inf: NaN)."""
     out = np.zeros(np.broadcast_shapes(c.shape, x.shape), np.result_type(c, x))
-    return np.multiply(c, x, out=out, where=c != 0.0)
+    return np.multiply(c, x, out=out, where=(c != 0.0) & (x != 0.0))
 
 
 def _sgd_series(model, eta, y0, n):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import models, rng, sga
 from .analysis import CRITICAL, _drift_blocks, classify_damping
-from .matkit import Block2x2Family, _assemble, _invariants, mat_exp_dense
+from .matkit import Block2x2Family, _assemble, _exp_2x2, _invariants, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -294,9 +294,9 @@ def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
     no source term), with m_i as in ou_expected_f."""
     lam = spec.eigenvalues
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
-    m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
-    rate = (growth - 2.0 * m) * np.asarray(t, dtype=float)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
+        m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
+        rate = (growth - 2.0 * m) * np.asarray(t, dtype=float)[..., None]
         ey2 = np.exp(rate) * y0 ** 2
         if source is not None:   # 1 - e^rate through expm1: no cancellation as t -> 0
             ey2 = ey2 + source * lam ** 2 * -np.expm1(rate) / (2.0 * m - growth)
@@ -367,58 +367,60 @@ def langevin_system(spec, mu, eta, noise_scale=1.0, variant="order1"):
 def langevin_expected_f_exact(system, x0, t):
     """E f(X_t) for a momentum SmeSystem with blocks, start (v, x) = (0, x0).
 
-    Every mode is the linear Langevin equation dz = -a_i z dt + sqrt(eta) ns
-    lam_i e_v dW, so with E = e^{-t a_i}
-      E f = sum_i (lam_i/2) [(E z0)_x^2 + eta ns^2 lam_i^2 C_i(t)_xx],
-      C_i(t) = int_0^t e^{-s a_i} e_v e_v^T e^{-s a_i^T} ds = C_inf - E C_inf E^T,
-    where C_inf solves a C + C a^T = e_v e_v^T.  One route serves every
-    variant and damping regime: E is the closed-form 2x2 exponential,
-    evaluated over every finite t and mode in one broadcast call, and at
-    t = inf only C_inf is used (Routh-Hurwitz: every tr a_i and det a_i > 0).
-    Where theta = t ||a_i||_1 < 0.5 the difference cancels (relative error
-    ~ eps/t^3), so C_i(t) = sum_n (-1)^n t^(n+1)/(n+1)! L^n(e_v e_v^T) with
-    L(X) = a X + X a^T instead, summed to n = 21 for every pair: past that,
-    the terms' bound puts the relative truncation error of C_xx below 2^-53.
-    t may be a scalar, math.inf or an array; a scalar returns a float.
+    Per mode dz = -a z dt + sqrt(eta) ns lam e_v dW, so with E(t) = e^{-t a},
+    E f = sum (lam/2) [(E(t) z0)_x^2 + eta ns^2 lam^2 C_xx] for the covariance
+    C(t) = int_0^t E(s) e_v e_v^T E(s)^T ds.  At t = inf, C_xx = a_xv^2 /
+    (2 tr det) (Cramer's rule, behind Routh-Hurwitz: tr, det > 0).  A finite t
+    takes one route, scaling and squaring (Van Loan 1978): s, the frexp exponent
+    of 2 t ||a||_1, is the least integer >= 0 with u ||a||_1 < 0.5 at u = t / 2^s;
+    C(u) = sum_n u^(n+1)/(n+1)! (-L)^n(e_v e_v^T), L(X) = a X + X a^T, to n = 21
+    (its terms' bound puts the truncation below 2^-53), is doubled s times by
+    C(2v) = C(v) + E(v) C(v) E(v)^T, a sum of positive semidefinite terms.  Both
+    maps act on C's (vv, vx, xx) entries; every level's E(v) comes from one
+    _exp_2x2 call per 4096 (t, mode) pairs.  t may be a scalar, math.inf or an array.
     """
     t = np.asarray(t, dtype=float)
     if np.any(np.isnan(t)) or np.any(t < 0):
         raise ValueError("t must be >= 0 (math.inf for the stationary value)")
-    fam = system.blocks
     spec = system.model.spec
     lam = spec.eigenvalues
-    a = fam.blocks
+    a = system.blocks.blocks
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     ts = t.reshape(-1)
-    tr, det, _ = _invariants(a)
-    if np.isinf(ts).any() and not np.all((tr > 0.0) & (det > 0.0)):   # Routh-Hurwitz
-        raise ValueError("system is not asymptotically stable; E f diverges")
-    # Cramer's rule on the three unknowns of the symmetric Lyapunov equation
-    c_inf = np.empty_like(a)
-    c_inf[:, 0, 0] = tr * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    c_inf[:, 0, 1] = c_inf[:, 1, 0] = -a[:, 1, 0] * a[:, 1, 1]
-    c_inf[:, 1, 1] = a[:, 1, 0] ** 2
     finite = np.isfinite(ts)
-    e = fam.block_exp(-np.where(finite, ts, 0.0))
-    e[~finite] = 0.0
-    with np.errstate(all="ignore"):   # an overflowed C_inf makes E f NaN, which callers reject
-        c_inf /= (2.0 * tr * det)[:, None, None]
-        cov = c_inf - e @ c_inf @ np.swapaxes(e, -1, -2)
-    theta = ts[:, None] * np.abs(a).sum(axis=1).max(axis=1)
-    k, i = np.nonzero(theta < 0.5)
-    if k.size:
-        ta = ts[k, None, None] * a[i]
-        # term n of C/t, (-t L)^n (e_v e_v^T)/(n+1)!: the noise enters the v slot
-        y = np.broadcast_to(np.array([[1.0, 0.0], [0.0, 0.0]]), ta.shape)
-        total = y.copy()
-        for n in range(1, 22):
-            p = ta @ y
-            y = (p + np.swapaxes(p, -1, -2)) / -(n + 1.0)
-            total += y
-        cov[k, i] = ts[k, None, None] * total
-    x = e[..., 1, 1] * y0
+    x = np.zeros((ts.size, lam.size))
+    x[finite] = _exp_2x2(a, -ts[finite, None])[..., 1, 1] * y0
+    cov = np.empty_like(x)
+    if not finite.all():
+        tr, det, _ = _invariants(a)
+        if not np.all((tr > 0.0) & (det > 0.0)):   # Routh-Hurwitz
+            raise ValueError("system is not asymptotically stable; E f diverges")
+        with np.errstate(all="ignore"):   # an overflowed C_inf makes E f NaN, which callers reject
+            cov[~finite] = a[:, 1, 0] ** 2 / (2.0 * tr * det)
+    norm = np.abs(a).sum(axis=1).max(axis=1)   # 2 t norm cannot overflow in np.longdouble
+    for part in np.array_split(np.flatnonzero(finite), max(1, ts.size * lam.size // 4096)):
+        s = np.maximum(np.frexp(2.0 * ts[part, None].astype(np.longdouble) * norm)[1], 0)
+        u = np.ldexp(ts[part, None], -s)
+        b00, b01, b10, b11 = (u * a[:, i // 2, i % 2] for i in range(4))
+        # X -> -u L(X) on the (vv, vx, xx) entries of a symmetric X
+        op = -np.array([[2.0 * b00, 2.0 * b01, 0.0 * u], [b10, b00 + b11, b01],
+                        [0.0 * u, 2.0 * b10, 2.0 * b11]])
+        c = term = np.array([u, 0.0 * u, 0.0 * u])   # u e_v e_v^T
+        for n in range(2, 23):   # term n - 1 of C(u), (-u L)^(n-1) (u e_v e_v^T) / n!
+            term = (op * term).sum(axis=1) / n
+            c = c + term
+        with np.errstate(over="ignore", invalid="ignore"):   # +inf is an overflowed C
+            e = _exp_2x2(a, -np.ldexp(u, np.arange(s.max(initial=0))[:, None, None]))
+            e00, e01, e10, e11 = (e[..., i // 2, i % 2] for i in range(4))
+            # X -> E X E^T on the (vv, vx, xx) entries of a symmetric X, at every level
+            op = np.array([[e00 * e00, 2.0 * e00 * e01, e01 * e01],
+                           [e00 * e10, e00 * e11 + e01 * e10, e01 * e11],
+                           [e10 * e10, 2.0 * e10 * e11, e11 * e11]])
+            for j in range(s.max(initial=0)):   # the pairs short of their own s double
+                c = np.where(j < s, c + (op[:, :, j] * c).sum(axis=1), c)
+        cov[part] = c[2]
     with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
-        noise = system.eta * system.model.noise_scale ** 2 * lam ** 2 * cov[..., 1, 1]
+        noise = system.eta * system.model.noise_scale ** 2 * lam ** 2 * cov
         out = 0.5 * np.sum(lam * (x * x + noise), axis=-1)
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smelab import cli, repro
+from smelab.matkit import MAX_DIM
 from smelab.repro import (ConfigError, ExperimentConfig, ExperimentReport,
                           default_config, parse_csv)
 
@@ -563,6 +564,16 @@ _FOUND = [
                       "eta_grid": [0.001], "horizon": 5.0}, 2, "eigenvalues"),
     # mu eta underflows to 0: no step size damps the momentum
     ("compare-snag", {"experiment": "msgd_vs_snag", "mu_values": [5e-324]}, 2, "mu_values"),
+    # ns^2 underflows to 0 where (eta lam)^2 overflows: sgd's noise is 0 x inf
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": [2.0e232, 1.1e226],
+                    "noise_scale": 1.15e-179}, 2, "eigenvalues"),
+    # a mode near the largest double: 2 lam (sgd's SME decay, divergence's SME
+    # verdict), and Delta of its momentum block, overflow to +-inf with no
+    # RuntimeWarning
+    ("weak-error", {"experiment": "weak_error", "eigenvalues": [1.7e308, 2.0]}, 2, "horizon"),
+    ("divergence", {"experiment": "divergence", "eigenvalues": [1.7e308, 2.0]}, 2, "horizon"),
+    ("momentum", {"experiment": "momentum_dynamics", "eigenvalues": [1.7e308, 1.0],
+                  "n_paths": 8}, 2, "eta_grid"),
 ])
 def test_degenerate_configs_exit_without_a_traceback(tmp_path, capsys, command,
                                                     config, code, key):
@@ -617,32 +628,61 @@ _VALUES = st.one_of(
              max_size=3))
 
 
+_COMMANDS = st.sampled_from(sorted(_SMALL_CONFIGS))
+_CHANGES = st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES, max_size=2)
+# whole spectra and start points of each dimension, each entry in [0.01, 4]
+# (either sign for a start) or of a magnitude log-uniform over the double range
+_SPECTRUM_ENTRIES = st.one_of(st.floats(0.01, 4.0),
+                              st.floats(-323.3, 308.25).map(lambda e: 10.0 ** e))
+_START_ENTRIES = st.one_of(st.floats(-4.0, 4.0), st.floats(-631.55, 631.55).map(
+    lambda e: math.copysign(10.0 ** (abs(e) - 323.3), e)))
+_VECTORS = {dim: tuple(st.lists(entry, min_size=dim, max_size=dim)
+                       for entry in (_SPECTRUM_ENTRIES, _START_ENTRIES))
+            for dim in range(1, MAX_DIM + 1)}
+
+
+@st.composite
+def _cases(draw):
+    """(command, changes): up to two fields of any kind, then, at the config's
+    dimension, maybe a whole descending spectrum and maybe a whole start point
+    (_VECTORS)."""
+    command = draw(_COMMANDS)
+    changes = draw(_CHANGES)
+    # 2: the default dimension of every experiment that _SMALL_CONFIGS leaves at it
+    dim = changes.get("dimension", _SMALL_CONFIGS[command].get("dimension", 2))
+    if type(dim) is int and dim in _VECTORS:
+        spectra, starts = _VECTORS[dim]
+        if draw(st.booleans()):
+            changes["eigenvalues"] = sorted(draw(spectra), reverse=True)
+        if draw(st.booleans()):
+            changes["x0"] = draw(starts)
+    return command, changes
+
+
 def _found_examples(test):
     """test with each _FOUND config as an example, its _SMALL_CONFIGS keys
     that the file leaves out at their defaults."""
     for command, config in _FOUND:
         defaults = json.loads(default_config(config["experiment"]).to_json())
         small = {key: defaults[key] for key in _SMALL_CONFIGS[command]}
-        test = example(command=command, changes=dict(small, **config))(test)
+        test = example(case=(command, dict(small, **config)))(test)
     return test
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(command=st.sampled_from(sorted(_SMALL_CONFIGS)),
-       changes=st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES,
-                               max_size=2))
-@example(command="momentum", changes={"families": 3})
-@example(command="momentum", changes={"eta_grid": [0.6], "mu_values": [0.5]})
-@example(command="momentum", changes={"noise_scale": 1e200})
-@example(command="momentum", changes={"eta_grid": [2e-5], "horizon": 1.0})
-@example(command="compare-snag", changes={"dimension": 1, "eigenvalues": [1.0],
-                                          "x0": [1000.0]})
-@example(command="weak-error", changes={"families": ["snag"]})
-@example(command="sweep", changes={"mu_values": [0.5], "n_paths": 8})
-@example(command="momentum", changes={"kappa": [10.0]})
-@example(command="momentum", changes={"eigenvalues": [], "mu_values": []})
+@given(case=_cases())
+@example(case=("momentum", {"families": 3}))
+@example(case=("momentum", {"eta_grid": [0.6], "mu_values": [0.5]}))
+@example(case=("momentum", {"noise_scale": 1e200}))
+@example(case=("momentum", {"eta_grid": [2e-5], "horizon": 1.0}))
+@example(case=("compare-snag", {"dimension": 1, "eigenvalues": [1.0], "x0": [1000.0]}))
+@example(case=("weak-error", {"families": ["snag"]}))
+@example(case=("sweep", {"mu_values": [0.5], "n_paths": 8}))
+@example(case=("momentum", {"kappa": [10.0]}))
+@example(case=("momentum", {"eigenvalues": [], "mu_values": []}))
 @_found_examples
-def test_any_config_exits_0_1_or_2_and_writes_only_under_out(command, changes):
+def test_any_config_exits_0_1_or_2_and_writes_only_under_out(case):
+    command, changes = case
     config = dict(_SMALL_CONFIGS[command], **changes)
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as cwd, \

@@ -20,7 +20,7 @@ from smelab.matkit import SpectralDecomp, _exp_2x2
 from smelab.models import ISOTROPIC_SHIFT, from_spectrum
 from smelab.sga import MSGD, SGD, SNAG, AlgoSpec, ConstantMomentum, discrete_floor
 from smelab.sme import (R_function, _decay_entry, asymptotic_noise_msgd, bs_expected_f,
-                        ou_expected_f)
+                        langevin_expected_f_exact, langevin_system, ou_expected_f)
 from test_sga import _worst_against_mpmath
 
 DPS = 80
@@ -91,6 +91,18 @@ GBM_LAMS = (1.0, 0.25, 4.0, 0.01)
 GBM_ETAS = (0.1, 0.0125)
 GBM_GS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 1e-2, -1e-2)
 GBM_TIMES = np.array([1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4])
+
+# langevin_expected_f_exact from x0 = 1 (transient and noise) on one mode, at
+# mu = 2 sqrt(lam) (1 +- 1e-6) around critical damping and mu = 9.99 just under
+# 1/eta, at t = f 0.5 / ||a||_1, f times the old switch time of its series.
+# Measured 4.69e-14 (msgd2, lam = 0.25, mu = 9.99, f = 1000, t = 32.3), where
+# the transient is 99.95 % of E f and its e^{-t a}_xx, whose exponent
+# (tr/2) t = 242 rounds as in the _exp_2x2 row, is off by 2.35e-14; at most
+# 8.2e-16 up to f = 10, and 8.2e-15 at f = 100.
+LANGEVIN_LAMS = (1.0, 0.25, 4.0, 0.01)
+LANGEVIN_ETA = 0.1
+LANGEVIN_FS = (1e-3, 1e-2, 0.1, 0.999, 1.001, 3.0, 10.0, 100.0, 1e3)
+LANGEVIN_BOUND = 1e-13
 
 
 def _noise_msgd_bound(f):
@@ -379,3 +391,45 @@ def test_bs_expected_f_near_growth_threshold_against_mpmath():
         ratio, case = _worst(cases())
     assert ratio <= 1.0, ("worst relative error %.3g at (lam, eta, order, g, t) = %s, "
                           "%.3g of its bound" % (case[5], case[:5], ratio))
+
+
+def _mp_langevin_f(block, lam, y0, t):
+    """(lam/2) [(E z0)_x^2 + eta ns^2 lam^2 C_xx] at ns = 0.9 from the float
+    block's exact entries: E = e^{-t a} by _mp_exp_neg, and with tau = tr/2,
+    om^2 = tau^2 - det and p(k) = (1 - e^{-k t})/k,
+    C_xx = a_xv^2 int_0^t e^{-2 tau s} sinh(om s)^2/om^2 ds
+         = a_xv^2 [p(2 tau - 2 om) + p(2 tau + 2 om) - 2 p(2 tau)] / (4 om^2)."""
+    a = [[mp.mpf(float(x)) for x in row] for row in block]
+    tau = (a[0][0] + a[1][1]) / 2
+    om = mp.sqrt(mp.mpc(tau * tau - (a[0][0] * a[1][1] - a[0][1] * a[1][0])))
+    t = mp.mpf(t)
+
+    def p(k):
+        return t if k == 0 else -mp.expm1(-k * t) / k
+
+    cxx = mp.re(a[1][0] ** 2 * (p(2 * tau - 2 * om) + p(2 * tau + 2 * om) - 2 * p(2 * tau))
+                / (4 * om * om))
+    x = _mp_exp_neg(block, t)[1][1] * mp.mpf(y0)
+    lam_ = mp.mpf(lam)
+    return lam_ / 2 * (x * x + mp.mpf(LANGEVIN_ETA) * mp.mpf(0.9) ** 2 * lam_ ** 2 * cxx)
+
+
+@pytest.mark.parametrize("variant", ["order1", "msgd2", "snag2"])
+def test_langevin_closed_form_against_mpmath(variant):
+    def cases():
+        for lam in LANGEVIN_LAMS:
+            spec = SpectralDecomp(np.array([lam]), np.eye(1))
+            for mu in (2.0 * math.sqrt(lam) * (1.0 + 1e-6), 2.0 * math.sqrt(lam) * (1.0 - 1e-6),
+                       (1.0 - 1e-3) / LANGEVIN_ETA):
+                system = langevin_system(spec, mu, LANGEVIN_ETA, noise_scale=0.9,
+                                         variant=variant)
+                block = system.blocks.blocks[0]
+                times = np.array(LANGEVIN_FS) * 0.5 / np.abs(block).sum(axis=0).max()
+                got = langevin_expected_f_exact(system, [1.0], times)
+                for t, value in zip(times.tolist(), got.tolist()):
+                    want = _mp_langevin_f(block, lam, 1.0, t)
+                    yield float(abs((value - want) / want)), (lam, mu, t)
+
+    with mp.workdps(DPS):
+        err, case = _worst(cases())
+    assert err <= LANGEVIN_BOUND, "worst relative error %.3g at (lam, mu, t) = %s" % (err, case)

@@ -695,6 +695,9 @@ _OVERFLOW_CASES = {
     "noiseless-zero-mode": lambda: (from_spectrum(ISOTROPIC_SHIFT, [20000.0, 1.0],
                                                   noise_scale=0.0),
                                     0.1, np.array([0.0, 1.0]), 3000),
+    # (eta lam)^2 overflows, so a = b = inf: b S_0 = inf x 0 must read 0
+    "infinite-factors": lambda: (from_spectrum(ISOTROPIC_SHIFT, [2.7e281, 3.2e135]),
+                                 0.1, np.array([1.0, 1.0]), 20),
 }
 
 

@@ -427,8 +427,8 @@ def test_stationary_value_needs_routh_hurwitz():
 @pytest.mark.parametrize("variant", ["order1", "msgd2", "snag2"])
 @pytest.mark.parametrize("mu", [0.7, 1.0])
 def test_langevin_small_t_noise_term_has_no_cancellation(variant, mu):
-    # x0 = 0 leaves only the noise term, whose difference form
-    # C_inf - E C_inf E^T loses ~eps/t^3 relative accuracy as t -> 0
+    # x0 = 0 leaves only the noise term, where a difference form
+    # C_inf - E C_inf E^T would lose ~eps/t^3 relative accuracy as t -> 0
     spec = _iso([1.0, 0.25]).spec
     system = langevin_system(spec, mu, 0.1, noise_scale=0.9, variant=variant)
     for t in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
@@ -446,7 +446,8 @@ _NOISE_CASES = [(1.0, 0.5, 0.1), (0.25, 1.9, 0.1), (1.0, 2.0, 0.1), (0.25, 1.0, 
 def _noise_f_worst(variant, switch_factors, tiny=()):
     """Worst relative error of E f at x0 = 0 (the noise term alone) over
     _NOISE_CASES against mpmath, at the times tiny and f t_s for f in
-    switch_factors, t_s = 0.5/||a||_1 the switch of langevin_expected_f_exact.
+    switch_factors, t_s = 0.5/||a||_1, where langevin_expected_f_exact
+    used to switch from its series to a difference form.
 
     One mode: E f = (lam/2) eta ns^2 lam^2 C_xx with, for tau = tr a/2 and
     om^2 = tau^2 - det a, (e^{-s a})_xv = -a_xv e^{-tau s} sinh(om s)/om, so
@@ -484,22 +485,20 @@ def test_langevin_small_t_series_against_mpmath(variant):
     assert worst <= 1e-14, "worst relative error %.3g at %s" % (worst, where)
 
 
-@pytest.mark.xfail(strict=True, reason="the difference form C_inf - E C_inf E^T "
-                   "just past t ||a||_1 = 0.5 is off by up to 3.4e-12 relative "
-                   "(mu near 1/eta): a known defect, not yet mended")
-def test_langevin_difference_form_just_past_the_switch_against_mpmath():
+def test_langevin_one_route_just_past_the_old_switch_against_mpmath():
+    # the difference form C_inf - E C_inf E^T that served t ||a||_1 >= 0.5
+    # read 3.4e-12 here (lam = 0.25, mu = 9.99, eta = 0.1); series and
+    # doubling read 4.4e-16
     worst = max(_noise_f_worst(v, [1.0 + 1e-3]) for v in ("order1", "msgd2", "snag2"))
     assert worst[0] <= 1e-14, "worst relative error %.3g at %s" % worst
 
 
-def test_langevin_difference_form_past_the_switch_against_mpmath():
-    # the difference form further past the switch, a guard until one route
-    # replaces it.  Measured 1.91e-12 (snag2 at f = 1.5: lam = 0.25, mu = 9.99,
-    # eta = 0.1, t = 0.0484), 2.2 eps C_inf_xx / C_xx(t) with C_inf_xx / C_xx
-    # = 3.9e3 there: the subtraction turns one ulp of E into that much.  It
-    # falls with f: at most 1.5e-13 at f = 3 and 3.9e-14 at f = 10 and 40.
+def test_langevin_one_route_past_the_old_switch_against_mpmath():
+    # Measured 1.46e-15 (lam = 0.25, mu = 9.99, eta = 0.1, t = 1.29 at f = 40);
+    # the difference form read 1.91e-12 (snag2 at f = 1.5), 2.2 eps C_inf_xx /
+    # C_xx(t) with C_inf_xx / C_xx = 3.9e3 there.
     worst = max(_noise_f_worst(v, [1.5, 3.0, 10.0, 40.0]) for v in ("order1", "msgd2", "snag2"))
-    assert worst[0] <= 4e-12, "worst relative error %.3g at %s" % worst
+    assert worst[0] <= 3e-15, "worst relative error %.3g at %s" % worst
 
 
 def test_langevin_array_t_equals_scalar_calls():

@@ -17,8 +17,10 @@ unpacked into a temporary directory, and then lists every label whose
 digest differs between the two trees or that only one of them has.  For a
 differing CSV that both trees write it also prints how many cells moved and
 the largest relative move |new - old| / |old| among them; a cell that is not
-a number on both sides, is missing on one, or moves off 0 moves by inf.  The
-exit status is 1 if any label is listed, and 0 otherwise.
+a number on both sides, is missing on one, or moves off 0 moves by inf.  For
+a differing SVG it does the same on the rows ``label,x,y`` of the ``data``
+comment that each figure embeds.  The exit status is 1 if any label is
+listed, and 0 otherwise.
 """
 
 import argparse
@@ -69,6 +71,16 @@ def cell_moves(old, new):
     return moved, largest
 
 
+def label_moves(label, old, new):
+    """cell_moves of two texts of a CSV label, or of the embedded data comments
+    of an SVG label; None for any other label."""
+    if label.endswith(".svg"):
+        old, new = (text.partition("<!--\n")[2].partition("\n-->")[0] for text in (old, new))
+    elif not label.endswith(".csv"):
+        return None
+    return cell_moves(old, new)
+
+
 def outputs(tree, scratch):
     """{label: bytes} of every artifact and of the stdouts."""
     out = {}
@@ -116,9 +128,10 @@ def main(argv=None):
         print("differs from %s: %s (%s -> %s)" % (
             args.parent, label, *(sha256(side[label]) if label in side else "missing"
                                   for side in (parent, change))))
-        if label.endswith(".csv") and label in parent and label in change:
-            print("  %d cells moved, largest relative move %.3g"
-                  % cell_moves(parent[label].decode(), change[label].decode()))
+        moves = label in parent and label in change and label_moves(
+            label, parent[label].decode(), change[label].decode())
+        if moves:
+            print("  %d cells moved, largest relative move %.3g" % moves)
     print("%d of %d labels differ from %s" % (len(differ), len(set(change) | set(parent)),
                                               args.parent))
     return 1 if differ else 0
