@@ -37,8 +37,9 @@ for kappa in config.kappa:
 
 print()
 print("log-log slope of rate vs kappa:")
-print("  sgd  %.3f   (prediction -1)" % report.metric("sgd_slope"))
-print("  msgd %.3f   (prediction -1/2)" % report.metric("msgd_slope"))
+slopes = {table.name: table.footer.slope for table in report.tables}
+print("  sgd  %.3f   (prediction -1)" % slopes["sweep_sgd"])
+print("  msgd %.3f   (prediction -1/2)" % slopes["sweep_msgd"])
 
 print()
 for check in report.checks:

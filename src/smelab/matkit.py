@@ -87,6 +87,12 @@ def sym_eig(H):
     return SpectralDecomp(lam[::-1], q[:, ::-1])
 
 
+def _times(c, x):
+    """c * x, broadcast, with 0 wherever c or x is 0 even if the other is inf (0 * inf: NaN)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(c), np.shape(x)), np.result_type(c, x))
+    return np.multiply(c, x, out=out, where=(c != 0.0) & (x != 0.0))
+
+
 def _exp_2x2(a, t):
     """exp(t a) for 2x2 blocks a (..., 2, 2) at times t that broadcast
     against a's batch shape.
@@ -97,19 +103,20 @@ def _exp_2x2(a, t):
     cosh/sinh branch e^{|om t|} is folded into the exponent, so the result
     stays finite wherever exp(t a) is, even when cosh(om t) alone would overflow.
     """
-    tr, _, delta = _invariants(a)
-    half = 0.5 * tr
+    _, _, delta = _invariants(a)
+    half = 0.5 * a[..., 0, 0] + 0.5 * a[..., 1, 1]   # tr/2 with no overflow: a finite k
     over = delta > 0.0
     under = delta < 0.0
     om = 0.5 * np.sqrt(np.abs(delta))
     om_nz = np.where(delta == 0.0, 1.0, om)   # a divisor that is never 0
+    ot = _times(om_nz, t)   # 0 at t = 0 even where Delta overflows: e^{0 a} = I
     # cosh(om t) = e^s (1 + e^{-2s}) / 2, sinh(om t) = sign(t) e^s (1 - e^{-2s}) / 2
-    s = np.where(over, np.abs(om * t), 0.0)
+    s = np.where(over, np.abs(ot), 0.0)
     g = np.exp(half * t + s)
     c0 = np.where(over, 0.5 * g * (1.0 + np.exp(-2.0 * s)),
-                  np.where(under, g * np.cos(om_nz * t), g))
+                  np.where(under, g * np.cos(ot), g))
     c1 = np.where(over, 0.5 * g * np.copysign(-np.expm1(-2.0 * s) / om_nz, t),
-                  np.where(under, g * np.sin(om_nz * t) / om_nz, g * t))
+                  np.where(under, g * np.sin(ot) / om_nz, g * t))
     k = a - half[..., None, None] * np.eye(2)
     return c0[..., None, None] * np.eye(2) + c1[..., None, None] * k
 

@@ -254,9 +254,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Check:
+    """One verdict.  A numeric check holds its value and band (see
+    _band_check); a boolean check holds None there."""
+
     name: str
     passed: bool
     detail: str
+    value: float = None
+    lo: float = None
+    hi: float = None
 
 
 @dataclass(frozen=True)
@@ -643,9 +649,12 @@ def _has_oscillation(series, hi):
     return bool(np.any(significant[:-1] != significant[1:]))
 
 
-def _band_check(name, value, lo, hi):
-    return Check(name, bool(lo <= value <= hi),
-                 "value=%.6g target [%g, %g]" % (value, lo, hi))
+def _band_check(name, value, lo, hi, detail=None):
+    """The numeric check lo <= value <= hi; the detail defaults to the value and band."""
+    value, lo, hi = float(value), float(lo), float(hi)
+    if detail is None:
+        detail = "value=%.6g target [%g, %g]" % (value, lo, hi)
+    return Check(name, lo <= value <= hi, detail, value, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +678,7 @@ def exp_weak_error(config=None):
     if np.isnan(_sgd_factors(model, cfg.eta_grid[0])[2]).any():   # ns^2 = 0, (eta lam)^2 = inf
         raise ConfigError("eigenvalues: ns^2 (eta lam)^2 is 0 x inf at eta = %g" % cfg.eta_grid[0])
 
-    tables, metrics, checks, curves = [], [], [], []
+    tables, checks, curves = [], [], []
     algos = [AlgoSpec(SGD, eta, cfg.horizon) for eta in cfg.eta_grid]
     exact = [exact_moment_recursion(algo, model, x0) for algo in algos]   # at both orders
     for order in (1, 2):
@@ -689,7 +698,6 @@ def exp_weak_error(config=None):
         fit = None
         if len(errors) >= 2:
             fit = fit_loglog_slope(cfg.eta_grid, errors)
-            metrics.append(("order%d_slope" % order, fit.slope))
             if cfg.noise_scale > 0 and order == 1:
                 checks.append(_band_check("order1-slope", fit.slope, 0.85, 1.15))
             elif cfg.noise_scale > 0 and cfg.variant == ISOTROPIC_SHIFT:
@@ -701,16 +709,14 @@ def exp_weak_error(config=None):
     if cfg.noise_scale == 0:
         # errors holds order 2's; its last entry is at the smallest eta
         budget = 1e-6 * objective(model, x0)
-        checks.append(Check(
-            "deterministic-order2-error", bool(errors[-1] <= budget),
-            "error=%.3g budget=%.3g at eta=%g" % (errors[-1], budget,
-                                                  cfg.eta_grid[-1])))
+        checks.append(_band_check(
+            "deterministic-order2-error", errors[-1], 0.0, budget,
+            "error=%.3g budget=%.3g at eta=%g" % (errors[-1], budget, cfg.eta_grid[-1])))
 
     panels = (Panel("weak_error_%s" % cfg.variant,
                     "weak error vs step size (%s)" % cfg.variant,
                     "eta", "max weak error", tuple(curves), logx=True, logy=True),)
-    return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels,
-                            tuple(metrics), tuple(checks))
+    return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels, (), tuple(checks))
 
 
 def exp_condition_sweep(config=None):
@@ -746,13 +752,12 @@ def exp_condition_sweep(config=None):
                                   "fit needs it positive" % (family, kappa, fit.slope))
             rows[family].append((cfg.experiment, float(kappa), fit.slope, family))
 
-    tables, metrics, checks, curves = [], [], [], []
+    tables, checks, curves = [], [], []
     for family in cfg.families:
         rates = [row[2] for row in rows[family]]
         fit = None
         if len(rates) >= 2:
             fit = fit_loglog_slope(cfg.kappa, rates)
-            metrics.append(("%s_slope" % family, fit.slope))
             if family == SGD:
                 checks.append(_band_check("sgd-kappa-slope", fit.slope,
                                           -1.15, -0.85))
@@ -765,8 +770,7 @@ def exp_condition_sweep(config=None):
     panels = (Panel("sweep", "descent rate vs condition number",
                     "kappa", "rate per iteration", tuple(curves),
                     logx=True, logy=True),)
-    return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels,
-                            tuple(metrics), tuple(checks))
+    return ExperimentReport(cfg.experiment, cfg, tuple(tables), panels, (), tuple(checks))
 
 
 def exp_divergence(config=None):
@@ -811,9 +815,8 @@ def exp_divergence(config=None):
                         "flip intervals: %s" % (flips,)))
     if ns2 > 0:
         gap = abs(disc_threshold - sme_threshold) / sme_threshold
-        metrics.append(("threshold_relative_gap", gap))
-        checks.append(Check("threshold-gap", bool(gap <= 1e-4),
-                            "relative gap %.3g (limit 1e-4)" % gap))
+        checks.append(_band_check("threshold-gap", gap, 0.0, 1e-4,
+                                  "relative gap %.3g (limit 1e-4)" % gap))
     tables = (Table("divergence", _DYNAMICS_HEADER, tuple(rows)),)
     panels = (Panel("divergence", "sgd on eigenbasis_scaled: E f trajectories",
                     "t", "E f", tuple(curves), logy=True),)
@@ -852,7 +855,6 @@ def exp_momentum_dynamics(config=None):
         exact_floors[mu] = langevin_expected_f_exact(systems[eta0], np.zeros_like(x0), math.inf)
         if math.isnan(exact_floors[mu]):   # C_inf overflows where mu lam underflows
             raise ConfigError("eigenvalues: the stationary E f at mu = %g is NaN" % mu)
-        metrics.append(("exact_floor[mu=%g]" % mu, exact_floors[mu]))
         for eta in cfg.eta_grid:
             algo = AlgoSpec(MSGD, eta, cfg.horizon, ConstantMomentum(mu))
             n = algo.n_steps
@@ -922,11 +924,9 @@ def exp_momentum_dynamics(config=None):
     best = int(np.argmax(scan_rates))
     argmax_mu = _SCAN_MU_GRID[best]
     predicted = optimal_mu(scan_model.spec)
-    metrics.append(("scan_argmax_mu", argmax_mu))
     metrics.append(("scan_predicted_mu", predicted))
-    checks.append(Check(
-        "scan-argmax-near-predicted",
-        bool(abs(argmax_mu - predicted) <= 0.1 * predicted),
+    checks.append(_band_check(
+        "scan-argmax-near-predicted", abs(argmax_mu - predicted), 0.0, 0.1 * predicted,
         "argmax %.4g vs predicted %.4g (10%% band)" % (argmax_mu, predicted)))
 
     tables = (Table("momentum_dynamics", _DYNAMICS_HEADER, tuple(rows)),
@@ -988,11 +988,9 @@ def exp_msgd_vs_snag(config=None):
         gap_closed = (order2_eigs(SNAG, mu_const, eta, model.spec).min_real_part
                       - order2_eigs(MSGD, mu_const, eta, model.spec).min_real_part)
         predicted_gap = 2.0 * gap_closed * eta
-        checks.append(Check(
-            "closed-gap-lamd%g" % lam_d,
-            bool(abs(gap_closed - 0.5 * eta * lam_d) <= 1e-10),
-            "gap %.12g vs eta*lam_d/2 = %.12g" % (gap_closed,
-                                                  0.5 * eta * lam_d)))
+        checks.append(_band_check(
+            "closed-gap-lamd%g" % lam_d, abs(gap_closed - 0.5 * eta * lam_d), 0.0, 1e-10,
+            "gap %.12g vs eta*lam_d/2 = %.12g" % (gap_closed, 0.5 * eta * lam_d)))
         rows, rates, curves = [], {}, []
         for family in (MSGD, SNAG):
             algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_const))
@@ -1006,11 +1004,10 @@ def exp_msgd_vs_snag(config=None):
         metrics.append(("closed_gap[lam_d=%g]" % lam_d, gap_closed))
         metrics.append(("predicted_rate_gap[lam_d=%g]" % lam_d, predicted_gap))
         metrics.append(("measured_rate_gap[lam_d=%g]" % lam_d, measured))
-        checks.append(Check(
-            "measured-gap-lamd%g" % lam_d,
-            bool(abs(measured - predicted_gap) <= 0.15 * predicted_gap),
-            "measured %.4g vs predicted %.4g (15%% band)" % (measured,
-                                                             predicted_gap)))
+        checks.append(_band_check(
+            "measured-gap-lamd%g" % lam_d, abs(measured - predicted_gap), 0.0,
+            0.15 * predicted_gap,
+            "measured %.4g vs predicted %.4g (15%% band)" % (measured, predicted_gap)))
         tag = ("%g" % lam_d).replace(".", "p")
         tables.append(Table("compare_snag_lamd%s" % tag, _DYNAMICS_HEADER,
                             tuple(rows)))
@@ -1035,15 +1032,12 @@ def exp_msgd_vs_snag(config=None):
         algo = AlgoSpec(family, eta, cfg.horizon, ConstantMomentum(mu_opt))
         tuned_floors[family], _, fit = _descent(algo, model_b, x0_b, trim=(1.3, 100))
         tuned_rates[family] = fit.slope
-        metrics.append(("tuned_mu[%s]" % family, mu_opt))
-        metrics.append(("tuned_rate[%s]" % family, tuned_rates[family]))
         tuned_rows.append((cfg.experiment, mu_opt, tuned_rates[family], family))
     tuned_diff = abs(tuned_rates[SNAG] - tuned_rates[MSGD])
-    checks.append(Check(
-        "tuned-rates-similar",
-        bool(tuned_diff <= 0.1 * eta * tuned_rates[MSGD]),
-        "rate difference %.3g vs 0.1*eta*rate = %.3g"
-        % (tuned_diff, 0.1 * eta * tuned_rates[MSGD])))
+    limit = 0.1 * eta * tuned_rates[MSGD]
+    checks.append(_band_check(
+        "tuned-rates-similar", tuned_diff, 0.0, limit,
+        "rate difference %.3g vs 0.1*eta*rate = %.3g" % (tuned_diff, limit)))
     tables.append(Table("compare_snag_tuned", _SCAN_HEADER, tuple(tuned_rows)))
 
     # (c) Nesterov schedule: sub-linear slowdown and floor above tuned msgd

@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import matkit, models, rng
+from .matkit import _times
 from .analysis import discrete_growth_factors
 
 SGD = "sgd"
@@ -482,12 +483,6 @@ def _sgd_factors(model, eta):
         with np.errstate(over="ignore", invalid="ignore"):   # +inf past the largest double
             return mean, mean ** 2, model.noise_scale ** 2 * (eta * lam) ** 2
     return mean, discrete_growth_factors(model, eta), np.zeros_like(lam)
-
-
-def _times(c, x):
-    """c * x, broadcast, with 0 wherever c or x is 0 even if the other is inf (0 * inf: NaN)."""
-    out = np.zeros(np.broadcast_shapes(c.shape, x.shape), np.result_type(c, x))
-    return np.multiply(c, x, out=out, where=(c != 0.0) & (x != 0.0))
 
 
 def _sgd_series(model, eta, y0, n):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import models, rng, sga
 from .analysis import CRITICAL, _drift_blocks, classify_damping
-from .matkit import Block2x2Family, _assemble, _exp_2x2, _invariants, mat_exp_dense
+from .matkit import Block2x2Family, _assemble, _exp_2x2, _invariants, _times, mat_exp_dense
 from .sga import EnsembleStats, iteration_count
 
 SNAG_VARYING = "snag_varying"
@@ -296,10 +296,11 @@ def _sgd_expected_f(spec, x0, eta, t, order, growth, source=None):
     y0 = spec.to_eigen(np.asarray(x0, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):   # +inf is the overflowed E f
         m = lam * (1.0 + 0.5 * eta * lam) if order == 2 else lam
-        rate = (growth - 2.0 * m) * np.asarray(t, dtype=float)[..., None]
+        # 0 at t = 0 even where m or source lam^2 overflows: E f(0) = f(x0)
+        rate = _times(growth - 2.0 * m, np.asarray(t, dtype=float)[..., None])
         ey2 = np.exp(rate) * y0 ** 2
         if source is not None:   # 1 - e^rate through expm1: no cancellation as t -> 0
-            ey2 = ey2 + source * lam ** 2 * -np.expm1(rate) / (2.0 * m - growth)
+            ey2 = ey2 + _times(source * lam ** 2, -np.expm1(rate)) / (2.0 * m - growth)
         out = 0.5 * np.sum(lam * ey2, axis=-1)
     return float(out) if out.ndim == 0 else out
 

@@ -102,8 +102,8 @@ def test_criterion_03_condition_scaling():
     elapsed = time.monotonic() - t0
     assert tuple(report.config.kappa) == (10.0, 30.0, 100.0, 300.0, 1000.0)
     assert report.config.eta_grid[0] == 0.1
-    sgd_slope = report.metric("sgd_slope")
-    msgd_slope = report.metric("msgd_slope")
+    slopes = {table.name: table.footer.slope for table in report.tables}
+    sgd_slope, msgd_slope = slopes["sweep_sgd"], slopes["sweep_msgd"]
     ok = (-1.15 <= sgd_slope <= -0.85 and -0.6 <= msgd_slope <= -0.4
           and elapsed < 30)
     _line(3, "condition-scaling", ok,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -128,6 +130,17 @@ def test_mat_exp_2x2_group_property():
     e2 = mat_exp_2x2(m, 0.4)
     assert_allclose(e1 @ e2, mat_exp_2x2(m, 1.0), rtol=1e-12, atol=1e-12)
     assert_allclose(mat_exp_2x2(m, 0.0), np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [
+    [[0.5, 1.7e308], [-1.0, 0.0]],       # Delta = -inf: om = inf meets t = 0
+    [[0.5, 1.7e308], [1.0, 0.0]],        # Delta = +inf
+    [[1.7e308, 0.0], [0.0, 1.7e308]],    # tr overflows
+])
+def test_mat_exp_2x2_at_t0_is_the_identity_for_every_finite_block(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_array_equal(mat_exp_2x2(m, 0.0), np.eye(2))
 
 
 def _discriminant_blocks():

@@ -284,10 +284,18 @@ def test_series_longer_than_the_limit_is_rejected():
     assert cfg.horizon / min(cfg.eta_grid) == pytest.approx(120000.0)
 
 
+def _table(report, name):
+    return next(table for table in report.tables if table.name == name)
+
+
+def _check(report, name):
+    return next(check for check in report.checks if check.name == name)
+
+
 def test_tuned_momenta_are_unchanged():
-    report = exp_msgd_vs_snag()
-    assert report.metric("tuned_mu[msgd]") == 0.9761600000000041
-    assert report.metric("tuned_mu[snag]") == 0.9534000000000055
+    tuned = {row[3]: row[1] for row in _table(exp_msgd_vs_snag(), "compare_snag_tuned").rows}
+    assert tuned["msgd"] == 0.9761600000000041
+    assert tuned["snag"] == 0.9534000000000055
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +306,10 @@ def test_tuned_momenta_are_unchanged():
 def test_weak_error_default_report():
     report = exp_weak_error()
     assert report.passed
-    assert_allclose(report.metric("order1_slope"), 0.9552, atol=2e-3)
-    assert_allclose(report.metric("order2_slope"), 2.0062, atol=2e-3)
+    assert_allclose(_table(report, "weak_error_isotropic_shift_order1").footer.slope,
+                    0.9552, atol=2e-3)
+    assert_allclose(_table(report, "weak_error_isotropic_shift_order2").footer.slope,
+                    2.0062, atol=2e-3)
     # errors decrease monotonically with eta at both orders
     for table in report.tables:
         errs = [row[3] for row in table.rows]
@@ -311,7 +321,7 @@ def test_weak_error_scaled_variant():
                               variant=EIGENBASIS_SCALED)
     report = exp_weak_error(cfg)
     assert report.passed
-    assert 0.85 <= report.metric("order1_slope") <= 1.15
+    assert 0.85 <= _table(report, "weak_error_eigenbasis_scaled_order1").footer.slope <= 1.15
 
 
 def test_weak_error_noise_free_budget():
@@ -323,6 +333,9 @@ def test_weak_error_noise_free_budget():
     names = [c.name for c in report.checks]
     assert names == ["deterministic-order2-error"]
     assert report.passed
+    # the error and its budget are the check's value and band
+    (check,) = report.checks
+    assert check.lo == 0.0 < check.value <= check.hi == 1e-6 * 0.5 * 0.1
     # a start with fast-mode energy breaks that budget: the bound is sharp
     bad = dataclasses.replace(base, noise_scale=0.0, x0=(1.0, 1.0))
     assert not exp_weak_error(bad).passed
@@ -337,7 +350,7 @@ def test_condition_sweep_kappa_one_rate():
     rate_k1 = table.rows[0][2]
     assert table.rows[0][1] == 1.0
     assert abs(rate_k1 - 2 * 0.05) <= 0.05 * (2 * 0.05)
-    slope = report.metric("sgd_slope")
+    slope = table.footer.slope
     assert -1.15 <= slope <= -0.85
 
 
@@ -347,8 +360,8 @@ def test_divergence_default_report():
     assert_allclose(report.metric("sme_threshold"), 0.02, rtol=1e-12)
     assert_allclose(report.metric("discrete_threshold"), 0.02 / 1.0001,
                     rtol=1e-12)
-    assert report.metric("threshold_relative_gap") <= 1e-4
-    flips = next(c for c in report.checks if c.name == "single-flip")
+    assert _check(report, "threshold-gap").value <= 1e-4
+    flips = _check(report, "single-flip")
     assert flips.passed and "0.015, 0.025" in flips.detail
     # every trajectory value is finite and positive on the emitted grid
     (table,) = report.tables
@@ -377,7 +390,8 @@ def test_momentum_dynamics_method_tags():
     mus = [row[1] for row in scan.rows]
     assert mus == sorted(mus) and len(mus) > 100
     assert_allclose(report.metric("scan_predicted_mu"), 0.95, rtol=1e-12)
-    assert abs(report.metric("scan_argmax_mu") - 0.95) <= 0.095
+    argmax_mu = max(scan.rows, key=lambda row: row[2])[1]
+    assert abs(argmax_mu - 0.95) <= 0.095
 
 
 def test_msgd_vs_snag_default_report():
@@ -391,7 +405,8 @@ def test_msgd_vs_snag_default_report():
         meas = report.metric("measured_rate_gap[lam_d=%g]" % lam_d)
         pred = report.metric("predicted_rate_gap[lam_d=%g]" % lam_d)
         assert abs(meas - pred) <= 0.15 * pred
-    assert report.metric("tuned_rate[snag]") > 0
+    tuned_rate = {row[3]: row[2] for row in _table(report, "compare_snag_tuned").rows}
+    assert tuned_rate["snag"] > 0
     assert report.metric("schedule_late_rate") < \
         0.5 * report.metric("schedule_early_rate")
 
@@ -401,7 +416,34 @@ def test_run_experiment_dispatch():
     direct = exp_divergence(cfg)
     via = run_experiment(cfg)
     assert via.metrics == direct.metrics
+    assert via.checks == direct.checks   # with their values and bands
+    assert any(check.value is not None for check in via.checks)
     assert via.tables[0].rows == direct.tables[0].rows
+
+
+# the boolean checks of figures' configs; its other checks are numeric
+_BOOLEAN_CHECKS = (
+    ["divergence.classifications-agree-eta%g" % eta for eta in (0.04, 0.025, 0.015, 0.005)]
+    + ["divergence.single-flip", "momentum_dynamics.floor-decreasing-in-mu",
+       "momentum_dynamics.oscillation-underdamped",
+       "momentum_dynamics.no-oscillation-overdamped", "msgd_vs_snag.gap-grows-with-lamd",
+       "msgd_vs_snag.schedule-sublinear", "msgd_vs_snag.schedule-floor-above-tuned-msgd"])
+
+
+def test_numeric_checks_carry_their_value_and_band():
+    checks = [(experiment, check) for experiment, entry in repro._TABLE.items()
+              for variant in entry.variants
+              for check in run_experiment(dataclasses.replace(
+                  default_config(experiment), variant=variant)).checks]
+    numeric = [check for _, check in checks if check.value is not None]
+    for check in numeric:
+        assert check.lo <= check.hi, check
+        assert check.passed == (check.lo <= check.value <= check.hi), check
+    boolean = [(experiment, check) for experiment, check in checks if check.value is None]
+    assert sorted("%s.%s" % (experiment, check.name)
+                  for experiment, check in boolean) == sorted(_BOOLEAN_CHECKS)
+    assert all(check.lo is None and check.hi is None for _, check in boolean)
+    assert len(numeric) == 15 and len(checks) == 26
 
 
 # small configs, one per experiment, that each run in well under a second

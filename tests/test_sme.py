@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ def test_ou_expected_f_against_ode():
         assert_allclose(got, want, rtol=1e-8)
     assert_allclose(ou_expected_f(spec, x0, eta, 0.0, noise_scale=ns),
                     objective(model, x0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_ou_expected_f_at_t0_is_f_x0_where_the_noise_overflows(order):
+    # eta ns^2 lam^2 (and at order 2 the decay m) overflow: inf x 0 must read 0, not NaN
+    spec = SpectralDecomp(np.array([2.7e281, 3.2e135]), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ou_expected_f(spec, (1.0, 1.0), 0.1, 0.0, order=order) == 1.35e281
 
 
 def test_bs_expected_f_against_ode():
